@@ -107,6 +107,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    if args.deg is not None and args.deg < 0:
+        raise ConfigError(f"--deg must be at least 0, got {args.deg}")
     cfg = PointConfiguration.load(args.config)
     z = resolution.FatPointScheme(neg=cfg.neg, multiplicities=_parse_mult(args.mult))
     prof = resolution.hilbert(z, t_max=args.deg)
@@ -158,6 +160,8 @@ def _marking_lines(report: murank.MarkingReport) -> list:
 
 
 def _cmd_verify(args) -> int:
+    if args.depth < 1:
+        raise ConfigError(f"--depth must be at least 1, got {args.depth}")
     cfg = PointConfiguration.load(args.config)
     rows = []
     all_ok = True

@@ -5,7 +5,11 @@ Any class is reduced by repeatedly subtracting a negative curve it meets
 negatively: each subtraction removes a forced fixed component and leaves
 the space of global sections unchanged, so the loop either certifies the
 class ineffective (degree drops below zero) or lands on a nef class whose
-section count is its Euler characteristic.
+section count is its Euler characteristic.  One step subtracts at once
+the whole multiple of a curve that the running class forces, so most
+reductions take a handful of steps however large the multiplicities;
+chains of -2 curves that pass a multiple back and forth still take more
+steps as the multiplicities grow.
 
 When -K is nef, the nef cone is generated as a semigroup by the nef
 members of the union of seven fixed reflection orbits (1279 classes in
@@ -35,11 +39,6 @@ GENERATOR_SEEDS = (
     DivisorClass((3, 1, 1, 1, 1, 1, 1)),
 )
 
-#: Hard ceiling on reduction steps; far beyond anything reachable for
-#: classes of the sizes this package handles.
-REDUCTION_STEP_CAP = 100_000
-
-
 @functools.lru_cache(maxsize=1)
 def seed_orbit_union() -> frozenset:
     """The 1279-element union of the reflection orbits of the seven seeds."""
@@ -60,14 +59,17 @@ class Reduction:
 
     When ``effective`` the original class equals ``nef_part`` plus the sum
     of ``fixed_part`` (a multiset of negative curves with multiplicities);
-    otherwise some intermediate class had negative degree and there are no
-    sections.
+    otherwise some intermediate class had negative degree, there are no
+    sections, and ``nef_part`` is that class (not nef in general).  In
+    both cases the original class is ``nef_part`` plus the sum of
+    ``trace``, whose entries are the multiples n*C subtracted in each
+    step, in order.
     """
 
     effective: bool
     nef_part: DivisorClass
     fixed_part: tuple  # ((DivisorClass, multiplicity), ...)
-    trace: tuple  # subtraction order, one class per step
+    trace: tuple  # n*C subtracted per step, in order
 
     def fixed_sum(self) -> DivisorClass:
         total = ZERO
@@ -79,32 +81,41 @@ class Reduction:
 def reduce(f: DivisorClass, neg: NegSet, order=None) -> Reduction:
     """Strip negative curves off f until it is nef or visibly ineffective.
 
-    Each iteration subtracts the first class in ``order`` (default: the
-    sorted NEG classes) meeting the current class negatively.  The nef part
-    and fixed multiset do not depend on the order; tests assert this.
+    Scans the classes of ``order`` (default: the sorted NEG classes)
+    cyclically.  A class C met negatively by the running class F is
+    subtracted n = ceil(-F.C / -C^2) times in one step; each copy would
+    still meet F negatively, so the per-copy loop reaches the same result.
+    The next scan starts after C; a full pass without a hit ends the loop.
+    The nef part and fixed multiset do not depend on the order; tests
+    assert this.
+
+    Termination: each step lowers ``TERMINATION_WEIGHT``.F by at least 1
+    and starts at degree >= 0.  For the ``reduction_candidates`` shapes no
+    stored multiplicity exceeds A = max(0, initial ones) (Ei lifts a
+    negative entry to 0, Ei - Ej stays within the old range, lines and
+    conics only lower entries), so the pairing stays >= -21*A.
     """
     classes = tuple(order) if order is not None else neg.classes
     cur = f
     trace = []
     counts: dict = {}
-    for _ in range(REDUCTION_STEP_CAP):
-        if cur[0] < 0:
-            return Reduction(effective=False, nef_part=cur,
-                             fixed_part=tuple(sorted(counts.items())),
-                             trace=tuple(trace))
-        hit = None
+    while cur[0] >= 0:
         for c in classes:
-            if cur.dot(c) < 0:
-                hit = c
+            d = cur.dot(c)
+            if d < 0:
                 break
-        if hit is None:
-            return Reduction(effective=True, nef_part=cur,
-                             fixed_part=tuple(sorted(counts.items())),
-                             trace=tuple(trace))
-        cur = cur - hit
-        trace.append(hit)
-        counts[hit] = counts.get(hit, 0) + 1
-    raise RuntimeError(f"reduction of {f!r} did not terminate")
+        else:
+            break
+        n = -(d // -c.dot(c))
+        step = c if n == 1 else n * c
+        cur = cur - step
+        trace.append(step)
+        counts[c] = counts.get(c, 0) + n
+        p = classes.index(c) + 1
+        classes = classes[p:] + classes[:p]
+    return Reduction(effective=cur[0] >= 0, nef_part=cur,
+                     fixed_part=tuple(sorted(counts.items())),
+                     trace=tuple(trace))
 
 
 def h0(f: DivisorClass, neg: NegSet) -> int:

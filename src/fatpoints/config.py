@@ -342,6 +342,15 @@ def match_catalog_type(nodal) -> str:
 # Top-level configuration objects
 
 
+def _int_rows(value, key: str) -> tuple:
+    """A JSON list of integer lists as a tuple of tuples."""
+    if not (isinstance(value, list) and all(
+            isinstance(row, list) and all(isinstance(x, int) for x in row)
+            for row in value)):
+        raise ConfigError(f"'{key}' must be a list of lists of integers")
+    return tuple(tuple(row) for row in value)
+
+
 @dataclass(frozen=True)
 class PointConfiguration:
     """A validated configuration plus its computed NEG set."""
@@ -372,17 +381,22 @@ class PointConfiguration:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PointConfiguration":
+        if not isinstance(data, dict):
+            raise ConfigError(f"configuration must be a JSON object, "
+                              f"got {type(data).__name__}")
         kind = data.get("kind")
         if kind == "distinct":
             spec = DistinctSpec(
-                collinear=tuple(tuple(s) for s in data.get("collinear", ())),
+                collinear=_int_rows(data.get("collinear", []), "collinear"),
                 six_on_conic=bool(data.get("six_on_conic", False)))
             return cls.from_distinct(spec)
         if kind == "dynkin":
+            if not isinstance(data.get("type"), str):
+                raise ConfigError("dynkin configuration needs a 'type' string")
             return cls.from_dynkin(data["type"])
         if kind == "nodal":
-            roots = tuple(DivisorClass.from_display_row(r) for r in data["roots"])
-            return cls.from_nodal(roots)
+            rows = _int_rows(data.get("roots"), "roots")
+            return cls.from_nodal(DivisorClass.from_display_row(r) for r in rows)
         raise ConfigError(f"unknown configuration kind {kind!r}")
 
     @classmethod

@@ -176,13 +176,17 @@ class BettiTable:
 
 
 def format_shifts(counts: dict) -> str:
-    """Render degree->count as shift notation, e.g. "R[-6] + R[-8]^3"."""
+    """Render degree->count as shift notation, e.g. "R[-6] + R[-8]^3".
+
+    Degree 0 carries no shift: the unit ideal prints as "R".
+    """
     if not counts:
         return "0"
     parts = []
     for d in sorted(counts):
         n = counts[d]
-        parts.append(f"R[-{d}]" if n == 1 else f"R[-{d}]^{n}")
+        base = f"R[-{d}]" if d else "R"
+        parts.append(base if n == 1 else f"{base}^{n}")
     return " + ".join(parts)
 
 

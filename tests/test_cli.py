@@ -146,3 +146,24 @@ def test_validation_errors(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "neg", "--config", str(missing))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("neg",), [1, 2], "JSON object"),
+    (("neg",), {"kind": "dynkin"}, "'type'"),
+    (("neg",), {"kind": "dynkin", "type": [1]}, "'type'"),
+    (("neg",), {"kind": "nodal"}, "'roots'"),
+    (("neg",), {"kind": "nodal", "roots": [1]}, "'roots'"),
+    (("neg",), {"kind": "distinct", "collinear": [[1, 2, "x"]]}, "'collinear'"),
+    (("verify", "--depth", "0"), {"kind": "dynkin", "type": "A1"}, "--depth"),
+    (("hilbert", "--mult", "1,1,1,1,1,1", "--deg", "-1"),
+     {"kind": "distinct"}, "--deg"),
+])
+def test_malformed_input_one_line_error(capsys, tmp_path, argv, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

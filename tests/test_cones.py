@@ -1,11 +1,13 @@
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fatpoints.cones import (GENERATOR_SEEDS, TERMINATION_WEIGHT, check_termination_measure,
                              gamma, h0, h1, is_nef, nef_generators, reduce,
                              reduction_candidates, seed_orbit_union)
-from fatpoints.config import DistinctSpec, neg_from_distinct
+from fatpoints.config import DistinctSpec, PointConfiguration, neg_from_distinct
 from fatpoints.lattice import E0, MINUS_K, ZERO, DivisorClass, chi
 
 from conftest import distinct_case
@@ -118,6 +120,61 @@ def test_reduce_order_independent(case_iv, general, a1_vertical_neg):
             if ref.effective:
                 assert alt.nef_part == ref.nef_part
                 assert sorted(alt.fixed_part) == sorted(ref.fixed_part)
+
+
+def per_copy_reduce(f, neg):
+    """Reference reduction: subtract one copy of the first negatively met class per step."""
+    cur = f
+    counts = {}
+    while cur[0] >= 0:
+        hit = next((c for c in neg.classes if cur.dot(c) < 0), None)
+        if hit is None:
+            return True, cur, tuple(sorted(counts.items()))
+        cur = cur - hit
+        counts[hit] = counts.get(hit, 0) + 1
+    return False, cur, tuple(sorted(counts.items()))
+
+
+@pytest.fixture(scope="module")
+def equivalence_negs(case_iv, general, a1_vertical_neg):
+    negs = {"general": general.neg, "case_iv": case_iv.neg,
+            "a1_vertical_neg": a1_vertical_neg}
+    for name in ("E6", "D5", "A5"):
+        negs[name] = PointConfiguration.from_dynkin(name).neg
+    return negs
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(("general", "case_iv", "a1_vertical_neg", "E6", "D5", "A5")),
+       coeffs=st.lists(st.integers(-3, 60), min_size=7, max_size=7))
+def test_reduce_matches_per_copy_loop(equivalence_negs, name, coeffs):
+    neg = equivalence_negs[name]
+    f = DivisorClass(coeffs)
+    red = reduce(f, neg)
+    effective, nef_part, fixed_part = per_copy_reduce(f, neg)
+    assert red.effective == effective
+    if effective:
+        assert red.nef_part == nef_part
+        assert red.fixed_part == fixed_part
+        assert f - red.nef_part == sum(red.trace, ZERO)
+
+
+def test_reduce_steps_bounded_at_large_multiplicity():
+    m = 10 ** 9
+    for name in ("i", "ii", "iii", "iv", "general", "conic"):
+        neg = distinct_case(name).neg
+        classes = [DivisorClass((t, m, 0, 0, 0, 0, 0)) for t in (m, m + 1, 2 * m, 3 * m)]
+        classes += [DivisorClass((t,) + (m,) * 6)
+                    for t in (5 * m // 2, 5 * m // 2 + 1, 3 * m, 4 * m)]
+        for f in classes:
+            assert len(reduce(f, neg).trace) <= 4, (name, f)
+
+
+def test_h0_one_point_closed_form_at_large_multiplicity(general):
+    m = 10 ** 6
+    for t in (m, m + 1, 2 * m):
+        f = DivisorClass((t, m, 0, 0, 0, 0, 0))
+        assert h0(f, general.neg) == comb(t + 2, 2) - comb(m + 1, 2)
 
 
 def test_nef_for_nef_h0_is_chi(case_iv):

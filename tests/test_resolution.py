@@ -217,6 +217,8 @@ def test_mu_cokernel_on_injectivity_classes():
 def test_format_shifts():
     assert format_shifts({}) == "0"
     assert format_shifts({3: 1, 5: 2}) == "R[-3] + R[-5]^2"
+    assert format_shifts({0: 1}) == "R"
+    assert format_shifts({0: 2, 1: 1}) == "R^2 + R[-1]"
 
 
 def test_betti_table_type():
