@@ -11,6 +11,16 @@ reductions take a handful of steps however large the multiplicities;
 chains of -2 curves that pass a multiple back and forth still take more
 steps as the multiplicities grow.
 
+``h0_rows`` runs the same reduction on a whole array of classes at once:
+each round pairs every unfinished row with the NEG Gram block in one
+matrix product, and each row takes the step ``reduce`` would take next.
+Rows are int64 while every entry is below
+``INT64_ENTRY_BOUND`` in absolute value, so that every pairing and the
+self-intersection of every nef row fit; otherwise the same code runs on
+``dtype=object`` arrays of Python ints.  The scalar ``reduce`` and ``h0``
+stay for single classes, where one numpy call per class would cost more
+than the reduction.
+
 When -K is nef, the nef cone is generated as a semigroup by the nef
 members of the union of seven fixed reflection orbits (1279 classes in
 all); paring away classes that are sums of two others leaves a small
@@ -22,6 +32,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import weyl
 from .config import NegSet, anticanonical_nef
@@ -129,6 +141,70 @@ def h0(f: DivisorClass, neg: NegSet) -> int:
     return got
 
 
+#: Rows whose entries all lie strictly inside +-2**28 are reduced in int64.
+INT64_ENTRY_BOUND = 2 ** 28
+
+#: Signs of the intersection form: F.C = F @ (C * _FORM).
+_FORM = np.array((1, -1, -1, -1, -1, -1, -1), dtype=np.int64)
+
+
+def int_rows(rows) -> np.ndarray:
+    """An n x 7 array of classes: int64 inside the entry bound, else Python ints."""
+    a = np.asarray(rows)
+    if a.size == 0:
+        return a.astype(np.int64).reshape(0, 7)
+    if a.dtype == object:
+        small = all(-INT64_ENTRY_BOUND < x < INT64_ENTRY_BOUND for x in a.flat)
+    else:
+        small = -INT64_ENTRY_BOUND < a.min() and a.max() < INT64_ENTRY_BOUND
+    return a.astype(np.int64 if small else object).reshape(-1, 7)
+
+
+def chi_rows(f: np.ndarray) -> np.ndarray:
+    """``lattice.chi`` of every row, parity check included."""
+    f0, fi = f[:, 0], f[:, 1:]
+    n = f0 * f0 - (fi * fi).sum(1) + 3 * f0 - fi.sum(1)  # F.F - K.F
+    if (n % 2 != 0).any():
+        bad = DivisorClass(f[(n % 2 != 0).argmax()].tolist())
+        raise ArithmeticError(f"parity violation in chi({bad!r})")
+    return n // 2 + 1
+
+
+def h0_rows(f, neg: NegSet) -> np.ndarray:
+    """``h0`` of every row of an n x 7 integer array, in one batched reduction.
+
+    Each round computes the pairings of the unfinished rows with every NEG
+    class, and each row with a negative pairing subtracts
+    ceil(-F.C / -C^2) copies of the first such C at or after the class
+    following its previous hit, in cyclic order: the scan ``reduce`` makes,
+    so a row takes exactly the steps ``reduce`` takes.  A row retires with
+    h0 = 0 once its degree is negative and with h0 = chi once it is nef,
+    so every row gets the value the scalar ``h0`` gives.
+    """
+    cur = int_rows(f)
+    out = np.zeros(len(cur), dtype=cur.dtype)
+    curves = np.array(neg.classes, dtype=cur.dtype).reshape(-1, 7)
+    gram = (curves * _FORM).T
+    minus_sq = -(curves * curves * _FORM).sum(1)
+    columns = np.arange(len(curves))
+    idx = np.flatnonzero(cur[:, 0] >= 0)
+    cur, start = cur[idx], np.zeros(len(idx), dtype=np.int64)
+    while len(idx):
+        met = cur @ gram < 0
+        hit = met.any(1)
+        out[idx[~hit]] = chi_rows(cur[~hit])
+        idx, cur, met, start = idx[hit], cur[hit], met[hit], start[hit]
+        later = met & (columns >= start[:, None])
+        col = np.where(later.any(1), later.argmax(1), met.argmax(1))
+        c = curves[col]
+        d = (cur * c * _FORM).sum(1)
+        cur = cur - (-(d // minus_sq[col]))[:, None] * c
+        start = col + 1
+        keep = cur[:, 0] >= 0
+        idx, cur, start = idx[keep], cur[keep], start[keep]
+    return out
+
+
 def h1(f: DivisorClass, neg: NegSet) -> int:
     """First cohomology of f, valid for degree >= -2 (so that h2 vanishes)."""
     if f[0] < -2:
@@ -151,14 +227,18 @@ def _pare(classes) -> tuple:
     """Drop classes that are sums of two others, repeating until stable.
 
     Each pass tests sums against the set entering that pass and removes all
-    hits at once.
+    hits at once.  Members are sorted, so degrees ascend and the inner loop
+    stops once a sum's degree passes the largest degree in the set.
     """
     cur = set(classes)
     while True:
         members = sorted(cur)
+        top = members[-1][0] if members else 0
         sums = set()
         for i, a in enumerate(members):
             for b in members[i:]:
+                if a[0] + b[0] > top:
+                    break
                 s = a + b
                 if s in cur:
                     sums.add(s)

@@ -26,12 +26,13 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from . import weyl
-from .config import NegSet, anticanonical_nef, neg_from_nodal
-from .cones import GeneratorSet, gamma, h0, is_nef, nef_generators, reduce
-from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus, chi
+import numpy as np
 
-_CONIC6 = DivisorClass((2, 1, 1, 1, 1, 1, 1))
+from . import weyl
+from .config import _CONIC6, NegSet, anticanonical_nef, neg_from_nodal
+from .cones import (GeneratorSet, chi_rows, gamma, h0, h0_rows, int_rows,
+                    is_nef, nef_generators, reduce)
+from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus, chi
 
 
 class Status(str, Enum):
@@ -103,21 +104,16 @@ def pivot_index(f: DivisorClass, neg: NegSet) -> int:
     return next(j for j in usable if mults[j - 1] == best)
 
 
-def ql_bounds(f: DivisorClass, neg: NegSet, e0_index_rule: bool = True) -> MuBounds:
-    """The four section counts bounding kernel and cokernel, plus h-values.
-
-    ``e0_index_rule`` selects the reindexing above; with it off the first
-    basis class is always used.
-    """
+def ql_bounds(f: DivisorClass, neg: NegSet) -> MuBounds:
+    """The four section counts bounding kernel and cokernel, plus h-values."""
     cache = neg._cache.setdefault("bounds", {})
-    key = (f, e0_index_rule)
-    got = cache.get(key)
+    got = cache.get(f)
     if got is not None:
         return got
     h = h0(f, neg)
     if h == 0:
         raise ValueError(f"{f!r} is not effective")
-    j = pivot_index(f, neg) if e0_index_rule else 1
+    j = pivot_index(f, neg)
     fq = f - E[j]
     fl = f - (E0 - E[j])
     q = h0(fq, neg)
@@ -128,7 +124,7 @@ def ql_bounds(f: DivisorClass, neg: NegSet, e0_index_rule: bool = True) -> MuBou
         raise ArithmeticError(f"negative h1 in bounds for {f!r}")
     got = MuBounds(q=q, l=l, q_star=q_star, l_star=l_star, h=h,
                    h_next=h0(f + E0, neg), index=j)
-    cache[key] = got
+    cache[f] = got
     return got
 
 
@@ -141,6 +137,33 @@ def deficient(f: DivisorClass, neg: NegSet) -> bool:
     """
     b = ql_bounds(f, neg)
     return b.q == 0 or b.l == 0 or b.q_star > 0 or b.l_star > 0
+
+
+def _deficient_rows(f: np.ndarray, neg: NegSet) -> np.ndarray:
+    """``deficient`` for every row of an n x 7 array, with one ``h0_rows`` call.
+
+    The pivot of a row is the first usable index carrying its largest
+    multiplicity, as in :func:`pivot_index`; the same errors as
+    :func:`ql_bounds` are raised.
+    """
+    f = int_rows(f)
+    n = len(f)
+    usable = np.array(plane_point_indices(neg))
+    shift = np.zeros_like(f)  # E_j, stored as -1 at the pivot j
+    shift[np.arange(n), usable[f[:, usable].argmax(1)]] = -1
+    fq = f - shift
+    fl = f + shift
+    fl[:, 0] -= 1
+    h, q, l = np.split(h0_rows(np.concatenate((f, fq, fl)), neg), 3)
+    if (h == 0).any():
+        raise ValueError(f"{DivisorClass(f[(h == 0).argmax()].tolist())!r} is not effective")
+    q_star = q - chi_rows(fq)
+    l_star = l - chi_rows(fl)
+    bad = (q_star < 0) | (l_star < 0)
+    if bad.any():
+        raise ArithmeticError(
+            f"negative h1 in bounds for {DivisorClass(f[bad.argmax()].tolist())!r}")
+    return (q == 0) | (l == 0) | (q_star > 0) | (l_star > 0)
 
 
 def on_conic(neg: NegSet) -> bool:
@@ -345,24 +368,28 @@ class SChain:
 
 
 def s_chain(neg: NegSet, depth: int = 6, gens: GeneratorSet | None = None) -> SChain:
-    """Build the deficiency levels up to the given depth."""
+    """Build the deficiency levels up to the given depth.
+
+    Each level is one array: level 1 is gamma masked by :func:`deficient`,
+    level i+1 the distinct sums of a level-i and a level-1 class, masked
+    the same way.  The mask is computed for the whole level at once by
+    ``cones.h0_rows``, in int64 while the entries stay below
+    ``cones.INT64_ENTRY_BOUND`` and in Python ints beyond it.
+    """
     if not anticanonical_nef(neg):
         raise ValueError("chain construction requires a nef anticanonical class")
     if gens is None:
         gens = nef_generators(neg)
     gam = gamma(neg, gens)
-    s1 = tuple(f for f in gam if deficient(f, neg))
+    g = np.array(gam, dtype=np.int64).reshape(-1, 7)
+    s1 = g[_deficient_rows(g, neg)]
     levels = [s1]
     for _ in range(2, depth + 1):
-        prev = levels[-1]
-        nxt = set()
-        for a in prev:
-            for b in s1:
-                s = a + b
-                if s not in nxt and deficient(s, neg):
-                    nxt.add(s)
-        levels.append(tuple(sorted(nxt)))
-    return SChain(levels=tuple(levels), gamma=gam, depth=depth)
+        sums = np.unique((levels[-1][:, None] + s1[None]).reshape(-1, 7), axis=0)
+        levels.append(sums[_deficient_rows(sums, neg)])
+    return SChain(levels=tuple(tuple(DivisorClass(r) for r in lv.tolist())
+                              for lv in levels),
+                  gamma=gam, depth=depth)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,9 @@ def proximity_normalize(z: FatPointScheme) -> FatPointScheme:
     Degree-0 negative curves impose inequalities on the multiplicities
     (e.g. a point infinitely near another cannot carry a larger one); while
     any is violated the offending curve is a fixed component in every
-    degree, so subtracting it off changes nothing.  Idempotent.
+    degree, so subtracting it off changes nothing.  A curve met negatively
+    is subtracted ceil(-base.C / -C^2) times at once, the number of copies
+    the one-at-a-time loop would take.  Idempotent.
     """
     vertical = [c for c in z.neg if c.degree == 0]
     base = DivisorClass((0,) + z.multiplicities)
@@ -69,8 +71,9 @@ def proximity_normalize(z: FatPointScheme) -> FatPointScheme:
     while changed:
         changed = False
         for c in vertical:
-            while base.dot(c) < 0:
-                base = base - c
+            d = base.dot(c)
+            if d < 0:
+                base = base - (-(d // -c.dot(c))) * c
                 changed = True
     m = base.multiplicities
     if any(x < 0 for x in m):

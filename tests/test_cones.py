@@ -1,13 +1,16 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatpoints.cones import (GENERATOR_SEEDS, TERMINATION_WEIGHT, check_termination_measure,
-                             gamma, h0, h1, is_nef, nef_generators, reduce,
-                             reduction_candidates, seed_orbit_union)
-from fatpoints.config import DistinctSpec, PointConfiguration, neg_from_distinct
+from fatpoints.cones import (GENERATOR_SEEDS, TERMINATION_WEIGHT, _pare,
+                             check_termination_measure, gamma, h0, h0_rows, h1,
+                             is_nef, nef_generators, reduce, reduction_candidates,
+                             seed_orbit_union)
+from fatpoints.config import (DistinctSpec, PointConfiguration, dynkin_catalog,
+                              neg_from_distinct)
 from fatpoints.lattice import E0, MINUS_K, ZERO, DivisorClass, chi
 
 from conftest import distinct_case
@@ -157,6 +160,47 @@ def test_reduce_matches_per_copy_loop(equivalence_negs, name, coeffs):
         assert red.nef_part == nef_part
         assert red.fixed_part == fixed_part
         assert f - red.nef_part == sum(red.trace, ZERO)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(("general", "case_iv", "a1_vertical_neg", "E6", "D5", "A5")),
+       rows=st.lists(st.lists(st.integers(-3, 60), min_size=7, max_size=7),
+                     min_size=1, max_size=8),
+       scale=st.sampled_from((1, 1, 2 ** 40, 10 ** 12)),
+       jitter=st.integers(-3, 3))
+def test_h0_rows_matches_scalar_h0(equivalence_negs, name, rows, scale, jitter):
+    # scale 2**40 and 10**12 push entries past the int64 bound (object path)
+    neg = equivalence_negs[name]
+    classes = [DivisorClass([scale * x + jitter for x in r]) for r in rows]
+    got = h0_rows(classes, neg)
+    assert got.tolist() == [h0(f, neg) for f in classes]
+
+
+def test_h0_rows_dtype_guard(general):
+    assert h0_rows([(3, 1, 1, 0, 0, 0, 0)], general.neg).dtype == np.int64
+    big = (2 ** 40, 2 ** 39, 0, 0, 0, 0, 0)
+    got = h0_rows([big, (3, 1, 1, 0, 0, 0, 0)], general.neg)
+    assert got.dtype == object
+    assert got.tolist() == [h0(DivisorClass(big), general.neg), 8]
+    assert h0_rows(np.zeros((0, 7), dtype=np.int64), general.neg).shape == (0,)
+
+
+def all_pairs_pare(classes):
+    """Reference paring: test every pair, no degree cutoff."""
+    cur = set(classes)
+    while True:
+        members = sorted(cur)
+        sums = {a + b for i, a in enumerate(members) for b in members[i:]
+                if a + b in cur}
+        if not sums:
+            return tuple(sorted(cur))
+        cur -= sums
+
+
+def test_pare_matches_all_pairs_on_catalog():
+    for name in sorted(dynkin_catalog()):
+        raw = nef_generators(PointConfiguration.from_dynkin(name).neg).raw
+        assert _pare(raw) == all_pairs_pare(raw), name
 
 
 def test_reduce_steps_bounded_at_large_multiplicity():

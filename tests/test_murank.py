@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from fatpoints.cones import gamma, h0, is_nef, nef_generators
-from fatpoints.config import dynkin_catalog, neg_from_nodal
+from fatpoints.config import PointConfiguration, dynkin_catalog, neg_from_nodal
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass
-from fatpoints.murank import (Status, certify, deficient, e0_classes,
+from fatpoints.murank import (Status, _deficient_rows, certify, deficient, e0_classes,
                               exceptional_configuration, injectivity_class,
                               injective_certified, monotone_nef_generators,
                               ql_bounds, s_chain, surjective_certified,
@@ -120,6 +121,34 @@ def test_s_chain_case_iv(case_iv):
 def test_s_chain_a1_counts(a1_vertical_neg):
     chain = s_chain(a1_vertical_neg)
     assert [len(l) for l in chain.levels] == [58, 140, 150, 150, 150, 150]
+
+
+def scalar_s_chain_levels(neg, depth):
+    """Reference chain: one ``deficient`` call per candidate sum."""
+    s1 = tuple(f for f in gamma(neg) if deficient(f, neg))
+    levels = [s1]
+    for _ in range(2, depth + 1):
+        nxt = set()
+        for a in levels[-1]:
+            for b in s1:
+                s = a + b
+                if s not in nxt and deficient(s, neg):
+                    nxt.add(s)
+        levels.append(tuple(sorted(nxt)))
+    return tuple(levels)
+
+
+def test_s_chain_matches_scalar_loop():
+    negs = [distinct_case(c).neg for c in ("i", "ii", "iii", "iv")]
+    negs += [PointConfiguration.from_dynkin(n).neg for n in sorted(dynkin_catalog())]
+    for neg in negs:
+        assert s_chain(neg, 4).levels == scalar_s_chain_levels(neg, 4), neg.nodal
+
+
+def test_deficient_rows_rejects_ineffective_like_ql_bounds(case_iv):
+    f = DivisorClass((1, 1, 1, 1, 1, 0, 0)) - E0 - E0
+    with pytest.raises(ValueError, match="is not effective"):
+        _deficient_rows(np.array([E0, f]), case_iv.neg)
 
 
 def test_s_chain_first_level_fixtures():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fatpoints import oracle
+from fatpoints.config import PointConfiguration
 from fatpoints.lattice import E, DivisorClass
 from fatpoints.resolution import (BettiTable, FatPointScheme,
                                   UnsupportedConfigurationError, betti,
@@ -107,6 +108,16 @@ def test_proximity_normalize_vertical(a1_vertical_neg):
     assert proximity_normalize(nz) is nz
     zero = FatPointScheme(neg=a1_vertical_neg, multiplicities=(0,) * 6)
     assert proximity_normalize(zero) is zero
+
+
+def test_proximity_normalize_large_multiplicity():
+    # one batched subtraction of E1 - E2; a per-copy loop would turn 5*10**8 times
+    m = 10 ** 9
+    neg = PointConfiguration.from_dynkin("2A1").neg
+    z = FatPointScheme(neg=neg, multiplicities=(0, m, 0, 0, 0, 0))
+    assert proximity_normalize(z).multiplicities == (m // 2, m // 2, 0, 0, 0, 0)
+    odd = FatPointScheme(neg=neg, multiplicities=(0, m + 1, 0, 0, 0, 0))
+    assert proximity_normalize(odd).multiplicities == (m // 2 + 1, m // 2, 0, 0, 0, 0)
 
 
 def test_normalization_preserves_hilbert(a1_vertical_neg):
