@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import murank, oracle, resolution
-from .config import ConfigError, DistinctSpec, PointConfiguration, dynkin_catalog
+from .config import FIXTURE_SPECS, ConfigError, PointConfiguration, dynkin_catalog
 from .cones import h0, nef_generators
 from .lattice import DivisorClass
 from .weyl import OrbitCapExceeded, orbit
@@ -51,16 +51,6 @@ def _emit(payload: dict, rows: list, as_json: bool) -> None:
     else:
         for line in rows:
             print(line)
-
-
-_FIXTURE_SPECS = {
-    "i": DistinctSpec(collinear=((1, 2, 3),)),
-    "ii": DistinctSpec(collinear=((1, 2, 3), (1, 4, 5))),
-    "iii": DistinctSpec(collinear=((1, 2, 3), (1, 4, 5), (3, 5, 6))),
-    "iv": DistinctSpec(collinear=((1, 2, 3), (1, 4, 5), (3, 5, 6), (2, 4, 6))),
-    "general": DistinctSpec(),
-    "conic": DistinctSpec(six_on_conic=True),
-}
 
 
 def _cmd_neg(args) -> int:
@@ -195,7 +185,7 @@ def _cmd_oracle(args) -> int:
                "dim": dim, "ker": ker, "cok": cok}
     status = 0
     if args.compare:
-        cfg = PointConfiguration.from_distinct(_FIXTURE_SPECS[args.case])
+        cfg = PointConfiguration.from_distinct(FIXTURE_SPECS[args.case])
         z = resolution.FatPointScheme(neg=cfg.neg, multiplicities=mults)
         predicted = h0(z.class_for_degree(args.deg), cfg.neg)
         match = predicted == dim

@@ -169,6 +169,20 @@ def neg_from_distinct(spec: DistinctSpec) -> NegSet:
     return NegSet(tuple(classes))
 
 
+#: The named distinct-point configurations that the coordinate oracle
+#: realizes (``oracle.fixture_points``): cases i-iv put 1-4 lines through
+#: triples of the points, "general" has no three collinear and no conic
+#: through all six, "conic" puts all six on an irreducible conic.
+FIXTURE_SPECS = {
+    "i": DistinctSpec(collinear=((1, 2, 3),)),
+    "ii": DistinctSpec(collinear=((1, 2, 3), (1, 4, 5))),
+    "iii": DistinctSpec(collinear=((1, 2, 3), (1, 4, 5), (3, 5, 6))),
+    "iv": DistinctSpec(collinear=((1, 2, 3), (1, 4, 5), (3, 5, 6), (2, 4, 6))),
+    "general": DistinctSpec(),
+    "conic": DistinctSpec(six_on_conic=True),
+}
+
+
 # ---------------------------------------------------------------------------
 # The twenty nodal-root configurations with nef anticanonical class
 

@@ -167,3 +167,16 @@ def test_malformed_input_one_line_error(capsys, tmp_path, argv, config, message)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--mult=-1,0,0,0,0,0", "--deg", "3"), "multiplicities"),
+    (("--mult", "1,1,1,1,1,1", "--deg", "-1"), "degree"),
+])
+def test_oracle_malformed_input_one_line_error(capsys, argv, message):
+    # the oracle takes no --config, so these sit beside the cases above
+    code, out, err = run(capsys, "oracle", "--case", "iv", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

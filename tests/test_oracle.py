@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fatpoints import oracle
 from fatpoints.cones import h0, h1
@@ -138,3 +140,148 @@ def test_betti_generators_against_oracle():
 def test_bad_case_rejected():
     with pytest.raises(ValueError):
         oracle.fixture_points("v")
+
+
+# ---------------------------------------------------------------------------
+# The numpy conditions matrix and the elimination kernel
+
+
+def _reference_conditions(points, mults, t, p):
+    """The per-entry loop the numpy conditions matrix replaced."""
+    def falling(n, k):
+        out = 1
+        for i in range(k):
+            out *= n - i
+        return out
+
+    rows = []
+    for point, m in zip(points, mults):
+        if m == 0:
+            continue
+        pivot = next(ax for ax in range(3) if point[ax] != 0)
+        u_ax, v_ax = (ax for ax in range(3) if ax != pivot)
+        for du in range(m):
+            for dv in range(m - du):
+                row = []
+                for expo in oracle.monomials(t):
+                    eu, ev = expo[u_ax], expo[v_ax]
+                    if eu < du or ev < dv:
+                        row.append(0)
+                        continue
+                    new = list(expo)
+                    new[u_ax] -= du
+                    new[v_ax] -= dv
+                    val = falling(eu, du) * falling(ev, dv)
+                    for ax in range(3):
+                        val *= point[ax] ** new[ax]
+                    row.append(val % p if p is not None else val)
+                rows.append(row)
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(oracle.FIXTURE_CASES),
+       mults=st.lists(st.integers(0, 7), min_size=6, max_size=6),
+       t=st.integers(0, 16),
+       p=st.sampled_from(oracle.PRIMES + (None,)))
+def test_conditions_matrix_matches_reference_loop(case, mults, t, p):
+    pts = oracle.fixture_points(case)
+    got = oracle.conditions_matrix(pts, mults, t, p)
+    assert [row.tolist() for row in got] == _reference_conditions(pts, mults, t, p)
+
+
+def test_monomials_follow_column_formula():
+    # column s(s+1)/2 + c holds x^(t-s) y^(s-c) z^c, the order the shift
+    # arrays of the multiplication matrix rely on
+    for t in range(12):
+        for j, (a, b, c) in enumerate(oracle.monomials(t)):
+            s = b + c
+            assert j == s * (s + 1) // 2 + c and a == t - s
+
+
+@pytest.mark.parametrize("case, mults, t", [
+    ("general", (2, 1, 1, 0, 0, 0), 3),
+    ("iv", (2, 2, 6, 2, 2, 2), 8),
+    ("conic", (3, 3, 3, 3, 0, 0), 6),
+    ("i", (1, 0, 2, 1, 1, 0), 2),
+    ("ii", (0, 0, 0, 0, 0, 0), 4),
+    ("iii", (7, 0, 0, 0, 0, 0), 3),
+])
+def test_nullspace_annihilates_and_counts(case, mults, t):
+    pts = oracle.fixture_points(case)
+    ncols = (t + 2) * (t + 1) // 2
+    for p in oracle.PRIMES:
+        rows = oracle.conditions_matrix(pts, mults, t, p)
+        basis = np.asarray(oracle._nullspace_mod_p(rows, ncols, p))
+        assert len(basis) == ncols - oracle._rank_mod_p(rows, ncols, p)
+        if len(rows) and len(basis):
+            assert not ((np.array(rows) @ basis.T) % p).any()
+    exact = oracle.conditions_matrix(pts, mults, t, None)
+    basis = np.asarray(oracle._nullspace_exact(exact, ncols), dtype=object)
+    assert len(basis) == ncols - oracle._rank_exact(exact)
+    if len(exact) and len(basis):
+        assert not (np.array(exact, dtype=object).reshape(-1, ncols) @ basis.T).any()
+
+
+def test_two_prime_disagreement_falls_back_to_exact(monkeypatch):
+    # mod 3 the factorials of derivative orders >= 3 vanish, so the ranks
+    # over 3 and over a large prime disagree and the exact route decides
+    pts = oracle.fixture_points("general")
+    cases = [((4, 3, 0, 0, 0, 0), t) for t in range(3, 7)] + \
+            [((4, 4, 1, 1, 0, 0), t) for t in range(4, 8)]
+    want = [(oracle.ideal_dim(pts, m, t), oracle.mu_rank_direct(pts, m, t))
+            for m, t in cases]
+    exact_calls = []
+    kernel = oracle._rref
+
+    def spy(rows, ncols, p):
+        if p is None:
+            exact_calls.append(ncols)
+        return kernel(rows, ncols, p)
+
+    monkeypatch.setattr(oracle, "_rref", spy)
+    monkeypatch.setattr(oracle, "PRIMES", (3, oracle.PRIMES[0]))
+    got = [(oracle.ideal_dim(pts, m, t), oracle.mu_rank_direct(pts, m, t))
+           for m, t in cases]
+    assert got == want
+    assert exact_calls
+
+
+def test_basis_cache_keeps_point_sets_apart():
+    cases = ("iv", "general")
+    pts = {c: oracle.fixture_points(c) for c in cases}
+    m = (2, 2, 2, 2, 2, 2)
+    degrees = range(3, 8)
+    fresh = {}
+    for c in cases:
+        oracle._ideal_basis.cache_clear()
+        fresh[c] = [(oracle.ideal_dim(pts[c], m, t), oracle.mu_rank_direct(pts[c], m, t))
+                    for t in degrees]
+    assert fresh["iv"] != fresh["general"]
+    oracle._ideal_basis.cache_clear()
+    got = {c: [] for c in cases}
+    for t in degrees:
+        for c in cases:
+            got[c].append((oracle.ideal_dim(pts[c], m, t), oracle.mu_rank_direct(pts[c], m, t)))
+    assert got == fresh
+
+
+@pytest.mark.parametrize("points, mults, t, message", [
+    (None, (-1, 0, 0, 0, 0, 0), 3, "multiplicities"),
+    (None, (1, 1, 1, 1, 1, 1), -1, "degree"),
+    (None, (1, 1, 1, 1, 1), 3, "5 multiplicities"),
+    (((1, 0, 0),), (1, 1), 2, "1 points"),
+])
+def test_oracle_rejects_malformed_input(points, mults, t, message):
+    pts = points or oracle.fixture_points("iv")
+    for fn in (oracle.ideal_dim, oracle.mu_rank_direct, oracle.conditions_matrix):
+        with pytest.raises(ValueError, match=message):
+            fn(pts, mults, t)
+
+
+def test_fixture_points_follow_shared_specs():
+    # the oracle's points and the cone pipeline's NEG come from one table
+    from fatpoints.config import FIXTURE_SPECS, neg_from_distinct
+    assert oracle.FIXTURE_CASES == tuple(FIXTURE_SPECS)
+    for case in oracle.FIXTURE_CASES:
+        assert neg_from_distinct(FIXTURE_SPECS[case]).classes == distinct_case(case).neg.classes
