@@ -24,7 +24,14 @@ than the reduction.
 When -K is nef, the nef cone is generated as a semigroup by the nef
 members of the union of seven fixed reflection orbits (1279 classes in
 all); paring away classes that are sums of two others leaves a small
-generating set.
+generating set.  The nef filter is one product of the union's int64 array
+with the NEG Gram block.  Paring packs each class into one int64 key
+(``pack_keys``: offset digits in a fixed base, so keys sort as the
+classes do and the key of a sum is the sum of the keys less a constant)
+and tests pair sums a block of rows at a time by binary search in the
+sorted keys; classes with an entry outside ``PACK_ENTRY_BOUND`` are pared
+by the pairwise loop instead.  ``gamma`` decides every pair of pared
+generators at once from their pairings with NEG.
 """
 
 from __future__ import annotations
@@ -58,6 +65,15 @@ def seed_orbit_union() -> frozenset:
     for seed in GENERATOR_SEEDS:
         out |= weyl.orbit(seed).elements
     return frozenset(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _sorted_union() -> tuple:
+    """``seed_orbit_union`` sorted, and as a read-only n x 7 int64 array."""
+    classes = tuple(sorted(seed_orbit_union()))
+    rows = np.array(classes, dtype=np.int64)
+    rows.flags.writeable = False
+    return classes, rows
 
 
 def is_nef(f: DivisorClass, neg: NegSet) -> bool:
@@ -148,6 +164,16 @@ INT64_ENTRY_BOUND = 2 ** 28
 _FORM = np.array((1, -1, -1, -1, -1, -1, -1), dtype=np.int64)
 
 
+def _curves(neg: NegSet, dtype) -> np.ndarray:
+    """The NEG classes as the rows of an array."""
+    return np.array(neg.classes, dtype=dtype).reshape(-1, 7)
+
+
+def _gram(neg: NegSet, dtype) -> np.ndarray:
+    """7 x len(neg) block with F.C = (F @ block)[C] for every NEG class C."""
+    return (_curves(neg, dtype) * _FORM).T
+
+
 def int_rows(rows) -> np.ndarray:
     """An n x 7 array of classes: int64 inside the entry bound, else Python ints."""
     a = np.asarray(rows)
@@ -183,8 +209,8 @@ def h0_rows(f, neg: NegSet) -> np.ndarray:
     """
     cur = int_rows(f)
     out = np.zeros(len(cur), dtype=cur.dtype)
-    curves = np.array(neg.classes, dtype=cur.dtype).reshape(-1, 7)
-    gram = (curves * _FORM).T
+    curves = _curves(neg, cur.dtype)
+    gram = _gram(neg, cur.dtype)
     minus_sq = -(curves * curves * _FORM).sum(1)
     columns = np.arange(len(curves))
     idx = np.flatnonzero(cur[:, 0] >= 0)
@@ -223,13 +249,36 @@ class GeneratorSet:
     pared: tuple
 
 
-def _pare(classes) -> tuple:
-    """Drop classes that are sums of two others, repeating until stable.
+#: Classes whose entries all lie strictly inside +-PACK_ENTRY_BOUND pack
+#: into one int64 key each, and so do sums of two of them.
+PACK_ENTRY_BOUND = 2 ** 6
 
-    Each pass tests sums against the set entering that pass and removes all
-    hits at once.  Members are sorted, so degrees ascend and the inner loop
-    stops once a sum's degree passes the largest degree in the set.
+#: Digit i of a key is entry i + 2*PACK_ENTRY_BOUND; E0's digit leads.
+_PACK_WEIGHTS = (4 * PACK_ENTRY_BOUND) ** np.arange(6, -1, -1, dtype=np.int64)
+
+#: Pair sums ``_pare`` tests per numpy round.
+PARE_CHUNK = 2 ** 14
+
+
+def packable(rows: np.ndarray) -> bool:
+    """Whether every entry lies strictly inside +-PACK_ENTRY_BOUND."""
+    return rows.size == 0 or bool(
+        -PACK_ENTRY_BOUND < rows.min() and rows.max() < PACK_ENTRY_BOUND)
+
+
+def pack_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per class along the last axis of a ``packable`` array.
+
+    The digits are the entries offset by 2*PACK_ENTRY_BOUND in base
+    4*PACK_ENTRY_BOUND, so keys sort as the classes sort, and the sum of
+    two packable classes has the key key(a) + key(b) - key(ZERO), its
+    digits again inside the base (keys stay below 2**57).
     """
+    return (rows.astype(np.int64) + 2 * PACK_ENTRY_BOUND) @ _PACK_WEIGHTS
+
+
+def _pare_pairwise(classes) -> tuple:
+    """``_pare`` on Python ints, one pair at a time: entries of any size."""
     cur = set(classes)
     while True:
         members = sorted(cur)
@@ -247,6 +296,46 @@ def _pare(classes) -> tuple:
         cur -= sums
 
 
+def _pare(classes) -> tuple:
+    """Drop classes that are sums of two others, repeating until stable.
+
+    Each pass tests sums against the set entering that pass and removes all
+    hits at once.  Members are sorted, so degrees ascend and a row is only
+    paired with the members from itself up to the largest degree a sum can
+    still have.  Members are packed into sorted int64 keys (``pack_keys``);
+    a block of rows, about ``PARE_CHUNK`` sums, is added to its columns in
+    one step and each sum is looked up by binary search in the keys.  Sets
+    with an entry outside ``PACK_ENTRY_BOUND`` go through the pairwise loop.
+    """
+    members = sorted(set(classes))
+    rows = np.array(members).reshape(-1, 7)
+    if not packable(rows):
+        return _pare_pairwise(members)
+    keys = pack_keys(rows)
+    deg = rows[:, 0]
+    alive = np.arange(len(members))
+    zero = pack_keys(np.zeros(7, dtype=np.int64))
+    while True:
+        n = len(keys)
+        top = deg[-1] if n else 0
+        shifted = keys - zero
+        hit = np.zeros(n, dtype=bool)
+        i = 0
+        while i < n:
+            stop = np.searchsorted(deg, top - deg[i], side="right")
+            if stop <= i:
+                break
+            end = min(n, i + max(1, PARE_CHUNK // (stop - i)))
+            sums = keys[i:end, None] + shifted[None, i:stop]
+            pos = np.searchsorted(keys, sums)
+            np.minimum(pos, n - 1, out=pos)
+            hit[pos[keys[pos] == sums]] = True
+            i = end
+        if not hit.any():
+            return tuple(members[k] for k in alive.tolist())
+        keys, deg, alive = keys[~hit], deg[~hit], alive[~hit]
+
+
 def nef_generators(neg: NegSet) -> GeneratorSet:
     """Generators of the nef cone semigroup; requires -K nef."""
     if not anticanonical_nef(neg):
@@ -254,7 +343,9 @@ def nef_generators(neg: NegSet) -> GeneratorSet:
     cache = neg._cache.get("gens")
     if cache is not None:
         return cache
-    raw = tuple(sorted(f for f in seed_orbit_union() if is_nef(f, neg)))
+    classes, rows = _sorted_union()
+    nef = (rows @ _gram(neg, rows.dtype) >= 0).all(1)
+    raw = tuple(itertools.compress(classes, nef.tolist()))
     gens = GeneratorSet(raw=raw, pared=_pare(raw))
     neg._cache["gens"] = gens
     return gens
@@ -263,23 +354,22 @@ def nef_generators(neg: NegSet) -> GeneratorSet:
 def gamma(neg: NegSet, gens: GeneratorSet | None = None) -> tuple:
     """Nef classes that are not the sum of two nonzero nef classes.
 
-    A pared generator decomposes as such a sum exactly when subtracting
-    some pared generator leaves a nonzero nef class, so the test is exact
-    with no search bound.
+    A pared generator f decomposes as such a sum exactly when f - p is a
+    nonzero nef class for some pared generator p, so the test is exact
+    with no search bound.  Every pair is decided at once: (f - p).C =
+    f.C - p.C, so one product of the pared rows with the NEG Gram block
+    gives the pairings, and their pared x pared differences say which
+    f - p are nef.
     """
     if gens is None:
         gens = nef_generators(neg)
-    out = []
-    for f in gens.pared:
-        decomposable = False
-        for p in gens.pared:
-            r = f - p
-            if r != ZERO and r[0] >= 0 and is_nef(r, neg):
-                decomposable = True
-                break
-        if not decomposable:
-            out.append(f)
-    return tuple(out)
+    p = int_rows(gens.pared)
+    # rest[f, p]: f - p has degree >= 0 and meets every NEG class >= 0
+    rest = p[:, None, 0] >= p[None, :, 0]
+    for pairing in (p @ _gram(neg, p.dtype)).T:
+        rest &= pairing[:, None] >= pairing[None]
+    rest &= (p[:, None] != p[None]).any(2)  # f - p nonzero
+    return tuple(itertools.compress(gens.pared, (~rest.any(1)).tolist()))
 
 
 # ---------------------------------------------------------------------------

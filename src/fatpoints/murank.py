@@ -22,6 +22,7 @@ or by a pairing argument forcing q = l = 0 forever (injectivity persists).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +32,7 @@ import numpy as np
 from . import weyl
 from .config import _CONIC6, NegSet, anticanonical_nef, neg_from_nodal
 from .cones import (GeneratorSet, chi_rows, gamma, h0, h0_rows, int_rows,
-                    is_nef, nef_generators, reduce)
+                    is_nef, nef_generators, pack_keys, packable, reduce)
 from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus, chi
 
 
@@ -139,22 +140,28 @@ def deficient(f: DivisorClass, neg: NegSet) -> bool:
     return b.q == 0 or b.l == 0 or b.q_star > 0 or b.l_star > 0
 
 
-def _deficient_rows(f: np.ndarray, neg: NegSet) -> np.ndarray:
-    """``deficient`` for every row of an n x 7 array, with one ``h0_rows`` call.
+def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.ndarray:
+    """``deficient`` for every row of an n x 7 array, batched with ``h0_rows``.
 
     The pivot of a row is the first usable index carrying its largest
     multiplicity, as in :func:`pivot_index`; the same errors as
-    :func:`ql_bounds` are raised.
+    :func:`ql_bounds` are raised.  h0 of f, f - Ej and f - (E0 - Ej) take
+    one ``h0_rows`` call each rather than one call on all 3n rows, which
+    would triple the largest temporary arrays.  The ``MuBounds`` of every
+    row (``cache_all``) or of the deficient rows only go into the
+    :func:`ql_bounds` cache, their h_next from one more ``h0_rows`` call on
+    those rows alone.
     """
     f = int_rows(f)
     n = len(f)
     usable = np.array(plane_point_indices(neg))
+    pivot = usable[f[:, usable].argmax(1)]
     shift = np.zeros_like(f)  # E_j, stored as -1 at the pivot j
-    shift[np.arange(n), usable[f[:, usable].argmax(1)]] = -1
+    shift[np.arange(n), pivot] = -1
     fq = f - shift
     fl = f + shift
     fl[:, 0] -= 1
-    h, q, l = np.split(h0_rows(np.concatenate((f, fq, fl)), neg), 3)
+    h, q, l = (h0_rows(x, neg) for x in (f, fq, fl))
     if (h == 0).any():
         raise ValueError(f"{DivisorClass(f[(h == 0).argmax()].tolist())!r} is not effective")
     q_star = q - chi_rows(fq)
@@ -163,7 +170,16 @@ def _deficient_rows(f: np.ndarray, neg: NegSet) -> np.ndarray:
     if bad.any():
         raise ArithmeticError(
             f"negative h1 in bounds for {DivisorClass(f[bad.argmax()].tolist())!r}")
-    return (q == 0) | (l == 0) | (q_star > 0) | (l_star > 0)
+    mask = (q == 0) | (l == 0) | (q_star > 0) | (l_star > 0)
+    keep = slice(None) if cache_all else mask
+    kept = f[keep]
+    h_next = h0_rows(kept + np.array(E0, dtype=kept.dtype), neg)
+    cache = neg._cache.setdefault("bounds", {})
+    for row, *values in zip(kept.tolist(), q[keep].tolist(), l[keep].tolist(),
+                            q_star[keep].tolist(), l_star[keep].tolist(),
+                            h[keep].tolist(), h_next.tolist(), pivot[keep].tolist()):
+        cache.setdefault(DivisorClass(row), MuBounds(*values))
+    return mask
 
 
 def on_conic(neg: NegSet) -> bool:
@@ -374,7 +390,10 @@ def s_chain(neg: NegSet, depth: int = 6, gens: GeneratorSet | None = None) -> SC
     level i+1 the distinct sums of a level-i and a level-1 class, masked
     the same way.  The mask is computed for the whole level at once by
     ``cones.h0_rows``, in int64 while the entries stay below
-    ``cones.INT64_ENTRY_BOUND`` and in Python ints beyond it.
+    ``cones.INT64_ENTRY_BOUND`` and in Python ints beyond it.  The
+    :func:`ql_bounds` cache receives the bounds of every gamma class and of
+    every level member, the classes :func:`verify_stabilization`
+    certifies; the other candidate sums of a level are not cached.
     """
     if not anticanonical_nef(neg):
         raise ValueError("chain construction requires a nef anticanonical class")
@@ -382,7 +401,7 @@ def s_chain(neg: NegSet, depth: int = 6, gens: GeneratorSet | None = None) -> SC
         gens = nef_generators(neg)
     gam = gamma(neg, gens)
     g = np.array(gam, dtype=np.int64).reshape(-1, 7)
-    s1 = g[_deficient_rows(g, neg)]
+    s1 = g[_deficient_rows(g, neg, cache_all=True)]
     levels = [s1]
     for _ in range(2, depth + 1):
         sums = np.unique((levels[-1][:, None] + s1[None]).reshape(-1, 7), axis=0)
@@ -743,15 +762,30 @@ def verify_configuration(neg: NegSet, depth: int = 6) -> MarkingReport:
     return MarkingReport(marking=E0, ok=report.ok, method="chain", report=report)
 
 
+@functools.lru_cache(maxsize=1)
+def _relabellings() -> np.ndarray:
+    """720 x 7 column orders of a class, one per relabelling of the points."""
+    perms = np.array(list(itertools.permutations(range(1, 7))))
+    return np.hstack((np.zeros((len(perms), 1), dtype=perms.dtype), perms))
+
+
 def _canonical_problem(nodal) -> tuple:
-    """Nodal set up to relabelling of the six points; dedupes marking runs."""
-    best = None
-    for p in itertools.permutations(range(6)):
-        cand = tuple(sorted(
-            (c[0],) + tuple(c[1 + p[i]] for i in range(6)) for c in nodal))
-        if best is None or cand < best:
-            best = cand
-    return best
+    """Nodal set up to relabelling of the six points; dedupes marking runs.
+
+    The least, over the 720 relabellings, of the sorted tuple of relabelled
+    roots.  One gather relabels every root under every relabelling; the
+    rows are packed into order-preserving keys (``cones.pack_keys``; the
+    entries of a nodal root lie in -2..2), sorted within each relabelling,
+    and ``np.lexsort`` picks the least sorted key list.
+    """
+    if not nodal:
+        return ()
+    rows = np.array(nodal, dtype=np.int64)[:, _relabellings()]  # root x relabelling x 7
+    if not packable(rows):
+        raise ValueError("nodal roots have entries outside the packing range")
+    keys = np.sort(pack_keys(rows), axis=0)
+    best = rows[:, np.lexsort(keys[::-1])[0]]
+    return tuple(map(tuple, best[np.argsort(pack_keys(best))].tolist()))
 
 
 def verify_all_markings(neg: NegSet, depth: int = 6, _cache: dict | None = None):

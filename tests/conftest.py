@@ -1,24 +1,18 @@
-import pytest
+import os
 
-from fatpoints.config import DistinctSpec, PointConfiguration, neg_from_nodal
+import pytest
+from hypothesis import settings
+
+from fatpoints.config import FIXTURE_SPECS, PointConfiguration, neg_from_nodal
 from fatpoints.lattice import E
 
-
-CASE_COLLINEAR = {
-    "i": ((1, 2, 3),),
-    "ii": ((1, 2, 3), (1, 4, 5)),
-    "iii": ((1, 2, 3), (1, 4, 5), (3, 5, 6)),
-    "iv": ((1, 2, 3), (1, 4, 5), (3, 5, 6), (2, 4, 6)),
-}
+# CI runs with HYPOTHESIS_PROFILE=ci: fixed examples, no per-example deadline
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def distinct_case(name):
-    if name == "general":
-        return PointConfiguration.from_distinct(DistinctSpec())
-    if name == "conic":
-        return PointConfiguration.from_distinct(DistinctSpec(six_on_conic=True))
-    return PointConfiguration.from_distinct(
-        DistinctSpec(collinear=CASE_COLLINEAR[name]))
+    return PointConfiguration.from_distinct(FIXTURE_SPECS[name])
 
 
 @pytest.fixture(scope="session")

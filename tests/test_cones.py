@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatpoints.cones import (GENERATOR_SEEDS, TERMINATION_WEIGHT, _pare,
-                             check_termination_measure, gamma, h0, h0_rows, h1,
-                             is_nef, nef_generators, reduce, reduction_candidates,
-                             seed_orbit_union)
+from fatpoints.cones import (GENERATOR_SEEDS, PACK_ENTRY_BOUND, TERMINATION_WEIGHT,
+                             _pare, check_termination_measure, gamma, h0, h0_rows,
+                             h1, is_nef, nef_generators, pack_keys, packable, reduce,
+                             reduction_candidates, seed_orbit_union)
+from fatpoints.cones import GeneratorSet
 from fatpoints.config import (DistinctSpec, PointConfiguration, dynkin_catalog,
                               neg_from_distinct)
 from fatpoints.lattice import E0, MINUS_K, ZERO, DivisorClass, chi
@@ -201,6 +202,83 @@ def test_pare_matches_all_pairs_on_catalog():
     for name in sorted(dynkin_catalog()):
         raw = nef_generators(PointConfiguration.from_dynkin(name).neg).raw
         assert _pare(raw) == all_pairs_pare(raw), name
+
+
+def catalog_and_fixture_negs():
+    negs = {name: PointConfiguration.from_dynkin(name).neg for name in sorted(dynkin_catalog())}
+    for case in ("i", "ii", "iii", "iv", "general", "conic"):
+        negs[case] = distinct_case(case).neg
+    return negs
+
+
+def test_nef_generators_match_scalar_filter():
+    for name, neg in catalog_and_fixture_negs().items():
+        gens = nef_generators(neg)
+        raw = tuple(sorted(f for f in seed_orbit_union() if is_nef(f, neg)))
+        assert gens.raw == raw, name
+        assert gens.pared == all_pairs_pare(raw), name
+
+
+def double_loop_gamma(neg, gens):
+    """Reference gamma: subtract every pared generator from every other."""
+    out = []
+    for f in gens.pared:
+        if not any(f - p != ZERO and (f - p)[0] >= 0 and is_nef(f - p, neg)
+                   for p in gens.pared):
+            out.append(f)
+    return tuple(out)
+
+
+def test_gamma_matches_double_loop():
+    for name, neg in catalog_and_fixture_negs().items():
+        if name == "conic":
+            continue  # -K is not nef there; no generator set
+        gens = nef_generators(neg)
+        assert gamma(neg, gens) == double_loop_gamma(neg, gens), name
+
+
+def test_gamma_ignores_repeated_generators(case_iv):
+    gens = nef_generators(case_iv.neg)
+    doubled = GeneratorSet(raw=gens.raw, pared=gens.pared + gens.pared[:5])
+    assert gamma(case_iv.neg, doubled) == double_loop_gamma(case_iv.neg, doubled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(1 - PACK_ENTRY_BOUND, PACK_ENTRY_BOUND - 1),
+                              min_size=7, max_size=7), min_size=1, max_size=12))
+def test_pack_keys_order_and_sums(rows):
+    a = np.array(rows, dtype=np.int64)
+    keys = pack_keys(a).tolist()
+    zero = int(pack_keys(np.zeros(7, dtype=np.int64)))
+    assert sorted(range(len(rows)), key=lambda i: keys[i]) == \
+        sorted(range(len(rows)), key=lambda i: rows[i])
+    assert len(set(keys)) == len({tuple(r) for r in rows})
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            assert int(pack_keys(a[i] + a[j])) == keys[i] + keys[j] - zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(-2, 3), min_size=7, max_size=7),
+                     min_size=1, max_size=14),
+       scale=st.sampled_from((1, 1, PACK_ENTRY_BOUND // 3, PACK_ENTRY_BOUND // 3 + 1, 2 ** 40)))
+def test_pare_matches_all_pairs_across_packing_bound(rows, scale):
+    # scale 21 keeps every entry inside the bound, 22 and 2**40 push some
+    # entries outside it (pairwise path); paring commutes with scaling
+    classes = [DivisorClass([scale * x for x in r]) for r in rows]
+    got = _pare(classes)
+    assert got == all_pairs_pare(classes)
+    assert got == tuple(DivisorClass([scale * x for x in c])
+                        for c in _pare([DivisorClass(r) for r in rows]))
+
+
+def test_pare_packing_guard_at_the_bound():
+    inside = PACK_ENTRY_BOUND - 1
+    for top in (inside, PACK_ENTRY_BOUND, -inside, -PACK_ENTRY_BOUND):
+        classes = [DivisorClass((d, x, 0, 0, 0, 0, 0))
+                   for d, x in ((1, 0), (1, top), (2, top), (3, top))]
+        assert packable(np.array(classes)) == (abs(top) < PACK_ENTRY_BOUND)
+        assert _pare(classes) == all_pairs_pare(classes) == tuple(sorted(classes[:2])), top
 
 
 def test_reduce_steps_bounded_at_large_multiplicity():

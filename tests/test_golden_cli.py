@@ -1,0 +1,81 @@
+"""Byte-identical command-line output, pinned by sha256 digests of stdout.
+
+``golden_cli.json`` holds the exit code and the sha256 of stdout of
+``verify`` and ``verify --json``, each with and without ``--all-e0``, on
+cases i-iv and the 20 catalog types, and of ``nefgens`` and
+``nefgens --raw``, text and ``--json``, on the six fixture cases.  A change
+that means to alter this output rewrites the file with
+``PYTHONPATH=src python tests/test_golden_cli.py`` and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from fatpoints.cli import main
+from fatpoints.config import FIXTURE_SPECS, dynkin_catalog
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+NOTE = ("exit code and sha256 of the stdout of `fatpoints <arguments> --config "
+        "<configuration>.json`, keyed '<configuration> <arguments>'; written by "
+        "tests/test_golden_cli.py")
+
+
+def commands() -> list:
+    """Keys '<configuration> <arguments>' of every pinned command."""
+    out = []
+    for name in ("i", "ii", "iii", "iv") + tuple(sorted(dynkin_catalog())):
+        for marking in ("", " --all-e0"):
+            for fmt in ("", " --json"):
+                out.append(f"{name} verify{marking}{fmt}")
+    for name in FIXTURE_SPECS:
+        for which in ("", " --raw"):
+            for fmt in ("", " --json"):
+                out.append(f"{name} nefgens{which}{fmt}")
+    return out
+
+
+def config_json(name: str) -> dict:
+    if name in FIXTURE_SPECS:
+        spec = FIXTURE_SPECS[name]
+        return {"kind": "distinct", "collinear": [sorted(s) for s in spec.collinear],
+                "six_on_conic": spec.six_on_conic}
+    return {"kind": "dynkin", "type": name}
+
+
+def run_command(key: str, directory: pathlib.Path) -> dict:
+    name, *argv = key.split()
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(config_json(name)))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv + ["--config", str(path)])
+    return {"exit": code,
+            "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+
+
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())["commands"]
+
+
+def test_golden_covers_every_command():
+    assert sorted(golden()) == sorted(commands())
+
+
+@pytest.mark.parametrize("key", commands())
+def test_cli_stdout_matches_golden_digest(key, tmp_path):
+    assert run_command(key, tmp_path) == golden()[key]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {key: run_command(key, pathlib.Path(tmp)) for key in commands()}
+    data = {"note": NOTE, "commands": table}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)

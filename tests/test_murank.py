@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fatpoints.cones import gamma, h0, is_nef, nef_generators
 from fatpoints.config import PointConfiguration, dynkin_catalog, neg_from_nodal
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass
-from fatpoints.murank import (Status, _deficient_rows, certify, deficient, e0_classes,
+from fatpoints.murank import (Status, _canonical_problem, _deficient_rows, certify,
+                              change_of_marking, deficient, e0_classes,
                               exceptional_configuration, injectivity_class,
                               injective_certified, monotone_nef_generators,
                               ql_bounds, s_chain, surjective_certified,
@@ -317,3 +321,63 @@ def test_gamma_within_injectivity_theory(a1_vertical_neg):
         if tail.kind == "injective-bound":
             member = tail.base + tail.start * tail.step
             assert injective_certified(member, a1_vertical_neg)
+
+
+def permutation_loop_canonical(nodal):
+    """Reference canonical form: the least sorted relabelling of 720."""
+    best = None
+    for p in itertools.permutations(range(6)):
+        cand = tuple(sorted(
+            (c[0],) + tuple(c[1 + p[i]] for i in range(6)) for c in nodal))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+@pytest.fixture(scope="module")
+def marking_nodal_sets():
+    """Nodal roots of all 296 (type, marking) pairs, in marking coordinates."""
+    out = []
+    for name in sorted(dynkin_catalog()):
+        neg = neg_from_nodal(dynkin_catalog()[name])
+        out.extend((name, change_of_marking(neg, h)) for h in e0_classes(neg))
+    assert len(out) == 296
+    return out
+
+
+def test_canonical_problem_matches_permutation_loop(marking_nodal_sets):
+    keys = set()
+    for name, nodal in marking_nodal_sets:
+        key = _canonical_problem(nodal)
+        assert key == permutation_loop_canonical(nodal), name
+        assert all(type(x) is int for row in key for x in row)
+        keys.add(key)
+    assert len(keys) == 88
+    assert _canonical_problem(()) == permutation_loop_canonical(()) == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_canonical_problem_invariant_under_relabelling(marking_nodal_sets, data):
+    _name, nodal = data.draw(st.sampled_from(marking_nodal_sets))
+    perm = data.draw(st.permutations(range(1, 7)))
+    relabelled = tuple(DivisorClass((c[0],) + tuple(c[perm[i]] for i in range(6)))
+                       for c in nodal)
+    assert _canonical_problem(relabelled) == _canonical_problem(nodal)
+
+
+def test_cached_bounds_after_s_chain_match_scalar():
+    """s_chain fills the bounds cache for gamma and every level member only,
+    with exactly what scalar ql_bounds computes on a fresh NegSet."""
+    fresh = {c: (lambda c=c: distinct_case(c).neg) for c in ("i", "ii", "iii", "iv")}
+    for name in sorted(dynkin_catalog()):
+        fresh[name] = lambda name=name: PointConfiguration.from_dynkin(name).neg
+    for name, make in fresh.items():
+        neg = make()
+        chain = s_chain(neg, 4)
+        cached = neg._cache["bounds"]
+        members = {f for lv in chain.levels for f in lv}
+        assert set(cached) == set(chain.gamma) | members, name
+        other = make()
+        for f, b in cached.items():
+            assert repr(b) == repr(ql_bounds(f, other)), (name, f)

@@ -281,7 +281,5 @@ def test_oracle_rejects_malformed_input(points, mults, t, message):
 
 def test_fixture_points_follow_shared_specs():
     # the oracle's points and the cone pipeline's NEG come from one table
-    from fatpoints.config import FIXTURE_SPECS, neg_from_distinct
+    from fatpoints.config import FIXTURE_SPECS
     assert oracle.FIXTURE_CASES == tuple(FIXTURE_SPECS)
-    for case in oracle.FIXTURE_CASES:
-        assert neg_from_distinct(FIXTURE_SPECS[case]).classes == distinct_case(case).neg.classes
