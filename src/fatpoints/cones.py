@@ -337,12 +337,15 @@ def _pare(classes) -> tuple:
 
 
 def nef_generators(neg: NegSet) -> GeneratorSet:
-    """Generators of the nef cone semigroup; requires -K nef."""
-    if not anticanonical_nef(neg):
-        raise ValueError("nef-cone generators require a nef anticanonical class")
+    """Generators of the nef cone semigroup; requires -K nef.
+
+    Cached on the NegSet, so a repeated call is one dict lookup.
+    """
     cache = neg._cache.get("gens")
     if cache is not None:
         return cache
+    if not anticanonical_nef(neg):
+        raise ValueError("nef-cone generators require a nef anticanonical class")
     classes, rows = _sorted_union()
     nef = (rows @ _gram(neg, rows.dtype) >= 0).all(1)
     raw = tuple(itertools.compress(classes, nef.tolist()))
@@ -351,7 +354,7 @@ def nef_generators(neg: NegSet) -> GeneratorSet:
     return gens
 
 
-def gamma(neg: NegSet, gens: GeneratorSet | None = None) -> tuple:
+def gamma(neg: NegSet) -> tuple:
     """Nef classes that are not the sum of two nonzero nef classes.
 
     A pared generator f decomposes as such a sum exactly when f - p is a
@@ -361,15 +364,14 @@ def gamma(neg: NegSet, gens: GeneratorSet | None = None) -> tuple:
     gives the pairings, and their pared x pared differences say which
     f - p are nef.
     """
-    if gens is None:
-        gens = nef_generators(neg)
-    p = int_rows(gens.pared)
+    pared = nef_generators(neg).pared
+    p = int_rows(pared)
     # rest[f, p]: f - p has degree >= 0 and meets every NEG class >= 0
     rest = p[:, None, 0] >= p[None, :, 0]
     for pairing in (p @ _gram(neg, p.dtype)).T:
         rest &= pairing[:, None] >= pairing[None]
     rest &= (p[:, None] != p[None]).any(2)  # f - p nonzero
-    return tuple(itertools.compress(gens.pared, (~rest.any(1)).tolist()))
+    return tuple(itertools.compress(pared, (~rest.any(1)).tolist()))
 
 
 # ---------------------------------------------------------------------------

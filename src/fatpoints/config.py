@@ -311,8 +311,12 @@ def dynkin_classify(nodal) -> str:
     return "".join(parts)
 
 
-def _sets_weyl_equivalent(a, b, cap: int = 200_000) -> bool:
-    """Whether two root sets lie in one orbit of the simultaneous W-action."""
+def _sets_weyl_equivalent(a, b) -> bool:
+    """Whether two root sets lie in one orbit of the simultaneous W-action.
+
+    The orbit of a set has at most |W(E6)| = 51840 members, so the search
+    always ends.
+    """
     start = tuple(sorted(a))
     goal = tuple(sorted(b))
     if start == goal:
@@ -329,8 +333,6 @@ def _sets_weyl_equivalent(a, b, cap: int = 200_000) -> bool:
                 if new not in seen:
                     seen.add(new)
                     nxt.append(new)
-        if len(seen) > cap:
-            raise ConfigError("root-set orbit search exceeded its cap")
         frontier = nxt
     return False
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import weyl
 from .config import _CONIC6, NegSet, anticanonical_nef, neg_from_nodal
-from .cones import (GeneratorSet, chi_rows, gamma, h0, h0_rows, int_rows,
-                    is_nef, nef_generators, pack_keys, packable, reduce)
+from .cones import (chi_rows, gamma, h0, h0_rows, int_rows, is_nef,
+                    nef_generators, pack_keys, packable, reduce)
 from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus, chi
 
 
@@ -226,7 +226,7 @@ def step_allows(c: DivisorClass, target: DivisorClass, neg: NegSet) -> bool:
     return c.dot(c) >= 0 and target.dot(c) >= _pairing_floor(c, neg)
 
 
-def _rational_curve_candidates(neg: NegSet, gens: GeneratorSet) -> tuple:
+def _rational_curve_candidates(neg: NegSet) -> tuple:
     """Classes of irreducible rational curves usable as induction steps.
 
     Negative curves are irreducible by definition of NEG; nef genus-0
@@ -238,7 +238,8 @@ def _rational_curve_candidates(neg: NegSet, gens: GeneratorSet) -> tuple:
     if cache is not None:
         return cache
     cands = list(neg.classes)
-    pool = set(gens.pared) | weyl.orbit(E0).elements | weyl.orbit(E0 - E[1]).elements
+    pool = (set(nef_generators(neg).pared) | weyl.orbit(E0).elements
+            | weyl.orbit(E0 - E[1]).elements)
     extra = [c for c in sorted(pool)
              if c != ZERO and is_nef(c, neg) and arithmetic_genus(c) == 0]
     cands.extend(extra)
@@ -251,8 +252,7 @@ def _rational_curve_candidates(neg: NegSet, gens: GeneratorSet) -> tuple:
 # certify
 
 
-def certify(f: DivisorClass, neg: NegSet, gens: GeneratorSet | None = None,
-            _depth: int = 0) -> Certificate:
+def certify(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> Certificate:
     """Try to certify maximal rank for the multiplication map out of f.
 
     Search order: conic-supported configurations are always surjective;
@@ -268,21 +268,19 @@ def certify(f: DivisorClass, neg: NegSet, gens: GeneratorSet | None = None,
     got = cache.get(f)
     if got is not None:
         return got
-    cert = _certify_uncached(f, neg, gens, _depth)
+    cert = _certify_uncached(f, neg, _depth)
     if cert.status is not Status.INCONCLUSIVE or _depth == 0:
         cache[f] = cert
     return cert
 
 
-def surjective_certified(f: DivisorClass, neg: NegSet,
-                         gens: GeneratorSet | None = None,
-                         _depth: int = 0) -> bool:
+def surjective_certified(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> bool:
     """Certified surjective, directly or as bijective via the count.
 
     An injective map is onto as soon as three times the source section
     count reaches the target's.
     """
-    cert = certify(f, neg, gens, _depth)
+    cert = certify(f, neg, _depth=_depth)
     if cert.status is Status.SURJECTIVE:
         return True
     if cert.status in (Status.INJECTIVE, Status.MAXIMAL_RANK):
@@ -291,11 +289,9 @@ def surjective_certified(f: DivisorClass, neg: NegSet,
     return False
 
 
-def injective_certified(f: DivisorClass, neg: NegSet,
-                        gens: GeneratorSet | None = None,
-                        _depth: int = 0) -> bool:
+def injective_certified(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> bool:
     """Certified injective, directly or as bijective via the count."""
-    cert = certify(f, neg, gens, _depth)
+    cert = certify(f, neg, _depth=_depth)
     if cert.status in (Status.INJECTIVE, Status.MAXIMAL_RANK):
         return True
     if cert.status is Status.SURJECTIVE:
@@ -304,7 +300,7 @@ def injective_certified(f: DivisorClass, neg: NegSet,
     return False
 
 
-def _certify_uncached(f, neg, gens, _depth) -> Certificate:
+def _certify_uncached(f, neg, _depth) -> Certificate:
     if on_conic(neg):
         return Certificate(Status.SURJECTIVE, "conic-support")
     b = ql_bounds(f, neg)
@@ -312,11 +308,9 @@ def _certify_uncached(f, neg, gens, _depth) -> Certificate:
         return Certificate(Status.SURJECTIVE, "qstar+lstar=0")
     if b.q == 0 and b.l == 0:
         return Certificate(Status.INJECTIVE, "q=l=0")
-    if gens is None and anticanonical_nef(neg):
-        gens = nef_generators(neg)
-    if gens is None:
+    if not anticanonical_nef(neg):
         return Certificate(Status.INCONCLUSIVE, "no generator set available")
-    for p in gens.pared:
+    for p in nef_generators(neg).pared:
         g = f - p
         if g == ZERO or g.degree < 0 or not is_nef(g, neg):
             continue
@@ -326,23 +320,23 @@ def _certify_uncached(f, neg, gens, _depth) -> Certificate:
                 Status.SURJECTIVE,
                 f"good-part-sum:{' '.join(map(str, p.display_row()))}")
     if _depth < 1:
-        for c in _rational_curve_candidates(neg, gens):
+        for c in _rational_curve_candidates(neg):
             fp = f - c
             if fp.degree < 0 or not is_nef(fp, neg):
                 continue
             if not step_allows(c, f, neg):
                 continue
-            if surjective_certified(fp, neg, gens, _depth=_depth + 1):
+            if surjective_certified(fp, neg, _depth=_depth + 1):
                 return Certificate(
                     Status.SURJECTIVE,
                     f"rational-curve-step:{' '.join(map(str, c.display_row()))}")
-        cert = _kernel_transfer(f, neg, gens, _depth)
+        cert = _kernel_transfer(f, neg, _depth)
         if cert is not None:
             return cert
     return Certificate(Status.INCONCLUSIVE, "no criterion applied")
 
 
-def _kernel_transfer(f, neg, gens, _depth):
+def _kernel_transfer(f, neg, _depth):
     """Injectivity across a prime curve the class does not meet.
 
     Restriction to a prime curve c with f.c = 0 is left exact on sections;
@@ -351,7 +345,7 @@ def _kernel_transfer(f, neg, gens, _depth):
     kernel element comes from f - c.  Stripping the fixed part of f - c
     preserves kernels, so injectivity of the residual nef part is enough.
     """
-    for c in _rational_curve_candidates(neg, gens):
+    for c in _rational_curve_candidates(neg):
         if f.dot(c) != 0 or h0(E0 - c, neg) != 0:
             continue
         red = reduce(f - c, neg)
@@ -360,7 +354,7 @@ def _kernel_transfer(f, neg, gens, _depth):
                 Status.INJECTIVE,
                 f"kernel-transfer:{' '.join(map(str, c.display_row()))} "
                 "(complement has no sections)")
-        if injective_certified(red.nef_part, neg, gens, _depth=_depth + 1):
+        if injective_certified(red.nef_part, neg, _depth=_depth + 1):
             return Certificate(
                 Status.INJECTIVE,
                 f"kernel-transfer:{' '.join(map(str, c.display_row()))}")
@@ -383,7 +377,7 @@ class SChain:
         return self.levels[i - 1]
 
 
-def s_chain(neg: NegSet, depth: int = 6, gens: GeneratorSet | None = None) -> SChain:
+def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     """Build the deficiency levels up to the given depth.
 
     Each level is one array: level 1 is gamma masked by :func:`deficient`,
@@ -397,9 +391,7 @@ def s_chain(neg: NegSet, depth: int = 6, gens: GeneratorSet | None = None) -> SC
     """
     if not anticanonical_nef(neg):
         raise ValueError("chain construction requires a nef anticanonical class")
-    if gens is None:
-        gens = nef_generators(neg)
-    gam = gamma(neg, gens)
+    gam = gamma(neg)
     g = np.array(gam, dtype=np.int64).reshape(-1, 7)
     s1 = g[_deficient_rows(g, neg, cache_all=True)]
     levels = [s1]
@@ -456,7 +448,7 @@ def _stable_pivot(base: DivisorClass, step: DivisorClass, neg: NegSet):
     return a + 1, i_stab
 
 
-def _injective_tail(base, step, neg, gens, computed: int):
+def _injective_tail(base, step, neg, computed: int):
     """Witness that q = l = 0 holds along the whole ray beyond the start.
 
     A nef witness W with (base + i*step - D).W < 0 proves the shifted class
@@ -473,7 +465,7 @@ def _injective_tail(base, step, neg, gens, computed: int):
     witnesses = []
     for shift in (E[j], E0 - E[j]):
         found = None
-        for w in (step,) + gens.pared:
+        for w in (step,) + nef_generators(neg).pared:
             if step.dot(w) <= 0 and (base + start * step - shift).dot(w) < 0:
                 found = w
                 break
@@ -487,7 +479,7 @@ def _injective_tail(base, step, neg, gens, computed: int):
                            start=start, detail=detail)
 
 
-def _h1_persistence_tail(base, step, neg, gens, computed: int):
+def _h1_persistence_tail(base, step, neg, computed: int):
     """Vanishing of the starred counts propagates along a prime rational step.
 
     Restricting to the step curve shows h1 cannot reappear once the twisted
@@ -519,7 +511,7 @@ def _h1_persistence_tail(base, step, neg, gens, computed: int):
     return None
 
 
-def _surjective_tail(base, step, neg, gens, computed: int):
+def _surjective_tail(base, step, neg, computed: int):
     """Induction along the step curve once some ray member is surjective.
 
     Needs the step pairing condition from the base level onwards; the
@@ -530,7 +522,7 @@ def _surjective_tail(base, step, neg, gens, computed: int):
         return None
     for i0 in range(1, computed + 1):
         member = base + i0 * step
-        if not surjective_certified(member, neg, gens):
+        if not surjective_certified(member, neg):
             continue
         target = base + (i0 + 1) * step
         if step_allows(step, target, neg):
@@ -600,8 +592,7 @@ def _find_stabilization(chain: SChain, j_max: int = 3, k_max: int = 2):
     return None
 
 
-def verify_stabilization(chain: SChain, neg: NegSet,
-                         gens: GeneratorSet | None = None) -> StabilizationReport:
+def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
     """Certify maximal rank for every member of every level, to all depths.
 
     Every computed-level member is certified directly.  When the levels are
@@ -609,19 +600,17 @@ def verify_stabilization(chain: SChain, neg: NegSet,
     depth each ray F + i*C_F is certified in closed form.  The report is
     ``ok`` only if nothing stays inconclusive.
     """
-    if gens is None:
-        gens = nef_generators(neg)
     notes = []
     certificates: dict = {}
     inconclusive = []
-    for f in gens.pared:
-        cert = certify(f, neg, gens)
+    for f in nef_generators(neg).pared:
+        cert = certify(f, neg)
         certificates[f] = cert
         if cert.status is Status.INCONCLUSIVE:
             inconclusive.append(f)
     for lv in chain.levels:
         for f in lv:
-            cert = certify(f, neg, gens)
+            cert = certify(f, neg)
             certificates[f] = cert
             if cert.status is Status.INCONCLUSIVE:
                 inconclusive.append(f)
@@ -642,11 +631,11 @@ def verify_stabilization(chain: SChain, neg: NegSet,
     tails = []
     for f, c in sorted(witness.items()):
         computed = chain.depth - j
-        tail = _h1_persistence_tail(f, c, neg, gens, computed)
+        tail = _h1_persistence_tail(f, c, neg, computed)
         if tail is None:
-            tail = _surjective_tail(f, c, neg, gens, computed)
+            tail = _surjective_tail(f, c, neg, computed)
         if tail is None:
-            tail = _injective_tail(f, c, neg, gens, computed)
+            tail = _injective_tail(f, c, neg, computed)
         if tail is None:
             inconclusive.append(f)
             notes.append("ray from " + " ".join(map(str, f.display_row()))
@@ -660,7 +649,7 @@ def verify_stabilization(chain: SChain, neg: NegSet,
             member = f + i * c
             cert = certificates.get(member)
             if cert is None:
-                cert = certify(member, neg, gens)
+                cert = certify(member, neg)
                 certificates[member] = cert
             if cert.status is Status.INCONCLUSIVE:
                 inconclusive.append(member)
@@ -720,22 +709,18 @@ def exceptional_configuration(h: DivisorClass, neg: NegSet) -> tuple:
     return (h,) + tuple(ordered)
 
 
-def change_of_marking(neg: NegSet, h: DivisorClass) -> tuple:
-    """Nodal roots of the configuration in the coordinates of marking h.
+def change_of_marking(neg: NegSet, h: DivisorClass) -> NegSet:
+    """NEG of the configuration in the coordinates of marking h.
 
     A class X has coordinates (X.E0'', X.E1'', ..., X.E6'') in the stored
-    convention of the new marking.
+    convention of the new marking.  A change of marking is an integral
+    isometry of the lattice fixing K (Harbourne, Trans. AMS 349, 1997), so
+    it carries NEG, every -3 line class included, onto NEG of the same
+    surface in the new coordinates.
     """
     marking = exceptional_configuration(h, neg)
-
-    def transform(x: DivisorClass) -> DivisorClass:
-        return DivisorClass(tuple(x.dot(m) for m in marking))
-
-    new_nodal = tuple(sorted(transform(c) for c in neg.nodal))
-    new_neg = neg_from_nodal(new_nodal)
-    if set(new_neg.classes) != {transform(c) for c in neg.classes}:
-        raise ArithmeticError("marking change did not preserve the negative curves")
-    return new_nodal
+    return NegSet(tuple(DivisorClass(tuple(x.dot(m) for m in marking))
+                        for x in neg.classes))
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +741,7 @@ def verify_configuration(neg: NegSet, depth: int = 6) -> MarkingReport:
     """Verify maximal rank over one configuration in its given marking."""
     if on_conic(neg):
         return MarkingReport(marking=E0, ok=True, method="conic", report=None)
-    gens = nef_generators(neg)
-    chain = s_chain(neg, depth, gens)
-    report = verify_stabilization(chain, neg, gens)
+    report = verify_stabilization(s_chain(neg, depth), neg)
     return MarkingReport(marking=E0, ok=report.ok, method="chain", report=report)
 
 
@@ -769,20 +752,29 @@ def _relabellings() -> np.ndarray:
     return np.hstack((np.zeros((len(perms), 1), dtype=perms.dtype), perms))
 
 
-def _canonical_problem(nodal) -> tuple:
-    """Nodal set up to relabelling of the six points; dedupes marking runs.
+def _canonical_problem(classes) -> tuple:
+    """NEG classes of square <= -2, up to relabelling of the six points.
 
-    The least, over the 720 relabellings, of the sorted tuple of relabelled
-    roots.  One gather relabels every root under every relabelling; the
-    rows are packed into order-preserving keys (``cones.pack_keys``; the
-    entries of a nodal root lie in -2..2), sorted within each relabelling,
-    and ``np.lexsort`` picks the least sorted key list.
+    ``verify_all_markings`` passes the nodal roots and the -3 line classes
+    of a marked problem.  These determine the problem: the exceptional
+    members of NEG are exactly the exceptional classes that meet all of
+    them nonnegatively (tests check this on the fixture, catalog and
+    four-collinear configurations in every marking), and relabelling the
+    points permutes the exceptional classes and keeps the form.
+
+    The key is the least, over the 720 relabellings, of the sorted tuple
+    of relabelled classes.  One gather relabels every class under every
+    relabelling; the rows are packed into order-preserving keys
+    (``cones.pack_keys``), sorted within each relabelling, and
+    ``np.lexsort`` picks the least sorted key list.  The entries of these
+    classes lie in -2..2, so the packing guard never fires on a NegSet the
+    package builds.
     """
-    if not nodal:
+    if not classes:
         return ()
-    rows = np.array(nodal, dtype=np.int64)[:, _relabellings()]  # root x relabelling x 7
+    rows = np.array(classes, dtype=np.int64)[:, _relabellings()]  # class x relabelling x 7
     if not packable(rows):
-        raise ValueError("nodal roots have entries outside the packing range")
+        raise ValueError("classes have entries outside the packing range")
     keys = np.sort(pack_keys(rows), axis=0)
     best = rows[:, np.lexsort(keys[::-1])[0]]
     return tuple(map(tuple, best[np.argsort(pack_keys(best))].tolist()))
@@ -791,15 +783,15 @@ def _canonical_problem(nodal) -> tuple:
 def verify_all_markings(neg: NegSet, depth: int = 6, _cache: dict | None = None):
     """Verify one configuration under every marking; yields MarkingReports.
 
+    Each marking's problem is NEG transported by :func:`change_of_marking`.
     Relabelling the six points does not change any of the checks, so
     structurally identical marking problems are solved once.
     """
     solved = _cache if _cache is not None else {}
     for h in e0_classes(neg):
-        nodal = change_of_marking(neg, h)
-        key = _canonical_problem(nodal)
+        problem = change_of_marking(neg, h)
+        key = _canonical_problem(problem.nodal + problem.other)
         if key not in solved:
-            problem = neg_from_nodal(nodal)
             solved[key] = verify_configuration(problem, depth)
         base = solved[key]
         yield MarkingReport(marking=h, ok=base.ok, method=base.method,

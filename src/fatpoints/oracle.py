@@ -268,22 +268,8 @@ def _kernel_basis(pivots, reduced, ncols: int, p: int | None):
     return basis if p is None else basis % p
 
 
-def _rank_mod_p(rows, ncols: int, p: int) -> int:
-    return len(_rref(rows, ncols, p)[0])
-
-
 def _rank_exact(rows) -> int:
     return len(_rref(rows, len(rows[0]) if len(rows) else 0, None)[0])
-
-
-def _nullspace_mod_p(rows, ncols: int, p: int):
-    """Right-kernel basis over F_p, one vector per row of the result."""
-    return _kernel_basis(*_rref(rows, ncols, p), ncols, p)
-
-
-def _nullspace_exact(rows, ncols: int):
-    """Right-kernel basis over the rationals."""
-    return _kernel_basis(*_rref(rows, ncols, None), ncols, None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 
 from .lattice import K, DivisorClass, E
 
-#: Default cap on orbit enumeration; the largest orbit this package ever
-#: needs has 720 elements.
-ORBIT_CAP = 100_000
-
 _R0 = DivisorClass((1, 1, 1, 1, 0, 0, 0))
 _SIMPLE = (_R0,) + tuple(E[i] - E[i + 1] for i in range(1, 6))
 
@@ -37,10 +33,6 @@ def reflect(x: DivisorClass, i: int) -> DivisorClass:
         x[4] + c * r[4], x[5] + c * r[5], x[6] + c * r[6]))
 
 
-class OrbitCapExceeded(RuntimeError):
-    """Raised when a reflection orbit grows past the configured cap."""
-
-
 @dataclass(frozen=True)
 class OrbitSet:
     """A full reflection orbit: the seed plus its closure under s_0..s_5."""
@@ -59,8 +51,13 @@ class OrbitSet:
         return x in self.elements
 
 
-def orbit(seed: DivisorClass, cap: int = ORBIT_CAP) -> OrbitSet:
-    """Breadth-first orbit of seed under the six simple reflections."""
+def orbit(seed: DivisorClass) -> OrbitSet:
+    """Breadth-first orbit of seed under the six simple reflections.
+
+    The orbit of any class has at most |W(E6)| = 51840 elements, so the
+    search always ends; a seed with trivial stabiliser, such as
+    (100; 1, 2, 3, 4, 5, 6), reaches that bound in about a second.
+    """
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -71,10 +68,6 @@ def orbit(seed: DivisorClass, cap: int = ORBIT_CAP) -> OrbitSet:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-        if len(seen) > cap:
-            raise OrbitCapExceeded(
-                f"orbit of {seed!r} exceeded {cap} elements; seed is outside "
-                "the finite-orbit regime")
         frontier = nxt
     return OrbitSet(seed=seed, elements=frozenset(seen))
 

@@ -158,6 +158,8 @@ def test_validation_errors(capsys, tmp_path):
     (("verify", "--depth", "0"), {"kind": "dynkin", "type": "A1"}, "--depth"),
     (("hilbert", "--mult", "1,1,1,1,1,1", "--deg", "-1"),
      {"kind": "distinct"}, "--deg"),
+    (("verify", "--all-e0"), {"kind": "distinct", "collinear": [[1, 2, 3, 4]]},
+     "anticanonical"),
 ])
 def test_malformed_input_one_line_error(capsys, tmp_path, argv, config, message):
     path = tmp_path / "cfg.json"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatpoints.cones import gamma, h0, is_nef, nef_generators
-from fatpoints.config import PointConfiguration, dynkin_catalog, neg_from_nodal
+from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, PointConfiguration,
+                              dynkin_catalog, neg_from_distinct, neg_from_nodal)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass
 from fatpoints.murank import (Status, _canonical_problem, _deficient_rows, certify,
                               change_of_marking, deficient, e0_classes,
@@ -14,6 +15,7 @@ from fatpoints.murank import (Status, _canonical_problem, _deficient_rows, certi
                               ql_bounds, s_chain, surjective_certified,
                               verify_all_markings, verify_configuration,
                               verify_stabilization)
+from fatpoints.weyl import exceptional_classes
 
 from conftest import distinct_case
 
@@ -80,9 +82,11 @@ def test_bound_consistency_random(case_iv, general):
 def test_certify_39(case_iv):
     gens = nef_generators(case_iv.neg)
     for f in gens.pared:
-        cert = certify(f, case_iv.neg, gens)
+        cert = certify(f, case_iv.neg)
         assert cert.status is Status.SURJECTIVE
         assert cert.reason == "qstar+lstar=0"
+    with pytest.raises(TypeError):  # _depth is keyword-only
+        certify(gens.pared[0], case_iv.neg, gens)
 
 
 def test_certify_zero(case_iv):
@@ -264,6 +268,50 @@ def test_verify_all_markings_4a1():
     assert all(r.ok for r in reports)
 
 
+def test_marking_path_transports_neg(monkeypatch):
+    def rebuild(nodal):
+        raise AssertionError("a marked problem was rebuilt from its nodal roots")
+
+    monkeypatch.setattr("fatpoints.murank.neg_from_nodal", rebuild)
+    four_a1 = neg_from_nodal(dynkin_catalog()["4A1"])
+    assert all(r.ok for r in verify_all_markings(four_a1))
+
+
+#: Distinct points with four on a line: NEG holds a -3 line class.
+FOUR_COLLINEAR_SPECS = (DistinctSpec(collinear=((1, 2, 3, 4),)),
+                        DistinctSpec(collinear=((1, 2, 3, 4), (1, 5, 6))))
+
+
+def test_change_of_marking_matches_nodal_rebuild():
+    """Transported NEG equals NEG rebuilt from the transported nodal roots."""
+    pairs = 0
+    for name, roots in sorted(dynkin_catalog().items()):
+        neg = neg_from_nodal(roots)
+        for h in e0_classes(neg):
+            problem = change_of_marking(neg, h)
+            assert problem == neg_from_nodal(problem.nodal), (name, h)
+            pairs += 1
+    assert pairs == 296
+
+
+def test_neg_determined_by_nodal_and_other():
+    """NEG is nodal + other + the exceptional classes meeting both >= 0, in
+    every marking: the premise of the marking dedupe key."""
+    bases = ([neg_from_distinct(s) for s in FIXTURE_SPECS.values()]
+             + [neg_from_nodal(r) for r in dynkin_catalog().values()]
+             + [neg_from_distinct(s) for s in FOUR_COLLINEAR_SPECS])
+    checked = 0
+    for base in bases:
+        for h in e0_classes(base):
+            neg = change_of_marking(base, h)
+            known = neg.nodal + neg.other
+            survivors = {e for e in exceptional_classes()
+                         if all(e.dot(c) >= 0 for c in known)}
+            assert set(neg.classes) == set(known) | survivors, (base, h)
+            checked += 1
+    assert checked == 591  # 252 fixture + 296 catalog + 43 four-collinear markings
+
+
 def test_injectivity_class():
     assert injectivity_class(ZERO)
     assert injectivity_class(DivisorClass((5, 2, 2, 2, 2, 2, 2)))
@@ -340,7 +388,7 @@ def marking_nodal_sets():
     out = []
     for name in sorted(dynkin_catalog()):
         neg = neg_from_nodal(dynkin_catalog()[name])
-        out.extend((name, change_of_marking(neg, h)) for h in e0_classes(neg))
+        out.extend((name, change_of_marking(neg, h).nodal) for h in e0_classes(neg))
     assert len(out) == 296
     return out
 

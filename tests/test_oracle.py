@@ -72,15 +72,17 @@ def test_rank_exact_matches_mod_p():
         rows = [[rng.randint(-30, 30) for _ in range(7)] for _ in range(5)]
         exact = oracle._rank_exact([[Fraction(v) for v in r] for r in rows])
         for p in oracle.PRIMES:
-            assert oracle._rank_mod_p([[v % p for v in r] for r in rows], 7, p) == exact
+            pivots, _ = oracle._rref([[v % p for v in r] for r in rows], 7, p)
+            assert len(pivots) == exact
 
 
 def test_nullspace_consistency():
     pts = oracle.fixture_points("general")
-    rows_p = oracle.conditions_matrix(pts, (2, 1, 1, 0, 0, 0), 3, oracle.PRIMES[0])
+    p = oracle.PRIMES[0]
+    rows_p = oracle.conditions_matrix(pts, (2, 1, 1, 0, 0, 0), 3, p)
     rows_q = oracle.conditions_matrix(pts, (2, 1, 1, 0, 0, 0), 3, None)
-    dim_p = len(oracle._nullspace_mod_p(rows_p, 10, oracle.PRIMES[0]))
-    dim_exact = len(oracle._nullspace_exact(rows_q, 10))
+    dim_p = len(oracle._kernel_basis(*oracle._rref(rows_p, 10, p), 10, p))
+    dim_exact = len(oracle._kernel_basis(*oracle._rref(rows_q, 10, None), 10, None))
     assert dim_p == dim_exact
 
 
@@ -212,12 +214,13 @@ def test_nullspace_annihilates_and_counts(case, mults, t):
     ncols = (t + 2) * (t + 1) // 2
     for p in oracle.PRIMES:
         rows = oracle.conditions_matrix(pts, mults, t, p)
-        basis = np.asarray(oracle._nullspace_mod_p(rows, ncols, p))
-        assert len(basis) == ncols - oracle._rank_mod_p(rows, ncols, p)
+        pivots, reduced = oracle._rref(rows, ncols, p)
+        basis = oracle._kernel_basis(pivots, reduced, ncols, p)
+        assert len(basis) == ncols - len(pivots)
         if len(rows) and len(basis):
             assert not ((np.array(rows) @ basis.T) % p).any()
     exact = oracle.conditions_matrix(pts, mults, t, None)
-    basis = np.asarray(oracle._nullspace_exact(exact, ncols), dtype=object)
+    basis = oracle._kernel_basis(*oracle._rref(exact, ncols, None), ncols, None)
     assert len(basis) == ncols - oracle._rank_exact(exact)
     if len(exact) and len(basis):
         assert not (np.array(exact, dtype=object).reshape(-1, ncols) @ basis.T).any()

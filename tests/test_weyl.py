@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fatpoints.lattice import E, E0, K, MINUS_K, DivisorClass, intersect
-from fatpoints.weyl import (OrbitCapExceeded, all_roots, exceptional_classes,
-                            is_positive_root, orbit, positive_roots, reflect,
-                            simple_roots)
+from fatpoints.weyl import (all_roots, exceptional_classes, is_positive_root,
+                            orbit, positive_roots, reflect, simple_roots)
 
 classes = st.builds(DivisorClass, st.tuples(*[st.integers(-40, 40)] * 7))
 
@@ -73,11 +72,6 @@ def test_orbit_of_ruling_census():
 
 def test_orbit_of_anticanonical_is_fixed():
     assert orbit(MINUS_K).elements == {MINUS_K}
-
-
-def test_orbit_cap():
-    with pytest.raises(OrbitCapExceeded):
-        orbit(DivisorClass((4, 1, 1, 1, 0, 0, 0)), cap=10)
 
 
 def test_all_roots():
