@@ -7,7 +7,7 @@ from .config import (ConfigError, DistinctSpec, NegSet, PointConfiguration,
                      neg_from_distinct, neg_from_nodal)
 from .cones import (GeneratorSet, Reduction, gamma, h0, h1, is_nef,
                     nef_generators, reduce)
-from .lattice import E0, K, MINUS_K, ZERO, DivisorClass, E, canonical_class, chi, degree, intersect
+from .lattice import E0, K, MINUS_K, ZERO, DivisorClass, E, chi
 from .murank import (Certificate, MuBounds, SChain, StabilizationReport,
                      Status, certify, e0_classes, exceptional_configuration,
                      injectivity_class, ql_bounds, s_chain,
@@ -23,10 +23,10 @@ __all__ = [
     "E", "E0", "FatPointScheme", "GeneratorSet", "HilbertProfile", "K",
     "MINUS_K", "MuBounds", "NegSet", "OrbitSet", "PointConfiguration",
     "Reduction", "SChain", "StabilizationReport", "Status", "ZERO",
-    "all_roots", "anticanonical_nef", "betti", "canonical_class", "certify",
-    "chi", "degree", "dynkin_catalog", "dynkin_classify", "e0_classes",
+    "all_roots", "anticanonical_nef", "betti", "certify",
+    "chi", "dynkin_catalog", "dynkin_classify", "e0_classes",
     "exceptional_classes", "exceptional_configuration", "gamma", "h0", "h1",
-    "hilbert", "injectivity_class", "intersect", "is_nef", "mu_cokernel",
+    "hilbert", "injectivity_class", "is_nef", "mu_cokernel",
     "nef_generators", "neg_from_distinct", "neg_from_nodal", "orbit",
     "proximity_normalize", "ql_bounds", "reduce", "reflect", "s_chain",
     "simple_roots", "verify_configuration", "verify_stabilization",

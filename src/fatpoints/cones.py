@@ -29,9 +29,10 @@ with the NEG Gram block.  Paring packs each class into one int64 key
 (``pack_keys``: offset digits in a fixed base, so keys sort as the
 classes do and the key of a sum is the sum of the keys less a constant)
 and tests pair sums a block of rows at a time by binary search in the
-sorted keys; classes with an entry outside ``PACK_ENTRY_BOUND`` are pared
-by the pairwise loop instead.  ``gamma`` decides every pair of pared
-generators at once from their pairings with NEG.
+sorted keys.  The orbit union's entries lie in 0..9, far inside
+``PACK_ENTRY_BOUND``; a set with an entry outside it is rejected with
+``ValueError``.  ``gamma`` decides every pair of pared generators at once
+from their pairings with NEG.
 """
 
 from __future__ import annotations
@@ -106,16 +107,16 @@ class Reduction:
         return total
 
 
-def reduce(f: DivisorClass, neg: NegSet, order=None) -> Reduction:
+def reduce(f: DivisorClass, neg: NegSet) -> Reduction:
     """Strip negative curves off f until it is nef or visibly ineffective.
 
-    Scans the classes of ``order`` (default: the sorted NEG classes)
-    cyclically.  A class C met negatively by the running class F is
-    subtracted n = ceil(-F.C / -C^2) times in one step; each copy would
-    still meet F negatively, so the per-copy loop reaches the same result.
-    The next scan starts after C; a full pass without a hit ends the loop.
-    The nef part and fixed multiset do not depend on the order; tests
-    assert this.
+    Scans the sorted NEG classes cyclically.  A class C met negatively by
+    the running class F is subtracted n = ceil(-F.C / -C^2) times in one
+    step; each copy would still meet F negatively, so the per-copy loop
+    reaches the same result.  The next scan starts after C; a full pass
+    without a hit ends the loop.  The nef part and fixed multiset do not
+    depend on the scan order; tests assert this against an in-test
+    reference that takes an explicit order.
 
     Termination: each step lowers ``TERMINATION_WEIGHT``.F by at least 1
     and starts at degree >= 0.  For the ``reduction_candidates`` shapes no
@@ -123,7 +124,7 @@ def reduce(f: DivisorClass, neg: NegSet, order=None) -> Reduction:
     negative entry to 0, Ei - Ej stays within the old range, lines and
     conics only lower entries), so the pairing stays >= -21*A.
     """
-    classes = tuple(order) if order is not None else neg.classes
+    classes = neg.classes
     cur = f
     trace = []
     counts: dict = {}
@@ -277,25 +278,6 @@ def pack_keys(rows: np.ndarray) -> np.ndarray:
     return (rows.astype(np.int64) + 2 * PACK_ENTRY_BOUND) @ _PACK_WEIGHTS
 
 
-def _pare_pairwise(classes) -> tuple:
-    """``_pare`` on Python ints, one pair at a time: entries of any size."""
-    cur = set(classes)
-    while True:
-        members = sorted(cur)
-        top = members[-1][0] if members else 0
-        sums = set()
-        for i, a in enumerate(members):
-            for b in members[i:]:
-                if a[0] + b[0] > top:
-                    break
-                s = a + b
-                if s in cur:
-                    sums.add(s)
-        if not sums:
-            return tuple(members)
-        cur -= sums
-
-
 def _pare(classes) -> tuple:
     """Drop classes that are sums of two others, repeating until stable.
 
@@ -304,13 +286,14 @@ def _pare(classes) -> tuple:
     paired with the members from itself up to the largest degree a sum can
     still have.  Members are packed into sorted int64 keys (``pack_keys``);
     a block of rows, about ``PARE_CHUNK`` sums, is added to its columns in
-    one step and each sum is looked up by binary search in the keys.  Sets
-    with an entry outside ``PACK_ENTRY_BOUND`` go through the pairwise loop.
+    one step and each sum is looked up by binary search in the keys.  The
+    only caller passes orbit-union classes, whose entries lie in 0..9; a
+    set with an entry outside ``PACK_ENTRY_BOUND`` raises ``ValueError``.
     """
     members = sorted(set(classes))
     rows = np.array(members).reshape(-1, 7)
     if not packable(rows):
-        return _pare_pairwise(members)
+        raise ValueError("classes have entries outside the packing range")
     keys = pack_keys(rows)
     deg = rows[:, 0]
     alive = np.arange(len(members))

@@ -359,9 +359,10 @@ def match_catalog_type(nodal) -> str:
 
 
 def _int_rows(value, key: str) -> tuple:
-    """A JSON list of integer lists as a tuple of tuples."""
+    """A JSON list of integer lists as a tuple of tuples; booleans are not integers."""
     if not (isinstance(value, list) and all(
-            isinstance(row, list) and all(isinstance(x, int) for x in row)
+            isinstance(row, list) and all(
+                isinstance(x, int) and not isinstance(x, bool) for x in row)
             for row in value)):
         raise ConfigError(f"'{key}' must be a list of lists of integers")
     return tuple(tuple(row) for row in value)
@@ -402,9 +403,12 @@ class PointConfiguration:
                               f"got {type(data).__name__}")
         kind = data.get("kind")
         if kind == "distinct":
+            conic = data.get("six_on_conic", False)
+            if not isinstance(conic, bool):
+                raise ConfigError("'six_on_conic' must be true or false")
             spec = DistinctSpec(
                 collinear=_int_rows(data.get("collinear", []), "collinear"),
-                six_on_conic=bool(data.get("six_on_conic", False)))
+                six_on_conic=conic)
             return cls.from_distinct(spec)
         if kind == "dynkin":
             if not isinstance(data.get("type"), str):

@@ -129,16 +129,6 @@ K = DivisorClass((-3, -1, -1, -1, -1, -1, -1))
 MINUS_K = DivisorClass((3, 1, 1, 1, 1, 1, 1))
 
 
-def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    """Symmetric bilinear intersection number of two classes."""
-    return a.dot(b)
-
-
-def canonical_class() -> DivisorClass:
-    """The canonical class K (negate for -K)."""
-    return K
-
-
 def chi(f: DivisorClass) -> int:
     """Euler characteristic (F^2 - K.F)/2 + 1 by Riemann-Roch.
 
@@ -149,11 +139,6 @@ def chi(f: DivisorClass) -> int:
     if n % 2 != 0:
         raise ArithmeticError(f"parity violation in chi({f!r})")
     return n // 2 + 1
-
-
-def degree(f: DivisorClass) -> int:
-    """F.E0, the degree of the plane image of F."""
-    return f[0]
 
 
 def arithmetic_genus(f: DivisorClass) -> int:

@@ -33,7 +33,7 @@ from . import weyl
 from .config import _CONIC6, NegSet, anticanonical_nef, neg_from_nodal
 from .cones import (chi_rows, gamma, h0, h0_rows, int_rows, is_nef,
                     nef_generators, pack_keys, packable, reduce)
-from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus, chi
+from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus
 
 
 class Status(str, Enum):
@@ -92,40 +92,20 @@ def plane_point_indices(neg: NegSet) -> tuple:
     return got
 
 
-def pivot_index(f: DivisorClass, neg: NegSet) -> int:
-    """Least usable index in 1..6 carrying the largest multiplicity of f.
-
-    Only points lying in the plane itself (not infinitely near another)
-    may serve as the auxiliary index; for a nef class the overall largest
-    multiplicity always occurs at such a point.
-    """
-    usable = plane_point_indices(neg)
-    mults = f.multiplicities
-    best = max(mults[j - 1] for j in usable)
-    return next(j for j in usable if mults[j - 1] == best)
-
-
 def ql_bounds(f: DivisorClass, neg: NegSet) -> MuBounds:
-    """The four section counts bounding kernel and cokernel, plus h-values."""
+    """The four section counts bounding kernel and cokernel, plus h-values.
+
+    The pivot j is the least usable index (:func:`plane_point_indices`)
+    with the largest multiplicity of f; for a nef class it lies in the
+    plane.  The bounds have one kernel: a class missing from the cache runs
+    through :func:`_deficient_rows` as a one-row array, which raises
+    ``ValueError`` if f is not effective.
+    """
     cache = neg._cache.setdefault("bounds", {})
     got = cache.get(f)
-    if got is not None:
-        return got
-    h = h0(f, neg)
-    if h == 0:
-        raise ValueError(f"{f!r} is not effective")
-    j = pivot_index(f, neg)
-    fq = f - E[j]
-    fl = f - (E0 - E[j])
-    q = h0(fq, neg)
-    l = h0(fl, neg)
-    q_star = q - chi(fq)
-    l_star = l - chi(fl)
-    if q_star < 0 or l_star < 0:
-        raise ArithmeticError(f"negative h1 in bounds for {f!r}")
-    got = MuBounds(q=q, l=l, q_star=q_star, l_star=l_star, h=h,
-                   h_next=h0(f + E0, neg), index=j)
-    cache[f] = got
+    if got is None:
+        _deficient_rows(np.array([f], dtype=object), neg, cache_all=True)
+        got = cache[f]
     return got
 
 
@@ -143,14 +123,14 @@ def deficient(f: DivisorClass, neg: NegSet) -> bool:
 def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.ndarray:
     """``deficient`` for every row of an n x 7 array, batched with ``h0_rows``.
 
-    The pivot of a row is the first usable index carrying its largest
-    multiplicity, as in :func:`pivot_index`; the same errors as
-    :func:`ql_bounds` are raised.  h0 of f, f - Ej and f - (E0 - Ej) take
-    one ``h0_rows`` call each rather than one call on all 3n rows, which
-    would triple the largest temporary arrays.  The ``MuBounds`` of every
-    row (``cache_all``) or of the deficient rows only go into the
-    :func:`ql_bounds` cache, their h_next from one more ``h0_rows`` call on
-    those rows alone.
+    The one kernel of the q/l bounds; :func:`ql_bounds` reads the cache it
+    fills.  The pivot of a row is the first usable index carrying its
+    largest multiplicity.  h0 of f, f - Ej and f - (E0 - Ej) take one
+    ``h0_rows`` call each rather than one call on all 3n rows, which would
+    triple the largest temporary arrays.  The ``MuBounds`` of every row
+    (``cache_all``) or of the deficient rows only go into the cache, their
+    h_next from one more ``h0_rows`` call on those rows alone.  Raises
+    ``ValueError`` on an ineffective row, ``ArithmeticError`` on h1 < 0.
     """
     f = int_rows(f)
     n = len(f)
@@ -485,7 +465,9 @@ def _h1_persistence_tail(base, step, neg, computed: int):
     Restricting to the step curve shows h1 cannot reappear once the twisted
     classes meet the step in degree >= -1 on it; both pairings are
     nondecreasing in the ray parameter, so checking the first needed member
-    covers the whole tail, and every tail member is then surjective.
+    covers the whole tail, and every tail member is then surjective.  From
+    i_stab on the stable pivot is the pivot of :func:`ql_bounds`, so the
+    starred counts come from the one bounds kernel (cached on the chain).
     """
     if arithmetic_genus(step) != 0:
         return None
@@ -494,13 +476,8 @@ def _h1_persistence_tail(base, step, neg, computed: int):
         return None
     j, i_stab = sp
     for i0 in range(max(1, i_stab), computed + 1):
-        member = base + i0 * step
-        try:
-            b_q = h0(member - E[j], neg) - chi(member - E[j])
-            b_l = h0(member - (E0 - E[j]), neg) - chi(member - (E0 - E[j]))
-        except ArithmeticError:
-            return None
-        if b_q != 0 or b_l != 0:
+        b = ql_bounds(base + i0 * step, neg)
+        if b.q_star != 0 or b.l_star != 0:
             continue
         nxt = base + (i0 + 1) * step
         if (nxt - E[j]).dot(step) >= -1 and (nxt - (E0 - E[j])).dot(step) >= -1:
@@ -551,12 +528,12 @@ class StabilizationReport:
     notes: tuple
 
 
-def _find_stabilization(chain: SChain, j_max: int = 3, k_max: int = 2):
-    """Smallest (j, k) whose ray description reproduces the computed levels.
+def _find_stabilization(chain: SChain):
+    """Smallest (j, k), j <= 3 and k <= 2, whose rays reproduce the levels.
 
     Requires: every level-j class F owns a unique level-1 class C with
-    F + k*C in level j+k; F + i*C stays in level j+i for i <= k; the rays
-    reproduce levels j+1 .. j+k exactly and also predict level j+k+1.
+    F + k*C in level j+k, and the rays F + i*C give exactly level j+i for
+    i = 1 .. k+1, so they also predict level j+k+1.
     """
     s1 = chain.level(1)
     level_sets = [set(lv) for lv in chain.levels]
@@ -564,8 +541,8 @@ def _find_stabilization(chain: SChain, j_max: int = 3, k_max: int = 2):
     def level_set(i):
         return level_sets[i - 1]
 
-    for j in range(1, j_max + 1):
-        for k in range(1, k_max + 1):
+    for j in range(1, 4):
+        for k in range(1, 3):
             if j + k + 1 > chain.depth:
                 continue
             witness = {}
@@ -575,11 +552,7 @@ def _find_stabilization(chain: SChain, j_max: int = 3, k_max: int = 2):
                 if len(kc) != 1:
                     ok = False
                     break
-                c = kc.pop()
-                if any(f + i * c not in level_set(j + i) for i in range(1, k + 1)):
-                    ok = False
-                    break
-                witness[f] = c
+                witness[f] = kc.pop()
             if not ok:
                 continue
             for i in range(1, k + 2):
@@ -603,17 +576,10 @@ def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
     notes = []
     certificates: dict = {}
     inconclusive = []
-    for f in nef_generators(neg).pared:
-        cert = certify(f, neg)
-        certificates[f] = cert
+    for f in itertools.chain(nef_generators(neg).pared, *chain.levels):
+        cert = certificates[f] = certify(f, neg)
         if cert.status is Status.INCONCLUSIVE:
             inconclusive.append(f)
-    for lv in chain.levels:
-        for f in lv:
-            cert = certify(f, neg)
-            certificates[f] = cert
-            if cert.status is Status.INCONCLUSIVE:
-                inconclusive.append(f)
     empty_level = next((i + 1 for i, lv in enumerate(chain.levels) if not lv), None)
     if empty_level is not None:
         notes.append(f"levels die out at depth {empty_level}; no rays needed")
@@ -647,10 +613,7 @@ def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
             else tail.start + 1
         for i in range(1, first_uncovered):
             member = f + i * c
-            cert = certificates.get(member)
-            if cert is None:
-                cert = certify(member, neg)
-                certificates[member] = cert
+            cert = certificates[member] = certify(member, neg)
             if cert.status is Status.INCONCLUSIVE:
                 inconclusive.append(member)
         tails.append(tail)

@@ -11,6 +11,7 @@ counts follow as s_i = t_i - (third difference of the Hilbert function).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .config import NegSet, PointConfiguration, anticanonical_nef
@@ -30,7 +31,10 @@ class FatPointScheme:
     multiplicities: tuple
 
     def __post_init__(self):
-        m = tuple(int(x) for x in self.multiplicities)
+        m = tuple(self.multiplicities)
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in m):
+            raise TypeError(f"non-integer multiplicity in {m!r}")
+        m = tuple(int(x) for x in m)
         if len(m) != 6:
             raise ValueError(f"need 6 multiplicities, got {len(m)}")
         if any(x < 0 for x in m):

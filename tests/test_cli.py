@@ -160,6 +160,8 @@ def test_validation_errors(capsys, tmp_path):
      {"kind": "distinct"}, "--deg"),
     (("verify", "--all-e0"), {"kind": "distinct", "collinear": [[1, 2, 3, 4]]},
      "anticanonical"),
+    (("neg",), {"kind": "distinct", "collinear": [[1, 2, True]]}, "'collinear'"),
+    (("neg",), {"kind": "distinct", "six_on_conic": "false"}, "'six_on_conic'"),
 ])
 def test_malformed_input_one_line_error(capsys, tmp_path, argv, config, message):
     path = tmp_path / "cfg.json"

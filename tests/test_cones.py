@@ -118,19 +118,21 @@ def test_reduce_order_independent(case_iv, general, a1_vertical_neg):
             ref = reduce(f, neg)
             order = list(neg.classes)
             rng.shuffle(order)
-            alt = reduce(f, neg, order=order)
-            assert alt.effective == ref.effective
+            effective, nef_part, fixed_part = per_copy_reduce(f, neg, order)
+            assert effective == ref.effective
             if ref.effective:
-                assert alt.nef_part == ref.nef_part
-                assert sorted(alt.fixed_part) == sorted(ref.fixed_part)
+                assert nef_part == ref.nef_part
+                assert fixed_part == ref.fixed_part
 
 
-def per_copy_reduce(f, neg):
-    """Reference reduction: subtract one copy of the first negatively met class per step."""
+def per_copy_reduce(f, neg, order=None):
+    """Reference reduction: subtract one copy of the first negatively met class
+    of ``order`` (default: the NEG classes) per step."""
+    classes = tuple(order) if order is not None else neg.classes
     cur = f
     counts = {}
     while cur[0] >= 0:
-        hit = next((c for c in neg.classes if cur.dot(c) < 0), None)
+        hit = next((c for c in classes if cur.dot(c) < 0), None)
         if hit is None:
             return True, cur, tuple(sorted(counts.items()))
         cur = cur - hit
@@ -256,9 +258,14 @@ def test_pack_keys_order_and_sums(rows):
                      min_size=1, max_size=14),
        scale=st.sampled_from((1, 1, PACK_ENTRY_BOUND // 3, PACK_ENTRY_BOUND // 3 + 1, 2 ** 40)))
 def test_pare_matches_all_pairs_across_packing_bound(rows, scale):
-    # scale 21 keeps every entry inside the bound, 22 and 2**40 push some
-    # entries outside it (pairwise path); paring commutes with scaling
+    # scale 21 keeps every entry inside the bound, and paring commutes with
+    # scaling; 22 and 2**40 push an entry outside it, which is rejected
     classes = [DivisorClass([scale * x for x in r]) for r in rows]
+    if not packable(np.array(classes)):
+        assert scale > PACK_ENTRY_BOUND // 3
+        with pytest.raises(ValueError, match="packing range"):
+            _pare(classes)
+        return
     got = _pare(classes)
     assert got == all_pairs_pare(classes)
     assert got == tuple(DivisorClass([scale * x for x in c])
@@ -271,7 +278,11 @@ def test_pare_packing_guard_at_the_bound():
         classes = [DivisorClass((d, x, 0, 0, 0, 0, 0))
                    for d, x in ((1, 0), (1, top), (2, top), (3, top))]
         assert packable(np.array(classes)) == (abs(top) < PACK_ENTRY_BOUND)
-        assert _pare(classes) == all_pairs_pare(classes) == tuple(sorted(classes[:2])), top
+        if abs(top) < PACK_ENTRY_BOUND:
+            assert _pare(classes) == all_pairs_pare(classes) == tuple(sorted(classes[:2])), top
+        else:
+            with pytest.raises(ValueError, match="packing range"):
+                _pare(classes)
 
 
 def test_reduce_steps_bounded_at_large_multiplicity():

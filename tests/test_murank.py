@@ -2,19 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from fatpoints.cones import gamma, h0, is_nef, nef_generators
-from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, PointConfiguration,
+from fatpoints.cones import INT64_ENTRY_BOUND, gamma, h0, is_nef, nef_generators
+from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfiguration,
                               dynkin_catalog, neg_from_distinct, neg_from_nodal)
-from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass
-from fatpoints.murank import (Status, _canonical_problem, _deficient_rows, certify,
-                              change_of_marking, deficient, e0_classes,
+from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi
+from fatpoints.murank import (MuBounds, Status, _canonical_problem, _deficient_rows,
+                              certify, change_of_marking, deficient, e0_classes,
                               exceptional_configuration, injectivity_class,
                               injective_certified, monotone_nef_generators,
-                              ql_bounds, s_chain, surjective_certified,
-                              verify_all_markings, verify_configuration,
-                              verify_stabilization)
+                              plane_point_indices, ql_bounds, s_chain,
+                              surjective_certified, verify_all_markings,
+                              verify_configuration, verify_stabilization)
 from fatpoints.weyl import exceptional_classes
 
 from conftest import distinct_case
@@ -40,6 +40,29 @@ INJECTIVITY_SPORADIC_ROWS = [
     (6, -3, -3, -2, -2, -2, -2), (8, -4, -3, -3, -3, -3, -3),
     (10, -4, -4, -4, -4, -4, -4),
 ]
+
+
+def scalar_ql_bounds(f, neg):
+    """Reference bounds: one scalar ``h0`` per count, pivot j the least
+    usable index carrying the largest multiplicity of f."""
+    h = h0(f, neg)
+    if h == 0:
+        raise ValueError(f"{f!r} is not effective")
+    usable = plane_point_indices(neg)
+    best = max(f.multiplicities[j - 1] for j in usable)
+    j = next(j for j in usable if f.multiplicities[j - 1] == best)
+    fq, fl = f - E[j], f - (E0 - E[j])
+    q, l = h0(fq, neg), h0(fl, neg)
+    q_star, l_star = q - chi(fq), l - chi(fl)
+    if q_star < 0 or l_star < 0:
+        raise ArithmeticError(f"negative h1 in bounds for {f!r}")
+    return MuBounds(q=q, l=l, q_star=q_star, l_star=l_star, h=h,
+                    h_next=h0(f + E0, neg), index=j)
+
+
+def scalar_deficient(f, neg):
+    b = scalar_ql_bounds(f, neg)
+    return b.q == 0 or b.l == 0 or b.q_star > 0 or b.l_star > 0
 
 
 def test_ql_bounds_worked_example(case_iv):
@@ -132,15 +155,15 @@ def test_s_chain_a1_counts(a1_vertical_neg):
 
 
 def scalar_s_chain_levels(neg, depth):
-    """Reference chain: one ``deficient`` call per candidate sum."""
-    s1 = tuple(f for f in gamma(neg) if deficient(f, neg))
+    """Reference chain: one scalar deficiency test per candidate sum."""
+    s1 = tuple(f for f in gamma(neg) if scalar_deficient(f, neg))
     levels = [s1]
     for _ in range(2, depth + 1):
         nxt = set()
         for a in levels[-1]:
             for b in s1:
                 s = a + b
-                if s not in nxt and deficient(s, neg):
+                if s not in nxt and scalar_deficient(s, neg):
                     nxt.add(s)
         levels.append(tuple(sorted(nxt)))
     return tuple(levels)
@@ -205,12 +228,11 @@ def test_verify_four_collinear_conic_supported():
 def test_reversed_vertical_root_presentation():
     # same surface as the E1-E2 realization with the two points swapped;
     # the auxiliary index must avoid the infinitely near point (index 1)
-    from fatpoints.murank import plane_point_indices, pivot_index
     neg = neg_from_nodal((E[2] - E[1],))
     assert plane_point_indices(neg) == (2, 3, 4, 5, 6)
     H = DivisorClass((5, 2, 2, 2, 2, 2, 2))
-    assert pivot_index(H, neg) == 2
     b = ql_bounds(H, neg)
+    assert b.index == 2
     assert b.q == 0 and b.l == 0
     chain = s_chain(neg)
     assert [len(l) for l in chain.levels] == [58, 140, 150, 150, 150, 150]
@@ -416,7 +438,7 @@ def test_canonical_problem_invariant_under_relabelling(marking_nodal_sets, data)
 
 def test_cached_bounds_after_s_chain_match_scalar():
     """s_chain fills the bounds cache for gamma and every level member only,
-    with exactly what scalar ql_bounds computes on a fresh NegSet."""
+    with exactly what the scalar reference computes on a fresh NegSet."""
     fresh = {c: (lambda c=c: distinct_case(c).neg) for c in ("i", "ii", "iii", "iv")}
     for name in sorted(dynkin_catalog()):
         fresh[name] = lambda name=name: PointConfiguration.from_dynkin(name).neg
@@ -428,4 +450,44 @@ def test_cached_bounds_after_s_chain_match_scalar():
         assert set(cached) == set(chain.gamma) | members, name
         other = make()
         for f, b in cached.items():
-            assert repr(b) == repr(ql_bounds(f, other)), (name, f)
+            assert repr(b) == repr(scalar_ql_bounds(f, other)), (name, f)
+
+
+#: Cases i-iv and the 20 catalog types, for the bounds kernel checks.
+BOUNDS_NEGS = {**{c: distinct_case(c).neg for c in ("i", "ii", "iii", "iv")},
+               **{n: neg_from_nodal(r) for n, r in sorted(dynkin_catalog().items())}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(BOUNDS_NEGS)),
+       scale=st.sampled_from((1, 1, 3, 2 ** 30, 10 ** 12)))
+def test_ql_bounds_matches_scalar_reference(data, name, scale):
+    # an effective class: a nonnegative sum of pared generators, scaled
+    # (2**30 and 10**12 push entries past INT64_ENTRY_BOUND: object path),
+    # plus a few NEG curves as fixed part
+    neg = BOUNDS_NEGS[name]
+    pared = nef_generators(neg).pared
+    coeffs = data.draw(st.lists(st.integers(0, 3), min_size=len(pared), max_size=len(pared)))
+    curves = data.draw(st.lists(st.sampled_from(neg.classes), max_size=3))
+    assume(any(coeffs))
+    f = scale * sum((c * g for c, g in zip(coeffs, pared)), ZERO) + sum(curves, ZERO)
+    if scale > 3:
+        assert max(map(abs, f)) >= INT64_ENTRY_BOUND
+    assert ql_bounds(f, NegSet(neg.classes)) == scalar_ql_bounds(f, NegSet(neg.classes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(BOUNDS_NEGS)),
+       coeffs=st.lists(st.integers(-2, 12), min_size=7, max_size=7))
+def test_ql_bounds_errors_match_scalar_reference(name, coeffs):
+    # raw classes, many of them ineffective: same bounds or the same error
+    neg = BOUNDS_NEGS[name]
+    f = DivisorClass(coeffs)
+    try:
+        want = scalar_ql_bounds(f, NegSet(neg.classes))
+    except (ValueError, ArithmeticError) as exc:
+        with pytest.raises(type(exc)) as got:
+            ql_bounds(f, NegSet(neg.classes))
+        assert str(got.value) == str(exc)
+    else:
+        assert ql_bounds(f, NegSet(neg.classes)) == want

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fatpoints import oracle
@@ -25,6 +26,16 @@ def test_hilbert_worked_example(example_z):
     assert prof.alpha == 6
     assert prof.tau == 9
     assert prof.sigma == 10
+
+
+def test_non_integer_multiplicities_rejected():
+    neg = distinct_case("general").neg
+    for bad in ((2.7, 3, 1, 0, 0, 0), (2, "3", 1, 0, 0, 0), (2, 3, True, 0, 0, 0)):
+        with pytest.raises(TypeError, match="non-integer multiplicity"):
+            FatPointScheme(neg=neg, multiplicities=bad)
+    z = FatPointScheme(neg=neg, multiplicities=tuple(np.arange(6)))
+    assert z.multiplicities == (0, 1, 2, 3, 4, 5)
+    assert all(type(x) is int for x in z.multiplicities)
 
 
 def test_hilbert_single_point():
