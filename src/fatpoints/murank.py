@@ -12,12 +12,13 @@ the kernel dimension lies in [l, l+q], and when h1(F) = 0 the cokernel is
 at most q* + l*.  So q* + l* = 0 certifies surjectivity and q = l = 0
 certifies injectivity.
 
-Classes where neither fires are organised into a chain of levels: the
-nef-cone generators that fail the criteria (level 1), then sums of a
-failing class with a level-1 class that fail again, and so on.  Once the
-levels repeat along rays F + i*C, every ray tail is certified in closed
-form, either by induction along a rational curve (surjectivity persists)
-or by a pairing argument forcing q = l = 0 forever (injectivity persists).
+Classes where neither fires are organised into a chain of levels, each
+built as one sorted integer array: the nef-cone generators that fail the
+criteria (level 1), then sums of a failing class with a level-1 class that
+fail again, and so on.  Once the levels repeat along rays F + i*C (searched
+for on packed keys), every ray tail is certified in closed form, either by
+induction along a rational curve (surjectivity persists) or by a pairing
+argument forcing q = l = 0 forever (injectivity persists).
 """
 
 from __future__ import annotations
@@ -347,9 +348,9 @@ def _kernel_transfer(f, neg, _depth):
 
 @dataclass(frozen=True)
 class SChain:
-    """Levels of deficient sums: level i holds sums of i cone generators."""
+    """Levels of deficient sums: level i holds sums of i level-1 classes."""
 
-    levels: tuple  # levels[i-1] = level i, each a sorted tuple
+    levels: tuple  # levels[i-1] = level i, distinct classes in ascending order
     gamma: tuple
     depth: int
 
@@ -360,14 +361,14 @@ class SChain:
 def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     """Build the deficiency levels up to the given depth.
 
-    Each level is one array: level 1 is gamma masked by :func:`deficient`,
-    level i+1 the distinct sums of a level-i and a level-1 class, masked
-    the same way.  The mask is computed for the whole level at once by
-    ``cones.h0_rows``, in int64 while the entries stay below
-    ``cones.INT64_ENTRY_BOUND`` and in Python ints beyond it.  The
-    :func:`ql_bounds` cache receives the bounds of every gamma class and of
-    every level member, the classes :func:`verify_stabilization`
-    certifies; the other candidate sums of a level are not cached.
+    Each level is one int64 array: level 1 is gamma masked by
+    :func:`deficient`, level i+1 the distinct sums of a level-i and a
+    level-1 class, masked the same way by ``cones.h0_rows`` on the whole
+    level.  One ``np.lexsort`` over the columns, dropping each row equal to
+    its predecessor, dedupes the sums in ascending order at any depth
+    (level i has entries up to 9i, past the reach of packed keys).  Gamma
+    and the level members, which :func:`verify_stabilization` certifies,
+    leave their bounds in the :func:`ql_bounds` cache; other sums do not.
     """
     if not anticanonical_nef(neg):
         raise ValueError("chain construction requires a nef anticanonical class")
@@ -376,7 +377,11 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     s1 = g[_deficient_rows(g, neg, cache_all=True)]
     levels = [s1]
     for _ in range(2, depth + 1):
-        sums = np.unique((levels[-1][:, None] + s1[None]).reshape(-1, 7), axis=0)
+        sums = (levels[-1][:, None] + s1[None]).reshape(-1, 7)
+        sums = sums[np.lexsort(sums.T[::-1])]
+        fresh = np.ones(len(sums), dtype=bool)
+        fresh[1:] = (sums[1:] != sums[:-1]).any(1)
+        sums = sums[fresh]
         levels.append(sums[_deficient_rows(sums, neg)])
     return SChain(levels=tuple(tuple(DivisorClass(r) for r in lv.tolist())
                               for lv in levels),
@@ -533,35 +538,30 @@ def _find_stabilization(chain: SChain):
 
     Requires: every level-j class F owns a unique level-1 class C with
     F + k*C in level j+k, and the rays F + i*C give exactly level j+i for
-    i = 1 .. k+1, so they also predict level j+k+1.
+    i = 1 .. k+1, so they also predict level j+k+1.  Levels must be nonempty.
+
+    Classes are compared as sorted ``cones.pack_keys``, with key(F + i*C) =
+    key(F) + i*(key(C) - key(ZERO)); each row of candidate keys of level j
+    is binary-searched in level j+k.  Every class read is a sum of at most
+    j+k+1 <= 6 level-1 classes, whose orbit-union entries lie in 0..9, so
+    entries stay within 6*9 < PACK_ENTRY_BOUND and the guard cannot fire.
     """
-    s1 = chain.level(1)
-    level_sets = [set(lv) for lv in chain.levels]
-
-    def level_set(i):
-        return level_sets[i - 1]
-
+    rows = [np.array(lv, dtype=np.int64).reshape(-1, 7) for lv in chain.levels[:6]]
+    if not packable(6 * rows[0]):
+        raise ValueError("level classes have entries outside the packing range")
+    keys = [None] + [pack_keys(r) for r in rows]  # keys[i] = level i
+    step = keys[1] - pack_keys(np.zeros(7, dtype=np.int64))
     for j in range(1, 4):
-        for k in range(1, 3):
-            if j + k + 1 > chain.depth:
+        for k in range(1, min(3, chain.depth - j)):  # j + k + 1 <= depth
+            cand = keys[j][:, None] + k * step
+            hit = np.take(keys[j + k], np.searchsorted(keys[j + k], cand), mode="clip") == cand
+            if (hit.sum(1) != 1).any():
                 continue
-            witness = {}
-            ok = True
-            for f in chain.level(j):
-                kc = {c for c in s1 if f + k * c in level_set(j + k)}
-                if len(kc) != 1:
-                    ok = False
-                    break
-                witness[f] = kc.pop()
-            if not ok:
-                continue
-            for i in range(1, k + 2):
-                image = {f + i * c for f, c in witness.items()}
-                if image != level_set(j + i):
-                    ok = False
-                    break
-            if ok:
-                return j, k, witness
+            col = hit.argmax(1)
+            if all(np.array_equal(np.unique(keys[j] + i * step[col]), keys[j + i])
+                   for i in range(1, k + 2)):
+                s1 = chain.level(1)
+                return j, k, {f: s1[c] for f, c in zip(chain.level(j), col.tolist())}
     return None
 
 

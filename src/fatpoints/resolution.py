@@ -139,7 +139,7 @@ def hilbert(z: FatPointScheme, t_max: int | None = None) -> HilbertProfile:
         if tau is not None and alpha is not None and t >= tau + 2 \
                 and (t_max is None or t >= t_max):
             break
-        if t > hard_stop:
+        if (alpha is None or tau is None) and t > hard_stop:
             raise ArithmeticError("Hilbert scan failed to stabilize")
         t += 1
     return HilbertProfile(values=values, alpha=alpha, tau=tau, sigma=tau + 1)

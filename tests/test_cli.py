@@ -83,6 +83,15 @@ def test_hilbert(capsys, case_iv_cfg):
     assert "alpha 6" in lines and "sigma 10" in lines
 
 
+def test_hilbert_degree_past_the_scan_cap(capsys, tmp_path):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({"kind": "distinct", "collinear": [[1, 2, 3]]}))
+    code, out, err = run(capsys, "hilbert", "--config", str(path),
+                         "--mult", "1,2,3,4,5,6", "--deg", "98")
+    assert code == 0 and err == ""
+    assert "98 4894" in out.splitlines()
+
+
 def test_verify_ok(capsys, a1_cfg):
     code, out, _ = run(capsys, "verify", "--config", a1_cfg)
     assert code == 0

@@ -2,10 +2,12 @@
 
 ``golden_cli.json`` holds the exit code and the sha256 of stdout of
 ``verify`` and ``verify --json``, each with and without ``--all-e0``, on
-cases i-iv and the 20 catalog types, and of ``nefgens`` and
-``nefgens --raw``, text and ``--json``, on the six fixture cases.  A change
-that means to alter this output rewrites the file with
-``PYTHONPATH=src python tests/test_golden_cli.py`` and says why.
+cases i-iv and the 20 catalog types, of ``nefgens`` and ``nefgens --raw``,
+text and ``--json``, on the six fixture cases, and of three ``verify
+--depth 13`` runs (levels past 6; on some A1 markings their entries leave
+the int64 key packing range).  A change that means to alter this output
+rewrites the file with ``PYTHONPATH=src python tests/test_golden_cli.py``
+and says why.
 """
 
 import contextlib
@@ -38,6 +40,8 @@ def commands() -> list:
         for which in ("", " --raw"):
             for fmt in ("", " --json"):
                 out.append(f"{name} nefgens{which}{fmt}")
+    out += ["A1 verify --all-e0 --depth 13", "A1 verify --all-e0 --depth 13 --json",
+            "i verify --depth 13"]
     return out
 
 

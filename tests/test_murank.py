@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fatpoints.cones import INT64_ENTRY_BOUND, gamma, h0, is_nef, nef_generators
+from fatpoints.cones import (INT64_ENTRY_BOUND, PACK_ENTRY_BOUND, gamma, h0, is_nef,
+                             nef_generators)
 from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfiguration,
                               dynkin_catalog, neg_from_distinct, neg_from_nodal)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi
-from fatpoints.murank import (MuBounds, Status, _canonical_problem, _deficient_rows,
-                              certify, change_of_marking, deficient, e0_classes,
-                              exceptional_configuration, injectivity_class,
+from fatpoints.murank import (MuBounds, SChain, Status, _canonical_problem, _deficient_rows,
+                              _find_stabilization, certify, change_of_marking, deficient,
+                              e0_classes, exceptional_configuration, injectivity_class,
                               injective_certified, monotone_nef_generators,
                               plane_point_indices, ql_bounds, s_chain,
                               surjective_certified, verify_all_markings,
@@ -207,6 +208,109 @@ def test_stabilization_a1(a1_vertical_neg):
     kinds = {t.kind for t in report.tails}
     assert "surjective-induction" in kinds or "surjective-h1-persistence" in kinds
     assert "injective-bound" in kinds
+
+
+def set_find_stabilization(chain):
+    """Reference search: Python sets of level classes, one sum per
+    (level member, level-1 class) pair."""
+    s1 = chain.level(1)
+    level_sets = [set(lv) for lv in chain.levels]
+    for j in range(1, 4):
+        for k in range(1, 3):
+            if j + k + 1 > chain.depth:
+                continue
+            witness = {}
+            for f in chain.level(j):
+                kc = {c for c in s1 if f + k * c in level_sets[j + k - 1]}
+                if len(kc) != 1:
+                    break
+                witness[f] = kc.pop()
+            else:
+                if all({f + i * c for f, c in witness.items()} == level_sets[j + i - 1]
+                       for i in range(1, k + 2)):
+                    return j, k, witness
+    return None
+
+
+def distinct_marking_problems(names):
+    """One NegSet per distinct verification problem of the named types'
+    markings, as ``verify_all_markings`` dedupes them."""
+    problems = {}
+    for name in names:
+        neg = neg_from_nodal(dynkin_catalog()[name])
+        for h in e0_classes(neg):
+            problem = change_of_marking(neg, h)
+            problems.setdefault(_canonical_problem(problem.nodal + problem.other), problem)
+    return list(problems.values())
+
+
+@pytest.fixture(scope="module")
+def sweep_chains():
+    """Depth-6 chains of cases i-iv and of the 88 distinct marking problems."""
+    negs = [distinct_case(c).neg for c in ("i", "ii", "iii", "iv")]
+    negs += distinct_marking_problems(sorted(dynkin_catalog()))
+    assert len(negs) == 92
+    return [s_chain(neg, 6) for neg in negs]
+
+
+def test_find_stabilization_matches_set_reference(sweep_chains):
+    # a chain of depth d is the first d levels of a deeper one
+    found = set()
+    for chain in sweep_chains:
+        for depth in (3, 4, 5, 6):
+            cut = SChain(levels=chain.levels[:depth], gamma=chain.gamma, depth=depth)
+            got, want = _find_stabilization(cut), set_find_stabilization(cut)
+            if want is None:
+                assert got is None
+            else:
+                assert (got[0], got[1], list(got[2].items())) == \
+                    (want[0], want[1], list(want[2].items()))
+                found.add(want[:2])
+    assert len(found) > 1
+
+
+def test_find_stabilization_rejects_like_set_reference():
+    # first chain: a has two witnesses (a + a and a + b are in level 2), so
+    # (1, 1) fails though the first hits would reproduce levels 2 and 3;
+    # second chain: level 3 is {b}, so the ray a + i*a leaves the levels
+    a, b = DivisorClass((1, 0, 1, 0, 0, 0, 0)), DivisorClass((1, 1, 0, 0, 0, 0, 0))
+    for levels in (((a, b), (a + a, a + b), (3 * a, a + a + b)), ((a,), (a + a,), (b,))):
+        chain = SChain(levels=tuple(tuple(sorted(lv)) for lv in levels), gamma=(), depth=3)
+        assert _find_stabilization(chain) is set_find_stabilization(chain) is None
+
+
+def test_find_stabilization_packing_guard():
+    # 6 * 11 leaves the packing range; no chain s_chain builds gets there
+    big = DivisorClass((11, 0, 0, 0, 0, 0, 0))
+    chain = SChain(levels=((big,), (2 * big,), (3 * big,)), gamma=(), depth=3)
+    with pytest.raises(ValueError, match="packing range"):
+        _find_stabilization(chain)
+
+
+def test_find_stabilization_does_no_class_arithmetic(monkeypatch, sweep_chains):
+    def refuse(*args):
+        raise AssertionError("DivisorClass arithmetic in the stabilization search")
+
+    want = [set_find_stabilization(chain) for chain in sweep_chains]
+    for name in ("__add__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(DivisorClass, name, refuse)
+    assert [_find_stabilization(chain) for chain in sweep_chains] == want
+
+
+def test_deep_levels_match_unique_reference():
+    # depth 13 on the A1 markings: level entries leave the key packing range
+    top = 0
+    for neg in distinct_marking_problems(["A1"]):
+        g = np.array(gamma(neg), dtype=np.int64).reshape(-1, 7)
+        s1 = g[_deficient_rows(g, neg)]
+        want = [s1]
+        for _ in range(2, 14):
+            sums = np.unique((want[-1][:, None] + s1[None]).reshape(-1, 7), axis=0)
+            want.append(sums[_deficient_rows(sums, neg)])
+        got = s_chain(neg, 13).levels
+        assert got == tuple(tuple(DivisorClass(r) for r in lv.tolist()) for lv in want)
+        top = max(top, *(int(lv.max()) for lv in want if lv.size))
+    assert top >= PACK_ENTRY_BOUND
 
 
 def test_verify_configuration_cases():

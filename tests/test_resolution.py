@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fatpoints import oracle
+from fatpoints.cones import h0
 from fatpoints.config import PointConfiguration
 from fatpoints.lattice import E, DivisorClass
 from fatpoints.resolution import (BettiTable, FatPointScheme,
@@ -53,6 +54,17 @@ def test_hilbert_empty_scheme():
     assert prof.alpha == 0
     for t in range(0, 5):
         assert prof(t) == (t + 2) * (t + 1) // 2
+
+
+def test_hilbert_past_the_scan_cap():
+    # the scan stops at 4*(sum(m) + 3) = 96 only while alpha or tau is unset;
+    # asked for higher degrees it keeps going
+    z = FatPointScheme(neg=distinct_case("i").neg, multiplicities=(1, 2, 3, 4, 5, 6))
+    hard_stop = 4 * (sum(z.multiplicities) + 3)
+    prof = hilbert(z, t_max=hard_stop + 10)
+    assert (prof.alpha, prof.tau) == (9, 10)
+    assert [prof(t) for t in range(hard_stop + 11)] == \
+        [h0(z.class_for_degree(t), z.neg) for t in range(hard_stop + 11)]
 
 
 def test_mu_cokernel_worked_example(example_z):
