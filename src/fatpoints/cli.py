@@ -2,8 +2,8 @@
 
 Classes print as 7-integer display rows matching the stored tables, point
 indices are 1-based, and every list is emitted in sorted order so repeated
-runs are byte-identical.  Exit codes: 0 success, 1 validation error, 2 a
-verification left something inconclusive.
+runs are byte-identical.  Exit codes: 0 success, 1 validation or usage
+error, 2 a verification left something inconclusive.
 """
 
 from __future__ import annotations
@@ -198,8 +198,15 @@ def _cmd_oracle(args) -> int:
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one line, like every other invalid input."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fatpoints",
         description="Hilbert functions, graded Betti numbers and maximal-rank "
                     "verification for fat point ideals on six points")

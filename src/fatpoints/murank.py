@@ -243,12 +243,12 @@ def certify(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> Certificate:
     prime curve the class is orthogonal to.  Anything else is
     inconclusive.
     """
-    if not is_nef(f, neg):
-        raise ValueError(f"{f!r} is not nef on this configuration")
     cache = neg._cache.setdefault("cert", {})
     got = cache.get(f)
     if got is not None:
-        return got
+        return got  # stored only after f passed the nef check below
+    if not is_nef(f, neg):
+        raise ValueError(f"{f!r} is not nef on this configuration")
     cert = _certify_uncached(f, neg, _depth)
     if cert.status is not Status.INCONCLUSIVE or _depth == 0:
         cache[f] = cert

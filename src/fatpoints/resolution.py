@@ -2,11 +2,29 @@
 
 A fat point scheme attaches multiplicities (m1..m6) to a six-point
 configuration; its degree-t piece corresponds to the class
-t*E0 - m1*E1 - ... - m6*E6.  Section counts come from the reduction
+F_t = t*E0 - m1*E1 - ... - m6*E6.  Section counts come from the reduction
 algorithm, and the generator counts t_i of the minimal free resolution
 come from cokernel dimensions of the degree-raising multiplication maps,
 which have maximal rank on the configurations supported here.  Syzygy
 counts follow as s_i = t_i - (third difference of the Hilbert function).
+The Hilbert function and resolution are those of Harbourne, *Free
+resolutions of fat point ideals on P2* (JPAA 125, 1998).
+
+Every degree is read off one scan that walks down the degrees.  It
+reduces F_T once at a top degree T, then gets degree t from the nef part
+N_{t+1} of degree t+1 by reducing N_{t+1} - E0 instead of F_t.  This is
+exact.  Fix(F + E0) <= Fix(F), because |E0| is base-point free.  Each
+``reduce`` step subtracts only a forced component: copies of an
+irreducible curve C with F.C < 0.  Those copies stay forced in F_t =
+F_{t+1} - E0, since E0.C >= 0.  Two distinct forced curves stay forced
+after either is subtracted, since they meet nonnegatively, so the order of
+forced subtractions does not change where they end.  Hence N_{t+1} - E0
+(F_t less the fixed part of F_{t+1}) reduces to the nef part of F_t and
+has the same h0.  If F_{t+1} has no sections, neither has F_t, so below
+the first degree without sections nothing is reduced.  A degree past T
+doubles T and walks the new top range down to the old T+1.  Walking down,
+each step strips only the few curves that subtracting E0 makes negative,
+so the cost of a degree does not grow with the multiplicities.
 """
 
 from __future__ import annotations
@@ -15,7 +33,7 @@ import numbers
 from dataclasses import dataclass
 
 from .config import NegSet, PointConfiguration, anticanonical_nef
-from .cones import h0, h1, reduce
+from .cones import reduce
 from .lattice import E0, DivisorClass, chi
 
 
@@ -110,29 +128,97 @@ class HilbertProfile:
         return got
 
 
+class _DegreeScan:
+    """Nef parts of F_t for t = 0..top, found walking down; see module doc.
+
+    ``nef[t]`` is the nef part ``reduce`` gives F_t, or None when F_t has
+    no sections, and ``h0[t]`` is the section count of F_t.  A degree past
+    the top extends the scan.  The lists are kept on the NegSet, keyed by
+    the normalized multiplicities of z, so that ``hilbert`` followed by
+    ``betti`` scans once; the scan object itself is not, so the cache holds
+    no reference back to the NegSet.
+    """
+
+    def __init__(self, z: FatPointScheme):
+        self.z = z
+        self.nef, self.h0 = z.neg._cache.setdefault("scan", {}).setdefault(
+            z.multiplicities, ([], []))
+        # chi(F_t) = (t+1)(t+2)/2 - conditions, by Riemann-Roch
+        self.conditions = sum(m * (m + 1) // 2 for m in z.multiplicities)
+
+    def nef_part(self, t: int) -> DivisorClass | None:
+        if t < 0:
+            return None
+        if t >= len(self.nef):
+            self._extend(t)
+        return self.nef[t]
+
+    def sections(self, t: int) -> int:
+        if t < 0:
+            return 0
+        if t >= len(self.h0):
+            self._extend(t)
+        return self.h0[t]
+
+    def h1(self, t: int) -> int:
+        """First cohomology of F_t (t >= 0, so that h2 vanishes)."""
+        v = self.sections(t) - ((t + 1) * (t + 2) // 2 - self.conditions)
+        if v < 0:
+            raise ArithmeticError(
+                f"negative h1 in degree {t}; section count corrupted")
+        return v
+
+    def _extend(self, t: int) -> None:
+        """Reduce F_top once, then walk down to the first unknown degree.
+
+        The first top is two past the least degree where F_t meets every
+        NEG class nonnegatively, near where the Hilbert function settles;
+        later tops at least double.
+        """
+        z, neg = self.z, self.z.neg
+        old = len(self.nef)
+        if old:
+            top = max(t, 2 * old)
+        else:
+            f0 = z.class_for_degree(0)  # F_t.C = t*C.degree + F_0.C
+            top = max(t, 2 + max([0] + [-(f0.dot(c) // c.degree)
+                                        for c in neg if c.degree > 0]))
+        red = reduce(z.class_for_degree(top), neg)
+        part = red.nef_part if red.effective else None
+        walked = [part]
+        for _ in range(top - old):
+            if part is not None:
+                red = reduce(part - E0, neg)
+                part = red.nef_part if red.effective else None
+            walked.append(part)
+        walked.reverse()
+        self.nef.extend(walked)
+        self.h0.extend(0 if p is None else chi(p) for p in walked)
+
+
 def hilbert(z: FatPointScheme, t_max: int | None = None) -> HilbertProfile:
     """Hilbert function of the ideal of z, up to max(t_max, sigma + 1).
 
     Works with the normalized multiplicities; the ideal is unchanged by
-    normalization.  The scan extends until the first-cohomology term of
-    the degree class vanishes, which is stable in the degree, and two
-    confirming degrees are checked anyway.
+    normalization.  The values run through the first degree where the
+    first-cohomology term of the degree class vanishes, which is stable in
+    the degree, and two confirming degrees are checked anyway.  They are
+    read off the scan that walks down the degrees (module doc): each degree
+    reduces the nef part one degree up less E0, not the degree class.
     """
     z = proximity_normalize(z)
-    neg = z.neg
+    scan = _DegreeScan(z)
     values: dict = {}
     alpha = None
     tau = None
     t = 0
     hard_stop = 4 * (sum(z.multiplicities) + 3)
     while True:
-        f = z.class_for_degree(t)
-        values[t] = h0(f, neg)
+        values[t] = scan.sections(t)
         if alpha is None and values[t] > 0:
             alpha = t
-        if tau is None and h1(f, neg) == 0:
-            if h1(z.class_for_degree(t + 1), neg) != 0 or \
-               h1(z.class_for_degree(t + 2), neg) != 0:
+        if tau is None and scan.h1(t) == 0:
+            if scan.h1(t + 1) != 0 or scan.h1(t + 2) != 0:
                 raise ArithmeticError(
                     f"first cohomology failed to stay zero past degree {t}")
             tau = t
@@ -150,22 +236,25 @@ def mu_cokernel(z: FatPointScheme, i: int) -> int:
 
     Strips the fixed part of the degree-i class; on the residual nef part
     the multiplication map has maximal rank, and the fixed part contributes
-    the difference of section counts one degree up.
+    the difference of section counts one degree up.  The nef part is the
+    one the downward degree scan (module doc) holds for degree i.
     """
     z = proximity_normalize(z)
     if not z.is_supported():
         raise UnsupportedConfigurationError(
             "infinitely-near configuration without nef anticanonical class")
-    neg = z.neg
-    hi = h0(z.class_for_degree(i), neg)
-    hnext = h0(z.class_for_degree(i + 1), neg)
+    return _cokernel(_DegreeScan(z), i)
+
+
+def _cokernel(scan: _DegreeScan, i: int) -> int:
+    hi, hnext = scan.sections(i), scan.sections(i + 1)
     if hi == 0:
         return hnext
-    red = reduce(z.class_for_degree(i), neg)
-    m = red.nef_part
-    hm = chi(m)
-    hm_up = h0(m + E0, neg)
-    return max(0, hm_up - 3 * hm) + (hnext - hm_up)
+    # hi = chi(m) for the nef part m.  m + E0 meets every NEG class
+    # nonnegatively and has degree >= 1, so its section count is its chi,
+    # which Riemann-Roch puts at chi(m) + m.E0 + 2
+    hm_up = hi + scan.nef_part(i).degree + 2
+    return max(0, hm_up - 3 * hi) + (hnext - hm_up)
 
 
 @dataclass(frozen=True)
@@ -211,12 +300,13 @@ def betti(z: FatPointScheme) -> BettiTable:
         raise UnsupportedConfigurationError(
             "infinitely-near configuration without nef anticanonical class")
     prof = hilbert(z)
+    scan = _DegreeScan(z)
     alpha, sigma = prof.alpha, prof.sigma
     t: dict = {}
     if prof(alpha) > 0:
         t[alpha] = prof(alpha)
     for i in range(alpha, sigma):
-        v = mu_cokernel(z, i)
+        v = _cokernel(scan, i)
         if v:
             t[i + 1] = v
     s: dict = {}

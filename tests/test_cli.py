@@ -193,3 +193,22 @@ def test_oracle_malformed_input_one_line_error(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # argparse reads "-1,2,3,0,0,0" as an option, so --mult has no value
+    (("resolve", "--config", "c.json", "--mult", "-1,2,3,0,0,0"), "--mult"),
+    ((), "command"),
+    (("hilbert", "--config", "c.json", "--mult", "1,1,1,1,1,1", "--deg", "x"),
+     "--deg"),
+    (("oracle", "--case", "v", "--mult", "1,1,1,1,1,1", "--deg", "2"), "--case"),
+])
+def test_usage_error_exits_1_with_one_line(capsys, argv, message):
+    # exit 2 means "some class inconclusive", so usage errors exit 1
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert info.value.code == 1
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert message in out.err

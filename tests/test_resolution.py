@@ -2,12 +2,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fatpoints import oracle
-from fatpoints.cones import h0
-from fatpoints.config import PointConfiguration
-from fatpoints.lattice import E, DivisorClass
-from fatpoints.resolution import (BettiTable, FatPointScheme,
+from fatpoints import cones, oracle, resolution
+from fatpoints.cones import h0, h1, reduce
+from fatpoints.config import NegSet, PointConfiguration, dynkin_catalog
+from fatpoints.lattice import E, E0, DivisorClass, chi
+from fatpoints.resolution import (BettiTable, FatPointScheme, HilbertProfile,
                                   UnsupportedConfigurationError, betti,
                                   format_shifts, hilbert, mu_cokernel,
                                   proximity_normalize)
@@ -258,3 +259,128 @@ def test_format_shifts():
 def test_betti_table_type():
     t = BettiTable(t={1: 2}, s={2: 1})
     assert t.generator_summary() == "R[-1]^2"
+
+
+# ---------------------------------------------------------------------------
+# The downward degree scan against the upward scan it replaced
+
+
+def _reference_hilbert(z, t_max=None):
+    """Upward scan: scalar h0 and h1 of every degree class from 0."""
+    z = proximity_normalize(z)
+    neg = z.neg
+    values, alpha, tau, t = {}, None, None, 0
+    hard_stop = 4 * (sum(z.multiplicities) + 3)
+    while True:
+        f = z.class_for_degree(t)
+        values[t] = h0(f, neg)
+        if alpha is None and values[t] > 0:
+            alpha = t
+        if tau is None and h1(f, neg) == 0:
+            if h1(z.class_for_degree(t + 1), neg) != 0 or \
+               h1(z.class_for_degree(t + 2), neg) != 0:
+                raise ArithmeticError(
+                    f"first cohomology failed to stay zero past degree {t}")
+            tau = t
+        if tau is not None and alpha is not None and t >= tau + 2 \
+                and (t_max is None or t >= t_max):
+            break
+        if (alpha is None or tau is None) and t > hard_stop:
+            raise ArithmeticError("Hilbert scan failed to stabilize")
+        t += 1
+    return HilbertProfile(values=values, alpha=alpha, tau=tau, sigma=tau + 1)
+
+
+def _reference_mu_cokernel(z, i):
+    """Cokernel count with its own reduction of the degree-i class."""
+    z = proximity_normalize(z)
+    neg = z.neg
+    hi = h0(z.class_for_degree(i), neg)
+    hnext = h0(z.class_for_degree(i + 1), neg)
+    if hi == 0:
+        return hnext
+    m = reduce(z.class_for_degree(i), neg).nef_part
+    hm_up = h0(m + E0, neg)
+    return max(0, hm_up - 3 * chi(m)) + (hnext - hm_up)
+
+
+def _reference_betti(z):
+    z = proximity_normalize(z)
+    prof = _reference_hilbert(z)
+    t = {prof.alpha: prof(prof.alpha)} if prof(prof.alpha) > 0 else {}
+    for i in range(prof.alpha, prof.sigma):
+        v = _reference_mu_cokernel(z, i)
+        if v:
+            t[i + 1] = v
+    s = {}
+    for i in range(prof.sigma + 2):
+        v = t.get(i, 0) - (prof(i) - 3 * prof(i - 1) + 3 * prof(i - 2) - prof(i - 3))
+        assert v >= 0
+        if v:
+            s[i] = v
+    return BettiTable(t=t, s=s)
+
+
+def _profile_key(prof):
+    return sorted(prof.values.items()), prof.alpha, prof.tau, prof.sigma
+
+
+#: The six distinct fixtures and the 20 catalog types.
+WALK_NEGS = tuple(
+    [distinct_case(c).neg for c in ("i", "ii", "iii", "iv", "general", "conic")]
+    + [PointConfiguration.from_dynkin(n).neg for n in sorted(dynkin_catalog())])
+
+
+def _relabelled(neg, perm):
+    """NEG with point i renamed perm[i - 1]."""
+    return NegSet(tuple(DivisorClass((c[0],) + tuple(c[perm[i]] for i in range(6)))
+                        for c in neg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_degree_walk_matches_upward_scan(data):
+    neg = _relabelled(data.draw(st.sampled_from(WALK_NEGS)),
+                      data.draw(st.permutations(range(1, 7))))
+    top = data.draw(st.sampled_from((3, 12, 60)))
+    m = tuple(data.draw(st.lists(st.integers(0, top), min_size=6, max_size=6)))
+    z = FatPointScheme(neg=neg, multiplicities=m)
+    ref = _reference_hilbert(z)
+    past = data.draw(st.sampled_from(
+        (None, ref.sigma + 3, 4 * (sum(proximity_normalize(z).multiplicities) + 3) + 5)))
+    fresh = FatPointScheme(neg=NegSet(neg.classes), multiplicities=m)
+    assert _profile_key(hilbert(fresh)) == _profile_key(ref)
+    assert betti(fresh) == _reference_betti(z)
+    if past is not None:
+        assert _profile_key(hilbert(fresh, t_max=past)) == \
+            _profile_key(_reference_hilbert(z, t_max=past))
+    for i in range(-1, ref.sigma + 3):
+        assert mu_cokernel(fresh, i) == _reference_mu_cokernel(z, i), i
+    nz = proximity_normalize(fresh)
+    scan = resolution._DegreeScan(nz)
+    assert len(scan.nef) > ref.sigma + 1
+    for t, part in enumerate(scan.nef):
+        red = reduce(nz.class_for_degree(t), neg)
+        assert part == (red.nef_part if red.effective else None), t
+
+
+@pytest.mark.parametrize("type_name", ["E6", "D5", "A5"])
+def test_betti_steps_do_not_grow_with_multiplicity(monkeypatch, type_name):
+    # the upward scan took 1,388 / 43,948 / 818,488 reduction steps on E6
+    steps = [0]
+    plain = cones.reduce
+
+    def counted(f, neg):
+        red = plain(f, neg)
+        steps[0] += len(red.trace)
+        return red
+
+    monkeypatch.setattr(cones, "reduce", counted)
+    monkeypatch.setattr(resolution, "reduce", counted)
+    for m in (10, 100, 1000):
+        neg = PointConfiguration.from_dynkin(type_name).neg
+        steps[0] = 0
+        z = FatPointScheme(neg=neg, multiplicities=(m,) * 6)
+        betti(z)
+        sigma = hilbert(z).sigma
+        assert steps[0] <= 8 * (sigma + 3), (m, steps[0], sigma)
