@@ -202,6 +202,9 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1 with one line, like every other invalid input."""
 
     def error(self, message):
+        # argparse reads a value such as -1,2,3,0,0,0 as an option
+        if message == "argument --mult: expected one argument":
+            message += " (attach a value that starts with '-': --mult=-1,2,...)"
         self.exit(1, f"error: {message}\n")
 
 

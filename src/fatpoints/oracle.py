@@ -4,7 +4,7 @@ For distinct points with known coordinates, the dimension of the degree-t
 piece of a fat point ideal is a corank: monomials of degree t are the
 columns and the vanishing conditions (all partial derivatives of order
 below the multiplicity, taken in the two coordinates transverse to each
-point) are the rows.  The multiplication maps are assembled on explicit
+point) are the rows.  The multiplication maps are read off explicit
 monomial bases, so their kernel and cokernel dimensions come straight from
 matrix ranks, with no cone geometry anywhere.
 
@@ -12,29 +12,53 @@ The conditions matrix is gathered with numpy, all points at once, from
 small tables: the exponents of the degree-t monomials, and the derivatives
 of the powers of each coordinate (a falling factorial times a power).  The
 tables are exact Python ints; a mod-p matrix is gathered from their
-residues in int64, an exact one stays in Python ints (``dtype=object``).
+residues in int64, an exact one stays in Python ints or Fractions
+(``dtype=object``).
 
 One elimination kernel, :func:`_rref`, brings a matrix to reduced row
-echelon form over F_p, or over the rationals when ``p`` is None.  A rank
-is its pivot count and a nullspace basis is read off its free columns.
+echelon form over F_p, or over the rationals when ``p`` is None, and can
+resume on columns appended later.  A rank is its pivot count and a
+nullspace basis is read off its free columns.
+
+Chart.  Dimensions and multiplication ranks are GL_3-invariant, so the
+points are moved by [[1, s, s^2], [0, 1, 0], [0, 0, 1]] (determinant 1),
+with the least s >= 0 that makes X = p0 + s*p1 + s^2*p2 nonzero at every
+point (a point rules out at most two values of s), and scaled to
+(1, p1/X, p2/X).  Differentiated in y and z at x = 1, column j no longer
+depends on the degree: C_t is the first N_t = C(t+2, 2) columns of C_T.
+
+Prefix.  So one elimination per (points, mults, field) serves all degrees:
+rank C_t is the number of pivots below N_t, and the basis of the ideal
+I_t is read off the same echelon form.  :class:`_Echelon` keeps it up to
+the highest degree T asked, with the row transform U carried as extra
+columns; a request above T appends U times the new columns and resumes at
+column N_T, so each column is eliminated once.  The conditions themselves
+are built ``LOOKAHEAD`` degrees ahead, as callers walk up the degrees.
+
+Multiplication.  Times x, column j of degree t stays column j; times y
+and z, the last t+1 columns (the monomials without x) move to the new
+columns N_t..N_{t+1}-1, unshifted and shifted by one.  A form of degree
+t+1 that vanishes on the new columns is x times a form of degree t, which
+lies in I_t because x vanishes at no point of the chart; so x*I_t is the
+part of the image that vanishes there, and the image of I_t times the
+linear forms has rank dim I_t plus that of y*B and z*B on the new columns,
+for B a basis of I_t: a 2 dim I_t x (t+2) matrix.
 
 Ranks are computed modulo two independent primes above 10^6 and fall back
-to exact rational elimination if the primes ever disagree.  Derivative
-coefficients are falling factorials of exponents bounded by the degree,
-which stay nonzero for primes this large.
+to exact rational elimination if the primes disagree or one divides some
+X.  Derivative coefficients are falling factorials of exponents bounded by
+the degree, which stay nonzero for primes this large.
 
-``mu_rank_direct(t)`` needs the ideal's basis in degree t and its
-dimension in degree t+1, which ``ideal_dim(t)`` and ``ideal_dim(t+1)``
-have just eliminated.  :func:`_ideal_basis` therefore keeps the (rank,
-basis) of the last ``BASIS_CACHE_SIZE`` keys (points, mults, t, p).  The
-bound is small on purpose: callers walk up the degrees, so a few entries
-already hold every basis that is asked for again (on the benchmark's
-oracle corpus no key is eliminated twice), while each entry keeps up to
-C(t+2, 2)^2 int64 entries alive, about 190 kB in degree 16.
+:func:`_echelon` keeps the states of the last ``ECHELON_CACHE_SIZE`` keys
+(points, mults, p), enough for a scheme walked up the degrees (two states,
+three on the exact route).  A state with R conditions at degree T holds
+R x (N_T + R) entries and the R x N_{T+LOOKAHEAD} conditions: about 3.7 MB
+of int64 for multiplicities 20, 0, ..., 0 at degree 41.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -49,9 +73,11 @@ PRIMES = (1_000_003, 1_000_033)
 
 FIXTURE_CASES = tuple(FIXTURE_SPECS)
 
-#: Entries of the (rank, basis) cache shared by ``ideal_dim`` and
-#: ``mu_rank_direct``; see the module docstring.
-BASIS_CACHE_SIZE = 8
+#: Echelon states kept by ``_echelon``; see the module docstring.
+ECHELON_CACHE_SIZE = 6
+
+#: Degrees of conditions built past each request; see the module docstring.
+LOOKAHEAD = 4
 
 _GENERAL_SEED = 20_240_613
 
@@ -157,16 +183,17 @@ def _derivative_table(values, m: int, t: int, p: int | None):
     """[i, d, e] -> the d-th derivative of X^e at X = values[i], for d < m
     and e <= t: e!/(e-d)! * values[i]^(e-d), zero for d > e.
 
-    The falling factorials and powers are exact Python ints; mod p the
-    table is their residues multiplied in int64.
+    The falling factorials and powers are exact (Python ints, Fractions at
+    rational values); mod p the table is their residues multiplied in int64.
     """
     falling = [[math.perm(e, d) for e in range(t + 1)] for d in range(m)]
-    powers = [[x ** k for k in range(t + 1)] for x in values]
     if p is None:
-        falling, powers = np.array(falling, dtype=object), np.array(powers, dtype=object)
+        falling = np.array(falling, dtype=object)
+        powers = np.array([[x ** k for k in range(t + 1)] for x in values], dtype=object)
     else:
         falling = np.array([[v % p for v in row] for row in falling], dtype=np.int64)
-        powers = np.array([[v % p for v in row] for row in powers], dtype=np.int64)
+        powers = np.array([[pow(x, k, p) for k in range(t + 1)] for x in values],
+                          dtype=np.int64)
     e = np.arange(t + 1)
     table = falling * powers[:, np.maximum(e - np.arange(m)[:, None], 0)]
     return table if p is None else table % p
@@ -213,25 +240,35 @@ def conditions_matrix(points, mults, t: int, p: int | None = None):
 # Elimination kernel
 
 
-def _rref(rows, ncols: int, p: int | None):
-    """Reduced row echelon form over F_p, or over Q when p is None.
+def _matrix(rows, ncols: int, p: int | None):
+    """``rows`` as an array for :func:`_rref`: int64 residues mod p, or
+    Fractions when p is None."""
+    if p is None:
+        return np.array([[Fraction(v) for v in row] for row in rows],
+                        dtype=object).reshape(len(rows), ncols)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % p
 
-    Returns (pivots, reduced): the pivot column of each nonzero row of the
-    echelon form, and those rows, 1 at their own pivot and 0 at the others.
 
-    Mod p the entries are int64 and are reduced only where a pivot reads
+def _rref(a, p: int | None, start: int = 0, stop: int | None = None,
+          pivots: list | None = None) -> list:
+    """Bring columns start..stop-1 of ``a`` (all by default) to reduced row
+    echelon form in place, over F_p or over Q when p is None; return the
+    pivot of each leading row.  Columns left of ``start`` must be reduced
+    already, with their pivots in ``pivots``, which is extended.  Columns
+    past ``stop`` are carried along, so an identity block there collects
+    the row transform.
+
+    Mod p the entries are int64 residues, reduced only where a pivot reads
     them: each pivot adds less than p^2 to an entry, so the whole matrix
     is reduced once every ``spare`` pivots to stay inside int64 (for the
-    primes in ``PRIMES``, every 9 million pivots).
+    primes in ``PRIMES``, every 9 million pivots), and once at the end.
     """
-    if p is None:
-        a = np.array([[Fraction(v) for v in row] for row in rows],
-                     dtype=object).reshape(len(rows), ncols)
-    else:
-        a = np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % p
+    pivots = [] if pivots is None else pivots
+    stop = a.shape[1] if stop is None else stop
+    if p is not None:
         spare = (2**63 - 1) // (p * p) - 1
-    pivots = []
-    for c in range(ncols):
+    found = 0
+    for c in range(start, stop):
         r = len(pivots)
         if r == len(a):
             break
@@ -244,7 +281,7 @@ def _rref(rows, ncols: int, p: int | None):
             a[[r, i]] = a[[i, r]]
             col[[r, i]] = col[[i, r]]
         if p is None:
-            row = a[r, c:] / col[r]
+            row = a[r, c:] / Fraction(col[r])
         else:
             row = a[r, c:] % p * pow(int(col[r]), -1, p) % p
         a[r, c:] = row
@@ -252,10 +289,12 @@ def _rref(rows, ncols: int, p: int | None):
         # rows r.. are zero left of c, so the update starts at column c
         a[:, c:] -= col[:, None] * row
         pivots.append(c)
-        if p is not None and len(pivots) % spare == 0:
+        found += 1
+        if p is not None and found % spare == 0:
             a %= p
-    reduced = a[:len(pivots)]
-    return pivots, reduced if p is None else reduced % p
+    if p is not None:
+        a %= p
+    return pivots
 
 
 def _kernel_basis(pivots, reduced, ncols: int, p: int | None):
@@ -269,22 +308,106 @@ def _kernel_basis(pivots, reduced, ncols: int, p: int | None):
 
 
 def _rank_exact(rows) -> int:
-    return len(_rref(rows, len(rows[0]) if len(rows) else 0, None)[0])
+    ncols = len(rows[0]) if len(rows) else 0
+    return len(_rref(_matrix(rows, ncols, None), None))
+
+
+# ---------------------------------------------------------------------------
+# One growing elimination per scheme
+
+
+def _ncols(t: int) -> int:
+    """N_t, the number of monomials of degree t (0 for t = -1)."""
+    return (t + 2) * (t + 1) // 2
+
+
+def _chart(points) -> tuple:
+    """(s, X): the least s >= 0 such that X = p0 + s*p1 + s^2*p2 is nonzero
+    at every point, and those X, one per point."""
+    for s in range(2 * len(points) + 1):
+        xs = tuple(a + s * b + s * s * c for a, b, c in points)
+        if all(xs):
+            return s, xs
+    raise ValueError("a point has all coordinates 0")
+
+
+class _Echelon:
+    """The conditions matrix of one scheme in its chart, in reduced row
+    echelon form up to degree ``degree``, over F_p or over Q when p is
+    None; see the module docstring.
+
+    ``a`` is [the reduced columns of C_degree | the row transform U], and
+    ``pivots`` lists the pivot column of each leading row.
+    """
+
+    def __init__(self, chart, mults, p: int | None):
+        self.chart, self.mults, self.p = chart, mults, p
+        self.degree = -1
+        self.pivots = []
+        nrows = sum(m * (m + 1) // 2 for m in mults)
+        self.a = np.identity(nrows, dtype=object if p is None else np.int64)
+        self.columns = np.zeros((nrows, 0), dtype=self.a.dtype)
+
+    def grow(self, t: int) -> None:
+        """Extend the echelon form to the columns of degree t."""
+        if t <= self.degree:
+            return
+        old, new = _ncols(self.degree), _ncols(t)
+        if new > self.columns.shape[1]:
+            built = t + LOOKAHEAD
+            rows = conditions_matrix(self.chart, self.mults, built, self.p)
+            self.columns = _matrix(rows, _ncols(built), self.p)
+        u = self.a[:, old:]
+        cols = u @ self.columns[:, old:new]
+        if self.p is not None:
+            cols %= self.p  # each entry is a sum of R products below p^2
+        self.a = np.hstack((self.a[:, :old], cols, u))
+        _rref(self.a, self.p, old, new, self.pivots)
+        self.degree = t
+
+    def rank(self, t: int) -> int:
+        """Rank of C_t: the pivots below column N_t."""
+        self.grow(t)
+        return bisect.bisect_left(self.pivots, _ncols(t))
+
+    def mu(self, t: int) -> tuple:
+        """(ker, cok) of I_t x (linear forms) -> I_{t+1}; see the module
+        docstring."""
+        self.grow(t + 1)
+        n, r = _ncols(t), self.rank(t)
+        dim, dim_up = n - r, _ncols(t + 1) - self.rank(t + 1)
+        top = _kernel_basis(self.pivots[:r], self.a[:r, :n], n, self.p)[:, _ncols(t - 1):]
+        pad = np.zeros((dim, 1), dtype=top.dtype)
+        image = np.vstack((np.hstack((top, pad)), np.hstack((pad, top))))
+        rank = dim + len(_rref(image, self.p))
+        return 3 * dim - rank, dim_up - rank
+
+
+@functools.lru_cache(maxsize=ECHELON_CACHE_SIZE)
+def _echelon(points, mults, p: int | None):
+    """The cached :class:`_Echelon` of (points, mults) over F_p or Q, or None
+    when p divides some chart denominator X."""
+    _, xs = _chart(points)
+    if p is None:
+        return _Echelon(tuple((1, Fraction(b, x), Fraction(c, x))
+                              for (_, b, c), x in zip(points, xs)), mults, None)
+    if any(x % p == 0 for x in xs):
+        return None
+    return _Echelon(tuple((1, b * pow(x, -1, p) % p, c * pow(x, -1, p) % p)
+                          for (_, b, c), x in zip(points, xs)), mults, p)
+
+
+def _decide(points, mults, read):
+    """``read`` of the states mod both primes if they agree, else exact."""
+    states = [_echelon(points, mults, p) for p in PRIMES]
+    got = {read(state) for state in states if state is not None}
+    if len(got) != 1 or None in states:
+        got = {read(_echelon(points, mults, None))}
+    return got.pop()
 
 
 # ---------------------------------------------------------------------------
 # Ideal dimensions and multiplication maps
-
-
-@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _ideal_basis(points, mults, t: int, p: int | None):
-    """(rank of the degree-t conditions matrix, basis of the ideal in
-    degree t as rows), over F_p or over Q when p is None; read-only."""
-    ncols = (t + 2) * (t + 1) // 2
-    pivots, reduced = _rref(conditions_matrix(points, mults, t, p), ncols, p)
-    basis = _kernel_basis(pivots, reduced, ncols, p)
-    basis.flags.writeable = False
-    return len(pivots), basis
 
 
 def ideal_dim(points, mults, t: int) -> int:
@@ -294,46 +417,17 @@ def ideal_dim(points, mults, t: int) -> int:
     with exact rational elimination on disagreement.
     """
     points, mults = _checked(points, mults, t)
-    ranks = {_ideal_basis(points, mults, t, p)[0] for p in PRIMES}
-    if len(ranks) != 1:
-        ranks = {_ideal_basis(points, mults, t, None)[0]}
-    return (t + 2) * (t + 1) // 2 - ranks.pop()
-
-
-def _times_coordinates(basis, t: int):
-    """Rows x*f, y*f, z*f for each row f of ``basis``, in degree t+1.
-
-    By :func:`_exponents`, the monomial in column j of degree t, with
-    s = b + c, moves to column j, j + s + 1, j + s + 2 of degree t+1 when
-    multiplied by x, y, z.
-    """
-    j = np.arange((t + 2) * (t + 1) // 2)
-    s = _exponents(t)[1:].sum(axis=0)
-    out = np.zeros((3 * len(basis), (t + 3) * (t + 2) // 2), dtype=basis.dtype)
-    for ax, shift in enumerate((j, j + s + 1, j + s + 2)):
-        out[ax::3, shift] = basis
-    return out
-
-
-def _mu_data(points, mults, t: int, p: int | None):
-    """(ker, cok) of multiplication by linear forms, over F_p or Q."""
-    _, basis_t = _ideal_basis(points, mults, t, p)
-    _, basis_up = _ideal_basis(points, mults, t + 1, p)
-    image = _times_coordinates(basis_t, t)
-    rank = len(_rref(image, basis_up.shape[1], p)[0])
-    return 3 * len(basis_t) - rank, len(basis_up) - rank
+    return _ncols(t) - _decide(points, mults, lambda state: state.rank(t))
 
 
 def mu_rank_direct(points, mults, t: int):
     """Kernel and cokernel dimensions of multiplication by linear forms.
 
-    Builds explicit bases of the ideal in degrees t and t+1, multiplies the
-    degree-t basis by the three coordinates, and measures the image rank,
-    over both primes, with exact rational elimination on disagreement.
+    Reads the ideal's basis in degree t and its dimension in degree t+1 off
+    one echelon form and measures the rank of that basis times the three
+    coordinates, over both primes, with exact rational elimination on
+    disagreement.
     Returns (ker, cok).
     """
     points, mults = _checked(points, mults, t)
-    results = {_mu_data(points, mults, t, p) for p in PRIMES}
-    if len(results) != 1:
-        results = {_mu_data(points, mults, t, None)}
-    return results.pop()
+    return _decide(points, mults, lambda state: state.mu(t))

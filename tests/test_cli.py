@@ -212,3 +212,18 @@ def test_usage_error_exits_1_with_one_line(capsys, argv, message):
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert message in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("resolve", "--config", "c.json"),
+    ("hilbert", "--config", "c.json"),
+    ("oracle", "--case", "iv", "--deg", "3"),
+])
+def test_negative_mult_error_names_the_attached_form(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--mult", "-1,2,3,0,0,0"])
+    out = capsys.readouterr()
+    assert info.value.code == 1
+    assert out.out == ""
+    assert out.err.startswith("error: argument --mult: ") and out.err.count("\n") == 1
+    assert "--mult=-1,2," in out.err

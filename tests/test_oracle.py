@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -72,7 +73,7 @@ def test_rank_exact_matches_mod_p():
         rows = [[rng.randint(-30, 30) for _ in range(7)] for _ in range(5)]
         exact = oracle._rank_exact([[Fraction(v) for v in r] for r in rows])
         for p in oracle.PRIMES:
-            pivots, _ = oracle._rref([[v % p for v in r] for r in rows], 7, p)
+            pivots = oracle._rref(oracle._matrix([[v % p for v in r] for r in rows], 7, p), p)
             assert len(pivots) == exact
 
 
@@ -81,8 +82,8 @@ def test_nullspace_consistency():
     p = oracle.PRIMES[0]
     rows_p = oracle.conditions_matrix(pts, (2, 1, 1, 0, 0, 0), 3, p)
     rows_q = oracle.conditions_matrix(pts, (2, 1, 1, 0, 0, 0), 3, None)
-    dim_p = len(oracle._kernel_basis(*oracle._rref(rows_p, 10, p), 10, p))
-    dim_exact = len(oracle._kernel_basis(*oracle._rref(rows_q, 10, None), 10, None))
+    dim_p = len(oracle._kernel_basis(*_fresh_rref(rows_p, 10, p), 10, p))
+    dim_exact = len(oracle._kernel_basis(*_fresh_rref(rows_q, 10, None), 10, None))
     assert dim_p == dim_exact
 
 
@@ -146,6 +147,13 @@ def test_bad_case_rejected():
 
 # ---------------------------------------------------------------------------
 # The numpy conditions matrix and the elimination kernel
+
+
+def _fresh_rref(rows, ncols, p):
+    """(pivots, reduced rows) of one elimination of ``rows`` from scratch."""
+    a = oracle._matrix(rows, ncols, p)
+    pivots = oracle._rref(a, p)
+    return pivots, a[:len(pivots)]
 
 
 def _reference_conditions(points, mults, t, p):
@@ -214,13 +222,13 @@ def test_nullspace_annihilates_and_counts(case, mults, t):
     ncols = (t + 2) * (t + 1) // 2
     for p in oracle.PRIMES:
         rows = oracle.conditions_matrix(pts, mults, t, p)
-        pivots, reduced = oracle._rref(rows, ncols, p)
+        pivots, reduced = _fresh_rref(rows, ncols, p)
         basis = oracle._kernel_basis(pivots, reduced, ncols, p)
         assert len(basis) == ncols - len(pivots)
         if len(rows) and len(basis):
             assert not ((np.array(rows) @ basis.T) % p).any()
     exact = oracle.conditions_matrix(pts, mults, t, None)
-    basis = oracle._kernel_basis(*oracle._rref(exact, ncols, None), ncols, None)
+    basis = oracle._kernel_basis(*_fresh_rref(exact, ncols, None), ncols, None)
     assert len(basis) == ncols - oracle._rank_exact(exact)
     if len(exact) and len(basis):
         assert not (np.array(exact, dtype=object).reshape(-1, ncols) @ basis.T).any()
@@ -237,10 +245,10 @@ def test_two_prime_disagreement_falls_back_to_exact(monkeypatch):
     exact_calls = []
     kernel = oracle._rref
 
-    def spy(rows, ncols, p):
+    def spy(a, p, *args):
         if p is None:
-            exact_calls.append(ncols)
-        return kernel(rows, ncols, p)
+            exact_calls.append(a.shape[1])
+        return kernel(a, p, *args)
 
     monkeypatch.setattr(oracle, "_rref", spy)
     monkeypatch.setattr(oracle, "PRIMES", (3, oracle.PRIMES[0]))
@@ -257,16 +265,153 @@ def test_basis_cache_keeps_point_sets_apart():
     degrees = range(3, 8)
     fresh = {}
     for c in cases:
-        oracle._ideal_basis.cache_clear()
+        oracle._echelon.cache_clear()
         fresh[c] = [(oracle.ideal_dim(pts[c], m, t), oracle.mu_rank_direct(pts[c], m, t))
                     for t in degrees]
     assert fresh["iv"] != fresh["general"]
-    oracle._ideal_basis.cache_clear()
+    oracle._echelon.cache_clear()
     got = {c: [] for c in cases}
     for t in degrees:
         for c in cases:
             got[c].append((oracle.ideal_dim(pts[c], m, t), oracle.mu_rank_direct(pts[c], m, t)))
     assert got == fresh
+
+
+# ---------------------------------------------------------------------------
+# One growing elimination per scheme, against the per-degree route
+
+
+def _ncols(t):
+    return (t + 2) * (t + 1) // 2
+
+
+def _reference_basis(points, mults, t, p):
+    """(rank, basis of the ideal in degree t), eliminating the degree-t
+    conditions matrix at the given points from scratch."""
+    pivots, reduced = _fresh_rref(oracle.conditions_matrix(points, mults, t, p), _ncols(t), p)
+    return len(pivots), oracle._kernel_basis(pivots, reduced, _ncols(t), p)
+
+
+def _times_coordinates(basis, t):
+    """Rows x*f, y*f, z*f for each row f of ``basis``, in degree t+1: the
+    monomial in column j of degree t, with s = b + c, moves to column j,
+    j + s + 1, j + s + 2."""
+    j = np.arange(_ncols(t))
+    s = oracle._exponents(t)[1:].sum(axis=0)
+    out = np.zeros((3 * len(basis), _ncols(t + 1)), dtype=basis.dtype)
+    for ax, shift in enumerate((j, j + s + 1, j + s + 2)):
+        out[ax::3, shift] = basis
+    return out
+
+
+def _reference_mu(points, mults, t, p):
+    """(ker, cok) from the full image of the degree-t basis times x, y, z."""
+    _, basis_t = _reference_basis(points, mults, t, p)
+    _, basis_up = _reference_basis(points, mults, t + 1, p)
+    rank = len(_fresh_rref(_times_coordinates(basis_t, t), _ncols(t + 1), p)[0])
+    return 3 * len(basis_t) - rank, len(basis_up) - rank
+
+
+def _reference(points, mults, t, read):
+    """``read`` over both primes, exact on disagreement: the route that
+    eliminated every degree and every image from scratch."""
+    got = {read(points, mults, t, p) for p in oracle.PRIMES}
+    return got.pop() if len(got) == 1 else read(points, mults, t, None)
+
+
+def _check_walk(case, mults, degrees, fields):
+    """The growing echelon forms over ``fields`` and the public functions
+    against the per-degree reference, at the degrees in the order given."""
+    pts, mults = oracle.fixture_points(case), tuple(mults)
+    oracle._echelon.cache_clear()
+    for t in degrees:
+        for p in fields:
+            state = oracle._echelon(pts, mults, p)
+            assert state.rank(t) == _reference_basis(pts, mults, t, p)[0], (p, t)
+            assert state.mu(t) == _reference_mu(pts, mults, t, p), (p, t)
+        want_dim = _ncols(t) - _reference(pts, mults, t, lambda *a: _reference_basis(*a)[0])
+        assert oracle.ideal_dim(pts, mults, t) == want_dim, t
+        assert oracle.mu_rank_direct(pts, mults, t) == _reference(pts, mults, t, _reference_mu), t
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(oracle.FIXTURE_CASES),
+       mults=st.lists(st.integers(0, 7), min_size=6, max_size=6),
+       degrees=st.lists(st.integers(0, 16), min_size=1, max_size=6))
+def test_growing_echelon_matches_per_degree_route(case, mults, degrees):
+    # degrees in random order, so both prefix reads and extensions run
+    _check_walk(case, mults, degrees, oracle.PRIMES)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=st.sampled_from(oracle.FIXTURE_CASES),
+       mults=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+       degrees=st.lists(st.integers(0, 9), min_size=1, max_size=3))
+def test_exact_echelon_matches_per_degree_route(case, mults, degrees):
+    # rational elimination is slow on either route (the reference image at
+    # mults 7 and degree 16 takes tens of seconds), so the exact state is
+    # checked on smaller schemes
+    _check_walk(case, mults, degrees, (None,))
+
+
+def test_chart_shift():
+    # cases i-iv have points with x = 0, so they need s > 0; the general
+    # and conic points start with 1
+    for case in oracle.FIXTURE_CASES:
+        pts = oracle.fixture_points(case)
+        s, xs = oracle._chart(pts)
+        assert (s > 0) == (case in ("i", "ii", "iii", "iv")), case
+        assert xs == tuple(a + s * b + s * s * c for a, b, c in pts) and all(xs)
+        assert all(not all(a + k * b + k * k * c for a, b, c in pts) for k in range(s))
+    with pytest.raises(ValueError, match="all coordinates 0"):
+        oracle._chart(((1, 0, 0), (0, 0, 0)))
+
+
+def test_prime_dividing_a_chart_denominator_falls_back_to_exact(monkeypatch):
+    # case iv moves by s = 2 to X = (4, -2, 2, -3, 1, -1): no chart mod 3
+    pts = oracle.fixture_points("iv")
+    assert oracle._chart(pts) == (2, (4, -2, 2, -3, 1, -1))
+    m = (1, 1, 1, 1, 1, 1)
+    want = [(oracle.ideal_dim(pts, m, t), oracle.mu_rank_direct(pts, m, t)) for t in range(5)]
+    assert oracle._echelon(pts, m, 3) is None
+    exact_calls = []
+    kernel = oracle._rref
+
+    def spy(a, p, *args):
+        if p is None:
+            exact_calls.append(a.shape[1])
+        return kernel(a, p, *args)
+
+    oracle._echelon.cache_clear()
+    monkeypatch.setattr(oracle, "_rref", spy)
+    monkeypatch.setattr(oracle, "PRIMES", (3, oracle.PRIMES[0]))
+    got = [(oracle.ideal_dim(pts, m, t), oracle.mu_rank_direct(pts, m, t)) for t in range(5)]
+    assert got == want
+    assert exact_calls
+
+
+def test_walk_eliminates_each_column_once(monkeypatch):
+    # walking t = 0..12 reads degrees up to 13; the per-degree route
+    # eliminated sum N_t columns plus every image, this one N_13 per prime
+    pts = oracle.fixture_points("iv")
+    m = (2, 2, 6, 2, 2, 2)
+    oracle._echelon.cache_clear()
+    extension, other = collections.Counter(), collections.Counter()
+    kernel = oracle._rref
+
+    def spy(a, p, start=0, stop=None, pivots=None):
+        steps = (a.shape[1] if stop is None else stop) - start
+        (other if pivots is None else extension)[p] += steps
+        return kernel(a, p, start, stop, pivots)
+
+    monkeypatch.setattr(oracle, "_rref", spy)
+    for t in range(13):
+        oracle.ideal_dim(pts, m, t)
+        oracle.mu_rank_direct(pts, m, t)
+    assert set(extension) == set(oracle.PRIMES)
+    assert all(steps <= _ncols(13) for steps in extension.values()), extension
+    # each multiplication rank reads the t + 2 new columns
+    assert all(steps <= sum(t + 2 for t in range(13)) for steps in other.values()), other
 
 
 @pytest.mark.parametrize("points, mults, t, message", [
