@@ -45,7 +45,7 @@ import numpy as np
 
 from . import weyl
 from .config import NegSet, anticanonical_nef
-from .lattice import ZERO, DivisorClass, E, chi
+from .lattice import DivisorClass, chi
 
 #: Orbit seeds whose union of reflection orbits spans the nef-cone search
 #: space: E0, E0-E1, 2E0-E1-E2, and 3E0 minus three to six basis classes.
@@ -100,12 +100,6 @@ class Reduction:
     fixed_part: tuple  # ((DivisorClass, multiplicity), ...)
     trace: tuple  # n*C subtracted per step, in order
 
-    def fixed_sum(self) -> DivisorClass:
-        total = ZERO
-        for c, m in self.fixed_part:
-            total = total + m * c
-        return total
-
 
 def reduce(f: DivisorClass, neg: NegSet) -> Reduction:
     """Strip negative curves off f until it is nef or visibly ineffective.
@@ -118,11 +112,15 @@ def reduce(f: DivisorClass, neg: NegSet) -> Reduction:
     depend on the scan order; tests assert this against an in-test
     reference that takes an explicit order.
 
-    Termination: each step lowers ``TERMINATION_WEIGHT``.F by at least 1
-    and starts at degree >= 0.  For the ``reduction_candidates`` shapes no
-    stored multiplicity exceeds A = max(0, initial ones) (Ei lifts a
-    negative entry to 0, Ei - Ej stays within the old range, lines and
-    conics only lower entries), so the pairing stays >= -21*A.
+    Termination: the weight W = (19; 6, 5, 4, 3, 2, 1) pairs to at least 1
+    with every shape NEG takes in the catalog and distinct-point
+    configurations (Ei, Ei - Ej with i < j, lines through two to four
+    points, conics through five or six), so each step lowers W.F by at
+    least 1.  The loop runs only at degree >= 0, and no stored multiplicity
+    exceeds A = max(0, initial ones) (Ei lifts a negative entry to 0,
+    Ei - Ej stays within the old range, lines and conics only lower
+    entries), so W.F stays >= -21*A.  ``tests/test_cones.py`` checks the
+    weight on every such shape.
     """
     classes = neg.classes
     cur = f
@@ -356,40 +354,3 @@ def gamma(neg: NegSet) -> tuple:
     rest &= (p[:, None] != p[None]).any(2)  # f - p nonzero
     return tuple(itertools.compress(pared, (~rest.any(1)).tolist()))
 
-
-# ---------------------------------------------------------------------------
-# Termination certificate for the reduction loop
-
-#: Weight vector pairing strictly positively with every subtractable class.
-TERMINATION_WEIGHT = DivisorClass((19, 6, 5, 4, 3, 2, 1))
-
-
-def reduction_candidates() -> tuple:
-    """Every class shape NEG can contain within this package's scope.
-
-    Basis classes Ei; differences Ei-Ej (the only vertical shape compatible
-    with a nef -K); line classes through 2..4 of the points (5+ collinear
-    is rejected at configuration time); conic classes through 5 or 6.
-    """
-    out = list(E[1:])
-    idx = range(1, 7)
-    for i, j in itertools.combinations(idx, 2):
-        out.append(E[i] - E[j])
-    for r in (2, 3, 4):
-        for s in itertools.combinations(idx, r):
-            v = [1] + [0] * 6
-            for i in s:
-                v[i] = 1
-            out.append(DivisorClass(v))
-    for r in (5, 6):
-        for s in itertools.combinations(idx, r):
-            v = [2] + [0] * 6
-            for i in s:
-                v[i] = 1
-            out.append(DivisorClass(v))
-    return tuple(out)
-
-
-def check_termination_measure() -> bool:
-    """Verify the weight vector drops by at least 1 on every candidate."""
-    return all(TERMINATION_WEIGHT.dot(c) >= 1 for c in reduction_candidates())

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import weyl
-from .lattice import K, MINUS_K, DivisorClass, E
+from .lattice import K, MINUS_K, DivisorClass, E, through
 
 
 class ConfigError(ValueError):
@@ -141,31 +141,19 @@ def neg_from_distinct(spec: DistinctSpec) -> NegSet:
     line; and conic classes 2E0 - sum over T for 5-subsets T containing no
     collinear triple, or the full 2E0-E1-...-E6 when all six are conconic.
     """
+    idx = range(1, 7)
     classes = list(E[1:])
     covered_pairs = set()
     for s in spec.collinear:
-        v = [1] + [0] * 6
-        for i in s:
-            v[i] = 1
-        classes.append(DivisorClass(v))
+        classes.append(through(1, s))
         covered_pairs.update(frozenset(p) for p in itertools.combinations(sorted(s), 2))
-    for i, j in itertools.combinations(range(1, 7), 2):
-        if frozenset((i, j)) not in covered_pairs:
-            v = [1] + [0] * 6
-            v[i] = 1
-            v[j] = 1
-            classes.append(DivisorClass(v))
+    classes += (through(1, p) for p in itertools.combinations(idx, 2)
+                if frozenset(p) not in covered_pairs)
     if spec.six_on_conic:
-        classes.append(DivisorClass((2, 1, 1, 1, 1, 1, 1)))
+        classes.append(_CONIC6)
     else:
-        for t in itertools.combinations(range(1, 7), 5):
-            ts = frozenset(t)
-            if any(len(s & ts) >= 3 for s in spec.collinear):
-                continue
-            v = [2] + [0] * 6
-            for i in t:
-                v[i] = 1
-            classes.append(DivisorClass(v))
+        classes += (through(2, t) for t in itertools.combinations(idx, 5)
+                    if not any(len(s & frozenset(t)) >= 3 for s in spec.collinear))
     return NegSet(tuple(classes))
 
 
@@ -192,13 +180,10 @@ def _v(i: int, j: int) -> DivisorClass:
 
 
 def _line(i: int, j: int, k: int) -> DivisorClass:
-    v = [1] + [0] * 6
-    for t in (i, j, k):
-        v[t] = 1
-    return DivisorClass(v)
+    return through(1, (i, j, k))
 
 
-_CONIC6 = DivisorClass((2, 1, 1, 1, 1, 1, 1))
+_CONIC6 = through(2, range(1, 7))
 
 _CATALOG = {
     "A1": (_CONIC6,),
@@ -368,6 +353,12 @@ def _int_rows(value, key: str) -> tuple:
     return tuple(tuple(row) for row in value)
 
 
+#: The keys each configuration kind reads; any other key is rejected.
+_KEYS = {"distinct": {"kind", "collinear", "six_on_conic"},
+         "dynkin": {"kind", "type"},
+         "nodal": {"kind", "roots"}}
+
+
 @dataclass(frozen=True)
 class PointConfiguration:
     """A validated configuration plus its computed NEG set."""
@@ -402,6 +393,12 @@ class PointConfiguration:
             raise ConfigError(f"configuration must be a JSON object, "
                               f"got {type(data).__name__}")
         kind = data.get("kind")
+        keys = _KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None:
+            raise ConfigError(f"unknown configuration kind {kind!r}")
+        extra = [k for k in data if k not in keys]
+        if extra:
+            raise ConfigError(f"unknown key {extra[0]!r} in a {kind} configuration")
         if kind == "distinct":
             conic = data.get("six_on_conic", False)
             if not isinstance(conic, bool):
@@ -414,10 +411,8 @@ class PointConfiguration:
             if not isinstance(data.get("type"), str):
                 raise ConfigError("dynkin configuration needs a 'type' string")
             return cls.from_dynkin(data["type"])
-        if kind == "nodal":
-            rows = _int_rows(data.get("roots"), "roots")
-            return cls.from_nodal(DivisorClass.from_display_row(r) for r in rows)
-        raise ConfigError(f"unknown configuration kind {kind!r}")
+        rows = _int_rows(data.get("roots"), "roots")
+        return cls.from_nodal(DivisorClass.from_display_row(r) for r in rows)
 
     @classmethod
     def load(cls, path) -> "PointConfiguration":
@@ -428,7 +423,3 @@ class PointConfiguration:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
-
-def general_position() -> PointConfiguration:
-    """Six points with no three collinear and no conic through all six."""
-    return PointConfiguration.from_distinct(DistinctSpec())

@@ -129,6 +129,14 @@ K = DivisorClass((-3, -1, -1, -1, -1, -1, -1))
 MINUS_K = DivisorClass((3, 1, 1, 1, 1, 1, 1))
 
 
+def through(degree: int, points) -> DivisorClass:
+    """The class degree*E0 minus Ei for each index i in points (1..6)."""
+    v = [degree] + [0] * 6
+    for i in points:
+        v[i] = 1
+    return DivisorClass(v)
+
+
 def chi(f: DivisorClass) -> int:
     """Euler characteristic (F^2 - K.F)/2 + 1 by Riemann-Roch.
 

@@ -40,7 +40,6 @@ from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus
 class Status(str, Enum):
     SURJECTIVE = "surjective"
     INJECTIVE = "injective"
-    MAXIMAL_RANK = "maximal-rank"
     INCONCLUSIVE = "inconclusive"
 
 
@@ -61,14 +60,6 @@ class MuBounds:
     h: int
     h_next: int
     index: int
-
-    @property
-    def expected_ker(self) -> int:
-        return max(0, 3 * self.h - self.h_next)
-
-    @property
-    def expected_cok(self) -> int:
-        return max(0, self.h_next - 3 * self.h)
 
 
 def plane_point_indices(neg: NegSet) -> tuple:
@@ -237,11 +228,10 @@ def certify(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> Certificate:
     """Try to certify maximal rank for the multiplication map out of f.
 
     Search order: conic-supported configurations are always surjective;
-    then the q*/l* and q/l criteria; then surjectivity through a good nef
-    summand; then induction along a rational curve whose complement
-    certifies at the previous depth; then injectivity transfer across a
-    prime curve the class is orthogonal to.  Anything else is
-    inconclusive.
+    then the q*/l* and q/l criteria; then induction along a rational curve
+    whose complement certifies at the previous depth; then injectivity
+    transfer across a prime curve the class is orthogonal to.  Anything
+    else is inconclusive.
     """
     cache = neg._cache.setdefault("cert", {})
     got = cache.get(f)
@@ -264,7 +254,7 @@ def surjective_certified(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> bo
     cert = certify(f, neg, _depth=_depth)
     if cert.status is Status.SURJECTIVE:
         return True
-    if cert.status in (Status.INJECTIVE, Status.MAXIMAL_RANK):
+    if cert.status is Status.INJECTIVE:
         b = ql_bounds(f, neg)
         return b.h_next <= 3 * b.h
     return False
@@ -273,7 +263,7 @@ def surjective_certified(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> bo
 def injective_certified(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> bool:
     """Certified injective, directly or as bijective via the count."""
     cert = certify(f, neg, _depth=_depth)
-    if cert.status in (Status.INJECTIVE, Status.MAXIMAL_RANK):
+    if cert.status is Status.INJECTIVE:
         return True
     if cert.status is Status.SURJECTIVE:
         b = ql_bounds(f, neg)
@@ -291,15 +281,6 @@ def _certify_uncached(f, neg, _depth) -> Certificate:
         return Certificate(Status.INJECTIVE, "q=l=0")
     if not anticanonical_nef(neg):
         return Certificate(Status.INCONCLUSIVE, "no generator set available")
-    for p in nef_generators(neg).pared:
-        g = f - p
-        if g == ZERO or g.degree < 0 or not is_nef(g, neg):
-            continue
-        bp = ql_bounds(p, neg)
-        if bp.q > 0 and bp.l > 0 and bp.q_star + bp.l_star == 0:
-            return Certificate(
-                Status.SURJECTIVE,
-                f"good-part-sum:{' '.join(map(str, p.display_row()))}")
     if _depth < 1:
         for c in _rational_curve_candidates(neg):
             fp = f - c

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
-from .config import NegSet, PointConfiguration, anticanonical_nef
+from .config import NegSet, anticanonical_nef
 from .cones import reduce
 from .lattice import E0, DivisorClass, chi
 
@@ -58,10 +58,6 @@ class FatPointScheme:
         if any(x < 0 for x in m):
             raise ValueError(f"negative multiplicity in {m}")
         object.__setattr__(self, "multiplicities", m)
-
-    @classmethod
-    def from_configuration(cls, config: PointConfiguration, multiplicities) -> "FatPointScheme":
-        return cls(neg=config.neg, multiplicities=tuple(multiplicities))
 
     def class_for_degree(self, t: int) -> DivisorClass:
         """The class t*E0 - m1*E1 - ... - m6*E6."""

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lattice import K, DivisorClass, E
+from .lattice import DivisorClass, E, through
 
-_R0 = DivisorClass((1, 1, 1, 1, 0, 0, 0))
+_R0 = through(1, (1, 2, 3))
 _SIMPLE = (_R0,) + tuple(E[i] - E[i + 1] for i in range(1, 6))
 
 
@@ -72,62 +72,19 @@ def orbit(seed: DivisorClass) -> OrbitSet:
     return OrbitSet(seed=seed, elements=frozenset(seen))
 
 
-def _root_basis_coordinates(c: DivisorClass):
-    """Coordinates of c in the simple-root basis of the K-orthogonal sublattice.
-
-    Returns None when c is not in that sublattice.  The simple roots form an
-    integral basis, so the coordinates are integers whenever they exist; the
-    linear system is solved by hand against the fixed basis.
-    """
-    if K.dot(c) != 0:
-        return None
-    # Solve c = sum n_i r_i.  Pair with the dual data: write c = (a0, a1..a6)
-    # in stored form; r0 contributes (1,1,1,1,0,0,0), r_i swaps slots.
-    # Back-substitution from the last coordinate:
-    #   a0 = n0
-    #   a1 = n0 - n1, a2 = n0 + n1 - n2, a3 = n0 + n2 - n3,
-    #   a4 = n3 - n4, a5 = n4 - n5, a6 = n5
-    n0 = c[0]
-    n5 = c[6]
-    n4 = c[5] + n5
-    n3 = c[4] + n4
-    n2 = c[3] + n3 - n0
-    n1 = c[2] + n2 - n0
-    if c[1] != n0 - n1:
-        return None
-    return (n0, n1, n2, n3, n4, n5)
-
-
-def is_positive_root(c: DivisorClass) -> bool:
-    """True when c is a nonnegative integer combination of the simple roots."""
-    coords = _root_basis_coordinates(c)
-    return coords is not None and all(n >= 0 for n in coords)
-
-
 def all_roots() -> tuple:
     """All 72 classes with C^2 = -2 and C.K = 0, lexicographically sorted.
 
-    Exactly half are positive roots (:func:`is_positive_root`); the rest are
-    their negatives.  Equals the reflection orbit of any simple root.
+    The 36 positive roots (nonnegative combinations of the simple roots)
+    are the fifteen Ei - Ej with i < j, the twenty E0 - Ei - Ej - Ek and
+    2E0 - E1 - ... - E6; the other 36 are their negatives.  Equals the
+    reflection orbit of any simple root.
     """
-    roots = []
     idx = range(1, 7)
-    for i, j in itertools.combinations(idx, 2):
-        roots.append(E[i] - E[j])
-        roots.append(E[j] - E[i])
-    for sign in (1, -1):
-        for i, j, k in itertools.combinations(idx, 3):
-            v = [sign] + [0] * 6
-            for t in (i, j, k):
-                v[t] = sign
-            roots.append(DivisorClass(v))
-        roots.append(DivisorClass([2 * sign] + [sign] * 6))
-    return tuple(sorted(roots))
-
-
-def positive_roots() -> tuple:
-    """The 36 positive roots."""
-    return tuple(c for c in all_roots() if is_positive_root(c))
+    pos = [E[i] - E[j] for i, j in itertools.combinations(idx, 2)]
+    pos += (through(1, t) for t in itertools.combinations(idx, 3))
+    pos.append(through(2, idx))
+    return tuple(sorted(pos + [-c for c in pos]))
 
 
 def exceptional_classes() -> tuple:
@@ -136,16 +93,8 @@ def exceptional_classes() -> tuple:
     These are the six basis classes Ei, the fifteen E0-Ei-Ej, and the six
     2E0 minus five distinct Ei.
     """
-    out = list(E[1:])
     idx = range(1, 7)
-    for i, j in itertools.combinations(idx, 2):
-        v = [1] + [0] * 6
-        v[i] = 1
-        v[j] = 1
-        out.append(DivisorClass(v))
-    for t in itertools.combinations(idx, 5):
-        v = [2] + [0] * 6
-        for i in t:
-            v[i] = 1
-        out.append(DivisorClass(v))
+    out = list(E[1:])
+    out += (through(1, t) for t in itertools.combinations(idx, 2))
+    out += (through(2, t) for t in itertools.combinations(idx, 5))
     return tuple(sorted(out))

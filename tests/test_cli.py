@@ -171,10 +171,19 @@ def test_validation_errors(capsys, tmp_path):
      "anticanonical"),
     (("neg",), {"kind": "distinct", "collinear": [[1, 2, True]]}, "'collinear'"),
     (("neg",), {"kind": "distinct", "six_on_conic": "false"}, "'six_on_conic'"),
+    (("neg",), {"kind": "distinct", "colinear": [[1, 2, 3]]}, "'colinear'"),
+    (("neg",), {"kind": "dynkin", "type": "A1", "roots": [[0, 1, -1, 0, 0, 0, 0]]},
+     "'roots'"),
+    (("neg",), {"kind": "nodal", "roots": [], "type": "A1"}, "'type'"),
+    (("neg",), {"kind": ["distinct"]}, "kind"),
+    (("neg",), None, "Is a directory"),  # None: --config names a directory
 ])
 def test_malformed_input_one_line_error(capsys, tmp_path, argv, config, message):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+    if config is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(config))
     code, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
     assert code == 1
     assert out == ""

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -5,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatpoints.cones import (GENERATOR_SEEDS, PACK_ENTRY_BOUND, TERMINATION_WEIGHT,
-                             _pare, check_termination_measure, gamma, h0, h0_rows,
-                             h1, is_nef, nef_generators, pack_keys, packable, reduce,
-                             reduction_candidates, seed_orbit_union)
+from fatpoints.cones import (GENERATOR_SEEDS, PACK_ENTRY_BOUND, _pare, gamma, h0,
+                             h0_rows, h1, is_nef, nef_generators, pack_keys, packable,
+                             reduce, seed_orbit_union)
 from fatpoints.config import (DistinctSpec, PointConfiguration, dynkin_catalog,
                               neg_from_distinct)
-from fatpoints.lattice import E0, MINUS_K, ZERO, DivisorClass, chi
+from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi, through
 
 from conftest import distinct_case
 
@@ -63,10 +63,12 @@ def test_is_nef(case_iv):
 
 
 def test_reduce_worked_example(case_iv):
-    red = reduce(example_scheme_class(7), case_iv.neg)
+    f = example_scheme_class(7)
+    red = reduce(f, case_iv.neg)
     assert red.effective
     assert red.nef_part == DivisorClass((2, 0, 0, 1, 1, 0, 0))
-    assert red.fixed_sum() == DivisorClass((5, 2, 2, 5, 1, 2, 2))
+    assert f - red.nef_part == DivisorClass((5, 2, 2, 5, 1, 2, 2))
+    assert sum((m * c for c, m in red.fixed_part), ZERO) == f - red.nef_part
 
 
 def test_reduce_nef_noop(case_iv):
@@ -360,12 +362,37 @@ def test_gamma(case_iv):
     assert 2 * E0 not in gam
 
 
+#: ``reduce``'s termination weight: it pairs to at least 1 with every class
+#: the loop can subtract, so each step lowers W.F by at least 1.
+TERMINATION_WEIGHT = DivisorClass((19, 6, 5, 4, 3, 2, 1))
+
+
+def reduction_candidates() -> tuple:
+    """Every class shape NEG takes in the catalog and distinct-point
+    configurations: basis classes Ei; differences Ei - Ej with i < j (the
+    only vertical shape compatible with a nef -K, in catalog order); lines
+    through 2..4 of the points (5+ collinear is rejected at configuration
+    time); conics through 5 or 6."""
+    idx = range(1, 7)
+    out = list(E[1:])
+    out += (E[i] - E[j] for i, j in itertools.combinations(idx, 2))
+    for degree, sizes in ((1, (2, 3, 4)), (2, (5, 6))):
+        out += (through(degree, s) for r in sizes for s in itertools.combinations(idx, r))
+    return tuple(out)
+
+
+def check_termination_measure() -> bool:
+    """The weight drops by at least 1 on every candidate."""
+    return all(TERMINATION_WEIGHT.dot(c) >= 1 for c in reduction_candidates())
+
+
 def test_termination_measure():
     assert check_termination_measure()
     cands = reduction_candidates()
-    assert len(cands) == {len(cands)}.pop()  # deterministic tuple
-    assert all(TERMINATION_WEIGHT.dot(c) >= 1 for c in cands)
+    assert len(cands) == len(set(cands)) == 6 + 15 + (15 + 20 + 15) + (6 + 1)
     # every NEG member of the supported configurations is a candidate
-    for name in ("i", "ii", "iii", "iv", "general", "conic"):
-        neg = distinct_case(name).neg
-        assert set(neg.classes) <= set(cands)
+    negs = [distinct_case(name).neg for name in ("i", "ii", "iii", "iv", "general", "conic")]
+    negs += [neg_from_distinct(DistinctSpec(collinear=((1, 2, 3, 4),)))]
+    negs += [PointConfiguration.from_dynkin(n).neg for n in sorted(dynkin_catalog())]
+    for neg in negs:
+        assert set(neg.classes) <= set(cands), neg

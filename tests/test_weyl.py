@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fatpoints.lattice import E, E0, K, MINUS_K, DivisorClass
-from fatpoints.weyl import (all_roots, exceptional_classes, is_positive_root,
-                            orbit, positive_roots, reflect, simple_roots)
+from fatpoints.weyl import all_roots, exceptional_classes, orbit, reflect, simple_roots
 
 classes = st.builds(DivisorClass, st.tuples(*[st.integers(-40, 40)] * 7))
 
@@ -79,26 +78,12 @@ def test_all_roots():
     assert len(roots) == 72
     assert all(c.dot(c) == -2 and K.dot(c) == 0 for c in roots)
     assert set(roots) == orbit(simple_roots()[0]).elements
-    assert is_positive_root(simple_roots()[0])
-    assert not is_positive_root(-simple_roots()[0])
-
-
-def test_positive_roots_against_brute_force():
-    # brute-force oracle: nonnegative combinations of the simple roots with
-    # coefficients up to the largest occurring value
-    rs = simple_roots()
-    combos = set()
-    for coeffs in itertools.product(range(4), repeat=6):
-        total = DivisorClass((0,) * 7)
-        for n, r in zip(coeffs, rs):
-            total = total + n * r
-        combos.add(total)
-    pos = positive_roots()
-    assert len(pos) == 36
-    assert all(c in combos for c in pos)
-    neg = [c for c in all_roots() if not is_positive_root(c)]
-    assert len(neg) == 36
-    assert all(-c in set(pos) for c in neg)
+    # 36 roots are nonnegative combinations of the simple roots (coefficients
+    # up to 3 suffice); the other 36 are their negatives
+    combos = {sum((n * r for n, r in zip(coeffs, simple_roots())), DivisorClass((0,) * 7))
+              for coeffs in itertools.product(range(4), repeat=6)}
+    pos = set(roots) & combos
+    assert len(pos) == 36 and set(roots) == pos | {-c for c in pos}
 
 
 def test_exceptional_classes():
@@ -126,15 +111,6 @@ def test_orbit_invariants():
         sq = seed.dot(seed)
         kp = K.dot(seed)
         assert all(c.dot(c) == sq and K.dot(c) == kp for c in orb.elements)
-
-
-def test_positive_root_closure():
-    rs = simple_roots()
-    for r in positive_roots():
-        for i in range(6):
-            if r == rs[i]:
-                continue
-            assert is_positive_root(reflect(r, i)), (r, i)
 
 
 def test_orbit_sorted_deterministic():
