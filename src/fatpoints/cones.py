@@ -147,13 +147,8 @@ def reduce(f: DivisorClass, neg: NegSet) -> Reduction:
 
 def h0(f: DivisorClass, neg: NegSet) -> int:
     """Number of independent global sections of f."""
-    cache = neg._cache.setdefault("h0", {})
-    got = cache.get(f)
-    if got is None:
-        red = reduce(f, neg)
-        got = chi(red.nef_part) if red.effective else 0
-        cache[f] = got
-    return got
+    red = reduce(f, neg)
+    return chi(red.nef_part) if red.effective else 0
 
 
 #: Rows whose entries all lie strictly inside +-2**28 are reduced in int64.
@@ -228,16 +223,6 @@ def h0_rows(f, neg: NegSet) -> np.ndarray:
         keep = cur[:, 0] >= 0
         idx, cur, start = idx[keep], cur[keep], start[keep]
     return out
-
-
-def h1(f: DivisorClass, neg: NegSet) -> int:
-    """First cohomology of f, valid for degree >= -2 (so that h2 vanishes)."""
-    if f[0] < -2:
-        raise ValueError(f"h1 undefined here for degree {f[0]} < -2")
-    v = h0(f, neg) - chi(f)
-    if v < 0:
-        raise ArithmeticError(f"negative h1 for {f!r}; section count corrupted")
-    return v
 
 
 @dataclass(frozen=True)

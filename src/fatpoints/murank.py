@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from . import weyl
-from .config import _CONIC6, NegSet, anticanonical_nef, neg_from_nodal
+from .config import _CONIC6, NegSet, anticanonical_nef
 from .cones import (chi_rows, gamma, h0, h0_rows, int_rows, is_nef,
                     nef_generators, pack_keys, packable, reduce)
 from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus
@@ -62,26 +62,41 @@ class MuBounds:
     index: int
 
 
+def effective_roots(neg: NegSet) -> frozenset:
+    """The effective members of the 72 roots of ``weyl.all_roots``.
+
+    One ``h0_rows`` call decides all 72, cached on the NegSet.  h0 > 0 is
+    the same test as ``reduce(r, neg).effective``: an effective class
+    reduces to a nef part N with h0 = chi(N) = (N.N - K.N)/2 + 1, and a nef
+    N meets itself and the effective -K (six points impose at most six
+    conditions on the ten cubics) nonnegatively, so chi(N) >= 1.
+    """
+    got = neg._cache.get("roots")
+    if got is None:
+        roots = weyl.all_roots()
+        effective = h0_rows(np.array(roots, dtype=np.int64), neg) > 0
+        got = neg._cache["roots"] = frozenset(itertools.compress(roots, effective.tolist()))
+    return got
+
+
 def plane_point_indices(neg: NegSet) -> tuple:
     """Indices j whose point sits in the plane itself.
 
     A point is only infinitely near another when some difference Ei - Ej
     is effective; those j are unusable as the auxiliary index in the
-    kernel/cokernel machinery.
+    kernel/cokernel machinery.  Each Ei - Ej is a root, looked up in
+    :func:`effective_roots`.
     """
     cache = neg._cache.get("plane_idx")
     if cache is not None:
         return cache
-    out = []
-    for j in range(1, 7):
-        if all(not reduce(E[i] - E[j], neg).effective
-               for i in range(1, 7) if i != j):
-            out.append(j)
+    roots = effective_roots(neg)
+    out = tuple(j for j in range(1, 7)
+                if all(E[i] - E[j] not in roots for i in range(1, 7) if i != j))
     if not out:
         raise ValueError("no usable point index; malformed negative-curve set")
-    got = tuple(out)
-    neg._cache["plane_idx"] = got
-    return got
+    neg._cache["plane_idx"] = out
+    return out
 
 
 def ql_bounds(f: DivisorClass, neg: NegSet) -> MuBounds:
@@ -155,12 +170,11 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
 
 
 def on_conic(neg: NegSet) -> bool:
-    """Whether 2E0-E1-...-E6 is effective (all six points on some conic)."""
-    cache = neg._cache.get("on_conic")
-    if cache is None:
-        cache = h0(_CONIC6, neg) > 0
-        neg._cache["on_conic"] = cache
-    return cache
+    """Whether 2E0-E1-...-E6 is effective (all six points on some conic).
+
+    That class is a root, looked up in :func:`effective_roots`.
+    """
+    return _CONIC6 in effective_roots(neg)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +632,9 @@ def exceptional_configuration(h: DivisorClass, neg: NegSet) -> tuple:
 
     The six companions are the exceptional classes orthogonal to h, ordered
     so that an effective difference puts its minuend first, ties broken
-    lexicographically.
+    lexicographically.  The difference b - a of two orthogonal exceptional
+    classes is a root, so its effectivity is looked up in
+    :func:`effective_roots`.
     """
     if h.dot(h) != 1 or MINUS_K.dot(h) != 3 or not is_nef(h, neg):
         raise ValueError(f"{h!r} is not a nef marking class")
@@ -633,17 +649,14 @@ def exceptional_configuration(h: DivisorClass, neg: NegSet) -> tuple:
         total = total + c
     if 3 * h - total != MINUS_K:
         raise ArithmeticError("companion classes do not complete the marking")
-
-    def effective(d: DivisorClass) -> bool:
-        return reduce(d, neg).effective
-
+    roots = effective_roots(neg)
     remaining = sorted(cands)
     ordered = []
     while remaining:
         # pick the lexicographically least class that no other must precede
         choice = None
         for a in remaining:
-            if all(not effective(b - a) for b in remaining if b != a):
+            if all(b - a not in roots for b in remaining if b != a):
                 choice = a
                 break
         if choice is None:
@@ -660,7 +673,8 @@ def change_of_marking(neg: NegSet, h: DivisorClass) -> NegSet:
     convention of the new marking.  A change of marking is an integral
     isometry of the lattice fixing K (Harbourne, Trans. AMS 349, 1997), so
     it carries NEG, every -3 line class included, onto NEG of the same
-    surface in the new coordinates.
+    surface in the new coordinates.  The companion order reads the root
+    table of neg (:func:`effective_roots`), so no class is reduced.
     """
     marking = exceptional_configuration(h, neg)
     return NegSet(tuple(DivisorClass(tuple(x.dot(m) for m in marking))
@@ -740,51 +754,3 @@ def verify_all_markings(neg: NegSet, depth: int = 6, _cache: dict | None = None)
         base = solved[key]
         yield MarkingReport(marking=h, ok=base.ok, method=base.method,
                             report=base.report)
-
-
-# ---------------------------------------------------------------------------
-# Injectivity classification
-
-
-_INJ_SPORADIC = (
-    (0, ()),
-    (4, (2, 2, 2, 1, 1, 1)),
-    (5, (2, 2, 2, 2, 2, 2)),
-    (6, (3, 3, 2, 2, 2, 2)),
-    (8, (4, 3, 3, 3, 3, 3)),
-    (10, (4, 4, 4, 4, 4, 4)),
-)
-
-
-def injectivity_class(f: DivisorClass) -> bool:
-    """Whether f matches, up to point relabelling, a known injectivity class.
-
-    The list: the zero class, five sporadic classes, and all multiples of
-    2E0-E1-E2-E3-E4 and of 3E0-2E1-E2-E3-E4-E5-E6.
-    """
-    d = f.degree
-    m = tuple(sorted(f.multiplicities, reverse=True))
-    if f == ZERO:
-        return True
-    for deg, mults in _INJ_SPORADIC:
-        if d == deg and m == tuple(sorted(mults, reverse=True)):
-            return True
-    if d > 0 and d % 2 == 0:
-        t = d // 2
-        if m == (t, t, t, t, 0, 0):
-            return True
-    if d > 0 and d % 3 == 0:
-        t = d // 3
-        if m == (2 * t, t, t, t, t, t):
-            return True
-    return False
-
-
-def monotone_nef_generators() -> tuple:
-    """Generators of the cone of nef classes with weakly decreasing entries.
-
-    This cone equals the nef cone of the configuration whose nodal roots
-    are the five differences Ei - Ei+1.
-    """
-    neg = neg_from_nodal(tuple(E[i] - E[i + 1] for i in range(1, 6)))
-    return nef_generators(neg).pared

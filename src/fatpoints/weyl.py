@@ -17,11 +17,6 @@ _R0 = through(1, (1, 2, 3))
 _SIMPLE = (_R0,) + tuple(E[i] - E[i + 1] for i in range(1, 6))
 
 
-def simple_roots() -> tuple:
-    """The six simple roots (E0-E1-E2-E3, E1-E2, ..., E5-E6), in that order."""
-    return _SIMPLE
-
-
 def reflect(x: DivisorClass, i: int) -> DivisorClass:
     """Reflection of x through the i-th simple root: x + (x.r_i) r_i."""
     if not 0 <= i <= 5:

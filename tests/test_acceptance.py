@@ -16,15 +16,14 @@ from fatpoints import oracle
 from fatpoints.cones import GENERATOR_SEEDS, h0, is_nef, nef_generators, seed_orbit_union
 from fatpoints.config import dynkin_catalog, dynkin_classify, anticanonical_nef, neg_from_nodal
 from fatpoints.lattice import E0, ZERO, DivisorClass
-from fatpoints.murank import (e0_classes, monotone_nef_generators,
-                              ql_bounds, s_chain, verify_all_markings,
+from fatpoints.murank import (e0_classes, ql_bounds, s_chain, verify_all_markings,
                               verify_configuration, verify_stabilization)
 from fatpoints.resolution import FatPointScheme, betti, hilbert
 from fatpoints.weyl import orbit
 
 from conftest import distinct_case
 from test_cones import pared_39
-from test_murank import NINE_ROWS
+from test_murank import NINE_ROWS, monotone_nef_generators
 
 
 def criterion(n):

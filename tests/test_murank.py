@@ -7,20 +7,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fatpoints.cones import (INT64_ENTRY_BOUND, PACK_ENTRY_BOUND, gamma, h0, is_nef,
-                             nef_generators)
+                             nef_generators, reduce)
 from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfiguration,
                               anticanonical_nef, dynkin_catalog, neg_from_distinct,
                               neg_from_nodal)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi
 from fatpoints.murank import (MuBounds, SChain, Status, _canonical_problem, _certify_uncached,
                               _deficient_rows, _find_stabilization, certify,
-                              change_of_marking, deficient, e0_classes,
-                              exceptional_configuration, injectivity_class,
-                              injective_certified, monotone_nef_generators, on_conic,
+                              change_of_marking, deficient, e0_classes, effective_roots,
+                              exceptional_configuration, injective_certified, on_conic,
                               plane_point_indices, ql_bounds, s_chain,
                               surjective_certified, verify_all_markings,
                               verify_configuration, verify_stabilization)
-from fatpoints.weyl import exceptional_classes
+from fatpoints.weyl import all_roots, exceptional_classes
 
 from conftest import distinct_case
 
@@ -45,6 +44,46 @@ INJECTIVITY_SPORADIC_ROWS = [
     (6, -3, -3, -2, -2, -2, -2), (8, -4, -3, -3, -3, -3, -3),
     (10, -4, -4, -4, -4, -4, -4),
 ]
+
+
+def monotone_nef_generators():
+    """Generators of the cone of nef classes with weakly decreasing entries:
+    the nef cone of the configuration whose nodal roots are the five
+    differences Ei - Ei+1."""
+    neg = neg_from_nodal(tuple(E[i] - E[i + 1] for i in range(1, 6)))
+    return nef_generators(neg).pared
+
+
+_INJ_SPORADIC = (
+    (0, ()),
+    (4, (2, 2, 2, 1, 1, 1)),
+    (5, (2, 2, 2, 2, 2, 2)),
+    (6, (3, 3, 2, 2, 2, 2)),
+    (8, (4, 3, 3, 3, 3, 3)),
+    (10, (4, 4, 4, 4, 4, 4)),
+)
+
+
+def injectivity_class(f):
+    """Whether f matches, up to point relabelling, a known injectivity class:
+    the zero class, five sporadic classes, and all multiples of
+    2E0-E1-E2-E3-E4 and of 3E0-2E1-E2-E3-E4-E5-E6."""
+    d = f.degree
+    m = tuple(sorted(f.multiplicities, reverse=True))
+    if f == ZERO:
+        return True
+    for deg, mults in _INJ_SPORADIC:
+        if d == deg and m == tuple(sorted(mults, reverse=True)):
+            return True
+    if d > 0 and d % 2 == 0:
+        t = d // 2
+        if m == (t, t, t, t, 0, 0):
+            return True
+    if d > 0 and d % 3 == 0:
+        t = d // 3
+        if m == (2 * t, t, t, t, t, t):
+            return True
+    return False
 
 
 def scalar_ql_bounds(f, neg):
@@ -470,7 +509,8 @@ def test_marking_path_transports_neg(monkeypatch):
     def rebuild(nodal):
         raise AssertionError("a marked problem was rebuilt from its nodal roots")
 
-    monkeypatch.setattr("fatpoints.murank.neg_from_nodal", rebuild)
+    monkeypatch.setattr("fatpoints.config.neg_from_nodal", rebuild)
+    monkeypatch.setattr("fatpoints.murank.neg_from_nodal", rebuild, raising=False)
     four_a1 = neg_from_nodal(dynkin_catalog()["4A1"])
     assert all(r.ok for r in verify_all_markings(four_a1))
 
@@ -508,6 +548,58 @@ def test_neg_determined_by_nodal_and_other():
             assert set(neg.classes) == set(known) | survivors, (base, h)
             checked += 1
     assert checked == 591  # 252 fixture + 296 catalog + 43 four-collinear markings
+
+
+def reduce_companion_order(h, neg):
+    """Reference marking order: repeatedly the least companion that no
+    other must precede, each difference tested by a scalar ``reduce``."""
+    remaining = sorted(c for c in exceptional_classes() if c.dot(h) == 0)
+    ordered = []
+    while remaining:
+        choice = next(a for a in remaining
+                      if all(not reduce(b - a, neg).effective for b in remaining if b != a))
+        ordered.append(choice)
+        remaining.remove(choice)
+    return (h,) + tuple(ordered)
+
+
+def test_root_table_matches_scalar_reduction():
+    """The root table and the companion order it gives equal the scalar
+    reductions they replaced, on every marking of the catalog types, cases
+    i-iv, general and conic points, and four collinear points (-K not nef)."""
+    bases = ([(name, neg_from_nodal(r)) for name, r in sorted(dynkin_catalog().items())]
+             + [(name, neg_from_distinct(s)) for name, s in sorted(FIXTURE_SPECS.items())]
+             + [("collinear ((1,2,3,4),)", neg_from_distinct(FOUR_COLLINEAR_SPECS[0]))])
+    pairs = Counter()
+    for name, base in bases:
+        for h in e0_classes(base):
+            assert exceptional_configuration(h, base) == reduce_companion_order(h, base), (name, h)
+            for neg in (base, change_of_marking(base, h)):
+                want = {r for r in all_roots() if reduce(r, neg).effective}
+                assert effective_roots(neg) == want, (name, h)
+            pairs[name in dynkin_catalog()] += 1
+    assert (pairs[True], pairs[False]) == (296, 252 + 25)
+
+
+def test_marking_layer_reduces_no_class(monkeypatch):
+    """Markings, plane indices and the conic test read the root table alone."""
+    def scalar(*args):
+        raise AssertionError("the marking layer called a scalar reduction")
+
+    for target in ("fatpoints.cones.reduce", "fatpoints.cones.h0",
+                   "fatpoints.murank.reduce", "fatpoints.murank.h0"):
+        monkeypatch.setattr(target, scalar)
+    pairs = 0
+    for roots in dynkin_catalog().values():
+        neg = neg_from_nodal(roots)
+        for h in e0_classes(neg):
+            problem = change_of_marking(neg, h)
+            plane_point_indices(problem)
+            on_conic(problem)
+            pairs += 1
+        plane_point_indices(neg)
+        on_conic(neg)
+    assert pairs == 296
 
 
 def test_injectivity_class():

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatpoints import oracle
-from fatpoints.cones import h0, h1
+from fatpoints.cones import h0
 from fatpoints.murank import ql_bounds
 from fatpoints.resolution import FatPointScheme, hilbert
 
 from conftest import distinct_case
+from test_cones import h1
 
 
 def test_monomials():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatpoints import cones, oracle, resolution
-from fatpoints.cones import h0, h1, reduce
+from fatpoints.cones import h0, reduce
 from fatpoints.config import NegSet, PointConfiguration, dynkin_catalog
 from fatpoints.lattice import E, E0, DivisorClass, chi
 from fatpoints.resolution import (BettiTable, FatPointScheme, HilbertProfile,
@@ -14,6 +14,8 @@ from fatpoints.resolution import (BettiTable, FatPointScheme, HilbertProfile,
                                   proximity_normalize)
 
 from conftest import distinct_case
+from test_cones import h1
+from test_murank import injectivity_class
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +229,6 @@ def test_mu_cokernel_on_injectivity_classes():
     # degrees whose class is a known injectivity class must give the
     # injective count exactly
     from fatpoints.cones import is_nef
-    from fatpoints.murank import injectivity_class
     neg = distinct_case("general").neg
     cases = [
         ((2, 2, 2, 1, 1, 1), 4),   # 4E0-2,2,2,1,1,1

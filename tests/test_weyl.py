@@ -4,17 +4,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fatpoints.lattice import E, E0, K, MINUS_K, DivisorClass
-from fatpoints.weyl import all_roots, exceptional_classes, orbit, reflect, simple_roots
+from fatpoints.weyl import all_roots, exceptional_classes, orbit, reflect
 
 classes = st.builds(DivisorClass, st.tuples(*[st.integers(-40, 40)] * 7))
 
+#: The six simple roots E0-E1-E2-E3, E1-E2, ..., E5-E6, in reflection order.
+SIMPLE_ROOTS = (DivisorClass((1, 1, 1, 1, 0, 0, 0)),) + tuple(
+    E[i] - E[i + 1] for i in range(1, 6))
+
 
 def test_simple_roots():
-    r = simple_roots()
-    assert r[0] == DivisorClass((1, 1, 1, 1, 0, 0, 0))
-    assert r[3] == E[3] - E[4]
+    r = SIMPLE_ROOTS
     assert all(x.dot(x) == -2 for x in r)
     assert all(K.dot(x) == 0 for x in r)
+    # reflect(x, i) is the reflection through the i-th simple root
+    for x in (E0, E[1], E[4] - E[5], DivisorClass((7, 3, -1, 2, 0, 5, 1))):
+        for i in range(6):
+            assert reflect(x, i) == x + x.dot(r[i]) * r[i]
 
 
 def test_reflect_examples():
@@ -77,10 +83,10 @@ def test_all_roots():
     roots = all_roots()
     assert len(roots) == 72
     assert all(c.dot(c) == -2 and K.dot(c) == 0 for c in roots)
-    assert set(roots) == orbit(simple_roots()[0]).elements
+    assert set(roots) == orbit(SIMPLE_ROOTS[0]).elements
     # 36 roots are nonnegative combinations of the simple roots (coefficients
     # up to 3 suffice); the other 36 are their negatives
-    combos = {sum((n * r for n, r in zip(coeffs, simple_roots())), DivisorClass((0,) * 7))
+    combos = {sum((n * r for n, r in zip(coeffs, SIMPLE_ROOTS)), DivisorClass((0,) * 7))
               for coeffs in itertools.product(range(4), repeat=6)}
     pos = set(roots) & combos
     assert len(pos) == 36 and set(roots) == pos | {-c for c in pos}
