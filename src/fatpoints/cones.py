@@ -9,7 +9,8 @@ section count is its Euler characteristic.  One step subtracts at once
 the whole multiple of a curve that the running class forces, so most
 reductions take a handful of steps however large the multiplicities;
 chains of -2 curves that pass a multiple back and forth still take more
-steps as the multiplicities grow.
+steps as the multiplicities grow.  A class falling down a pencil, a few
+units of degree per round, is stopped by a nef witness (``_nef_witness``).
 
 ``h0_rows`` runs the same reduction on a whole array of classes at once:
 each round pairs every unfinished row with the NEG Gram block in one
@@ -88,8 +89,9 @@ class Reduction:
 
     When ``effective`` the original class equals ``nef_part`` plus the sum
     of ``fixed_part`` (a multiset of negative curves with multiplicities);
-    otherwise some intermediate class had negative degree, there are no
-    sections, and ``nef_part`` is that class (not nef in general).  In
+    otherwise some intermediate class had negative degree or met a nef
+    class negatively, there are no sections, and ``nef_part`` is that
+    class (not nef in general).  In
     both cases the original class is ``nef_part`` plus the sum of
     ``trace``, whose entries are the multiples n*C subtracted in each
     step, in order.
@@ -120,13 +122,19 @@ def reduce(f: DivisorClass, neg: NegSet) -> Reduction:
     exceeds A = max(0, initial ones) (Ei lifts a negative entry to 0,
     Ei - Ej stays within the old range, lines and conics only lower
     entries), so W.F stays >= -21*A.  ``tests/test_cones.py`` checks the
-    weight on every such shape.
+    weight on every such shape.  That bound grows with the entries, so
+    every ``WITNESS_STEPS`` steps the loop also stops at a nef witness,
+    which an effective class never has.
     """
     classes = neg.classes
     cur = f
     trace = []
     counts: dict = {}
+    witnessed = False
     while cur[0] >= 0:
+        if trace and len(trace) % WITNESS_STEPS == 0 and _nef_witness(int_rows([cur]), neg)[0]:
+            witnessed = True
+            break
         for c in classes:
             d = cur.dot(c)
             if d < 0:
@@ -140,7 +148,7 @@ def reduce(f: DivisorClass, neg: NegSet) -> Reduction:
         counts[c] = counts.get(c, 0) + n
         p = classes.index(c) + 1
         classes = classes[p:] + classes[:p]
-    return Reduction(effective=cur[0] >= 0, nef_part=cur,
+    return Reduction(effective=cur[0] >= 0 and not witnessed, nef_part=cur,
                      fixed_part=tuple(sorted(counts.items())),
                      trace=tuple(trace))
 
@@ -157,6 +165,9 @@ INT64_ENTRY_BOUND = 2 ** 28
 #: Signs of the intersection form: F.C = F @ (C * _FORM).
 _FORM = np.array((1, -1, -1, -1, -1, -1, -1), dtype=np.int64)
 
+#: ``reduce`` and ``h0_rows`` look for a nef witness once per this many steps.
+WITNESS_STEPS = 32
+
 
 def _curves(neg: NegSet, dtype) -> np.ndarray:
     """The NEG classes as the rows of an array."""
@@ -166,6 +177,26 @@ def _curves(neg: NegSet, dtype) -> np.ndarray:
 def _gram(neg: NegSet, dtype) -> np.ndarray:
     """7 x len(neg) block with F.C = (F @ block)[C] for every NEG class C."""
     return (_curves(neg, dtype) * _FORM).T
+
+
+@functools.lru_cache(maxsize=1)
+def _fibre_rows() -> np.ndarray:
+    """The 27 conic-bundle classes, the reflection orbit of E0 - E1."""
+    return np.array(sorted(weyl.orbit(GENERATOR_SEEDS[1]).elements), dtype=np.int64)
+
+
+def _nef_witness(cur: np.ndarray, neg: NegSet) -> np.ndarray:
+    """Which rows of cur meet some nef conic-bundle class negatively.
+
+    Such a row is not effective, since an effective class meets every nef
+    class nonnegatively.  A class falling down a pencil subtracts, round
+    after round, a multiple of the class of its fibres, which meets every
+    curve of the round in 0 and so is nef with square 0: a conic-bundle
+    class, which the running class keeps meeting negatively.
+    """
+    rows = _fibre_rows()
+    nef = rows[(rows @ _gram(neg, rows.dtype) >= 0).all(1)]
+    return (cur @ (nef * _FORM).T.astype(cur.dtype) < 0).any(1)
 
 
 def int_rows(rows) -> np.ndarray:
@@ -198,8 +229,9 @@ def h0_rows(f, neg: NegSet) -> np.ndarray:
     ceil(-F.C / -C^2) copies of the first such C at or after the class
     following its previous hit, in cyclic order: the scan ``reduce`` makes,
     so a row takes exactly the steps ``reduce`` takes.  A row retires with
-    h0 = 0 once its degree is negative and with h0 = chi once it is nef,
-    so every row gets the value the scalar ``h0`` gives.
+    h0 = 0 once its degree is negative or, checked every ``WITNESS_STEPS``
+    rounds, it has a nef witness, and with h0 = chi once it is nef, so
+    every row gets the value the scalar ``h0`` gives.
     """
     cur = int_rows(f)
     out = np.zeros(len(cur), dtype=cur.dtype)
@@ -209,6 +241,7 @@ def h0_rows(f, neg: NegSet) -> np.ndarray:
     columns = np.arange(len(curves))
     idx = np.flatnonzero(cur[:, 0] >= 0)
     cur, start = cur[idx], np.zeros(len(idx), dtype=np.int64)
+    rounds = 0
     while len(idx):
         met = cur @ gram < 0
         hit = met.any(1)
@@ -221,6 +254,9 @@ def h0_rows(f, neg: NegSet) -> np.ndarray:
         cur = cur - (-(d // minus_sq[col]))[:, None] * c
         start = col + 1
         keep = cur[:, 0] >= 0
+        rounds += 1
+        if rounds % WITNESS_STEPS == 0:
+            keep &= ~_nef_witness(cur, neg)
         idx, cur, start = idx[keep], cur[keep], start[keep]
     return out
 

@@ -4,11 +4,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fatpoints.cones import (GENERATOR_SEEDS, PACK_ENTRY_BOUND, _pare, gamma, h0,
-                             h0_rows, is_nef, nef_generators, pack_keys, packable,
-                             reduce, seed_orbit_union)
+from fatpoints.cones import (GENERATOR_SEEDS, PACK_ENTRY_BOUND, WITNESS_STEPS, _pare,
+                             gamma, h0, h0_rows, is_nef, nef_generators, pack_keys,
+                             packable, reduce, seed_orbit_union)
 from fatpoints.config import (DistinctSpec, PointConfiguration, dynkin_catalog,
                               neg_from_distinct)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi, through
@@ -178,6 +178,10 @@ def test_reduce_matches_per_copy_loop(equivalence_negs, name, coeffs):
                      min_size=1, max_size=8),
        scale=st.sampled_from((1, 1, 2 ** 40, 10 ** 12)),
        jitter=st.integers(-3, 3))
+# pencil classes plus jitter: about one reduction step per unit of degree
+@example(name="general", rows=[[2, 1, 1, 1, 1, 0, 0], [3, 2, 1, 1, 1, 1, 1]],
+         scale=10 ** 12, jitter=1)
+@example(name="case_iv", rows=[[60, 32, 49, 39, 8, 24, 7]], scale=2 ** 40, jitter=2)
 def test_h0_rows_matches_scalar_h0(equivalence_negs, name, rows, scale, jitter):
     # scale 2**40 and 10**12 push entries past the int64 bound (object path)
     neg = equivalence_negs[name]
@@ -302,6 +306,27 @@ def test_reduce_steps_bounded_at_large_multiplicity():
                     for t in (5 * m // 2, 5 * m // 2 + 1, 3 * m, 4 * m)]
         for f in classes:
             assert len(reduce(f, neg).trace) <= 4, (name, f)
+
+
+def test_pencil_walk_stops_at_nef_witness(equivalence_negs):
+    """A class falling down a pencil stops at a nef witness, where the
+    per-copy reference takes a step per copy until its degree is negative."""
+    fibres = [DivisorClass(x) for x in ((1, 1, 0, 0, 0, 0, 0), (2, 1, 1, 1, 1, 0, 0),
+                                        (3, 2, 1, 1, 1, 1, 1))]
+    walks = 0
+    for name, neg in equivalence_negs.items():
+        for phi in (p for p in fibres if is_nef(p, neg)):
+            for jitter in (1, 2, 3):
+                small, large = (DivisorClass([k * x + jitter for x in phi])
+                                for k in (300, 10 ** 12))
+                want = per_copy_reduce(small, neg)[0]
+                assert reduce(small, neg).effective == want, (name, phi, jitter)
+                red = reduce(large, neg)
+                assert red.effective == want, (name, phi, jitter)
+                assert large - red.nef_part == sum(red.trace, ZERO)
+                assert h0_rows([small, large], neg).tolist() == [h0(small, neg), h0(large, neg)]
+                walks += len(red.trace) >= WITNESS_STEPS
+    assert walks > 0
 
 
 def test_h0_one_point_closed_form_at_large_multiplicity(general):
