@@ -12,15 +12,15 @@ chains of -2 curves that pass a multiple back and forth still take more
 steps as the multiplicities grow.  A class falling down a pencil, a few
 units of degree per round, is stopped by a nef witness (``_nef_witness``).
 
-``h0_rows`` runs the same reduction on a whole array of classes at once:
-each round pairs every unfinished row with the NEG Gram block in one
-matrix product, and each row takes the step ``reduce`` would take next.
-Rows are int64 while every entry is below
-``INT64_ENTRY_BOUND`` in absolute value, so that every pairing and the
-self-intersection of every nef row fit; otherwise the same code runs on
-``dtype=object`` arrays of Python ints.  The scalar ``reduce`` and ``h0``
-stay for single classes, where one numpy call per class would cost more
-than the reduction.
+``h0_rows`` reduces a whole array of classes at once: each round pairs
+every unfinished row with the NEG Gram block in one matrix product and
+subtracts from each row the forced multiple of every NEG class it meets
+negatively, exact since distinct irreducible curves meet nonnegatively and
+finite since ``reduce``'s weight drops every round.  Rows are int64 while
+every entry is below ``INT64_ENTRY_BOUND`` in absolute value, so that every
+pairing and the self-intersection of every nef row fit; otherwise the same
+code runs on ``dtype=object`` arrays of Python ints.  The scalar ``reduce``
+and ``h0`` stay for single classes, where a numpy call costs more.
 
 When -K is nef, the nef cone is generated as a semigroup by the nef
 members of the union of seven fixed reflection orbits (1279 classes in
@@ -224,40 +224,40 @@ def chi_rows(f: np.ndarray) -> np.ndarray:
 def h0_rows(f, neg: NegSet) -> np.ndarray:
     """``h0`` of every row of an n x 7 integer array, in one batched reduction.
 
-    Each round computes the pairings of the unfinished rows with every NEG
-    class, and each row with a negative pairing subtracts
-    ceil(-F.C / -C^2) copies of the first such C at or after the class
-    following its previous hit, in cyclic order: the scan ``reduce`` makes,
-    so a row takes exactly the steps ``reduce`` takes.  A row retires with
-    h0 = 0 once its degree is negative or, checked every ``WITNESS_STEPS``
-    rounds, it has a nef witness, and with h0 = chi once it is nef, so
-    every row gets the value the scalar ``h0`` gives.
+    Each round pairs the unfinished rows with every NEG class at once, and
+    each row subtracts ceil(-F.C / -C^2) copies of every C it meets
+    negatively.  Two distinct irreducible curves meet nonnegatively, so
+    every copy taken in a round is still forced: a round is a run of
+    ``reduce`` steps, h0 is unchanged for an effective row and stays 0 for
+    an ineffective one, and entries stay within the row's initial ones
+    while its degree is >= 0 (a round that ends below degree 0 may
+    overshoot, in int64 by less than 2**38).  ``reduce``'s weight
+    W = (19; 6, 5, 4, 3, 2, 1) drops by at least 1 per round, and after k
+    rounds a row has subtracted at least what ``reduce`` takes in k steps,
+    so a call ends within its rows' longest ``reduce`` trace plus one
+    round.  A row retires with h0 = 0 once its degree is negative or,
+    checked every ``WITNESS_STEPS`` rounds, it has a nef witness, and with
+    h0 = chi once it is nef, the values the scalar ``h0`` gives.
     """
     cur = int_rows(f)
     out = np.zeros(len(cur), dtype=cur.dtype)
     curves = _curves(neg, cur.dtype)
     gram = _gram(neg, cur.dtype)
     minus_sq = -(curves * curves * _FORM).sum(1)
-    columns = np.arange(len(curves))
     idx = np.flatnonzero(cur[:, 0] >= 0)
-    cur, start = cur[idx], np.zeros(len(idx), dtype=np.int64)
+    cur = cur[idx]
     rounds = 0
     while len(idx):
-        met = cur @ gram < 0
-        hit = met.any(1)
+        met = cur @ gram
+        hit = np.minimum(met, 0, out=met).any(1)
         out[idx[~hit]] = chi_rows(cur[~hit])
-        idx, cur, met, start = idx[hit], cur[hit], met[hit], start[hit]
-        later = met & (columns >= start[:, None])
-        col = np.where(later.any(1), later.argmax(1), met.argmax(1))
-        c = curves[col]
-        d = (cur * c * _FORM).sum(1)
-        cur = cur - (-(d // minus_sq[col]))[:, None] * c
-        start = col + 1
-        keep = cur[:, 0] >= 0
+        met //= minus_sq
+        cur += met @ curves
+        keep = hit & (cur[:, 0] >= 0)
         rounds += 1
         if rounds % WITNESS_STEPS == 0:
             keep &= ~_nef_witness(cur, neg)
-        idx, cur, start = idx[keep], cur[keep], start[keep]
+        idx, cur = idx[keep], cur[keep]
     return out
 
 

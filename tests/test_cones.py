@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fatpoints.cones import (GENERATOR_SEEDS, PACK_ENTRY_BOUND, WITNESS_STEPS, _pare,
-                             gamma, h0, h0_rows, is_nef, nef_generators, pack_keys,
-                             packable, reduce, seed_orbit_union)
-from fatpoints.config import (DistinctSpec, PointConfiguration, dynkin_catalog,
-                              neg_from_distinct)
+from fatpoints import cones, murank
+from fatpoints.cones import (GENERATOR_SEEDS, INT64_ENTRY_BOUND, PACK_ENTRY_BOUND,
+                             WITNESS_STEPS, _pare, gamma, h0, h0_rows, int_rows, is_nef,
+                             nef_generators, pack_keys, packable, reduce, seed_orbit_union)
+from fatpoints.config import (ConfigError, DistinctSpec, NegSet, PointConfiguration,
+                              dynkin_catalog, neg_from_distinct)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi, through
 
 from conftest import distinct_case
@@ -188,6 +189,102 @@ def test_h0_rows_matches_scalar_h0(equivalence_negs, name, rows, scale, jitter):
     classes = [DivisorClass([scale * x + jitter for x in r]) for r in rows]
     got = h0_rows(classes, neg)
     assert got.tolist() == [h0(f, neg) for f in classes]
+    assert got.tolist() == cyclic_scan_h0_rows(classes, neg).tolist()
+
+
+def cyclic_scan_h0_rows(f, neg):
+    """Reference ``h0_rows`` that takes, per round, only the step ``reduce``
+    would take next: ceil(-F.C / -C^2) copies of the first negatively met C
+    at or after the class following the row's previous hit, cyclically.
+    Looks ``chi_rows`` up on the module, so a test can count its rounds."""
+    cur = int_rows(f)
+    out = np.zeros(len(cur), dtype=cur.dtype)
+    curves = cones._curves(neg, cur.dtype)
+    gram = cones._gram(neg, cur.dtype)
+    minus_sq = -(curves * curves * cones._FORM).sum(1)
+    columns = np.arange(len(curves))
+    idx = np.flatnonzero(cur[:, 0] >= 0)
+    cur, start = cur[idx], np.zeros(len(idx), dtype=np.int64)
+    rounds = 0
+    while len(idx):
+        met = cur @ gram < 0
+        hit = met.any(1)
+        out[idx[~hit]] = cones.chi_rows(cur[~hit])
+        idx, cur, met, start = idx[hit], cur[hit], met[hit], start[hit]
+        later = met & (columns >= start[:, None])
+        col = np.where(later.any(1), later.argmax(1), met.argmax(1))
+        c = curves[col]
+        d = (cur * c * cones._FORM).sum(1)
+        cur = cur - (-(d // minus_sq[col]))[:, None] * c
+        start = col + 1
+        keep = cur[:, 0] >= 0
+        rounds += 1
+        if rounds % WITNESS_STEPS == 0:
+            keep &= ~cones._nef_witness(cur, neg)
+        idx, cur, start = idx[keep], cur[keep], start[keep]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(("general", "case_iv", "a1_vertical_neg", "E6", "D5", "A5")),
+       rows=st.lists(st.lists(st.integers(-3, 60), min_size=7, max_size=7).filter(any),
+                     min_size=1, max_size=8),
+       jitter=st.integers(-3, 3))
+@example(name="general", rows=[[2, 1, 1, 1, 1, 0, 0], [3, 2, 1, 1, 1, 1, 1]], jitter=3)
+@example(name="case_iv", rows=[[60, 32, 49, 39, 8, 24, 7]], jitter=-3)
+def test_h0_rows_int64_at_the_entry_bound(equivalence_negs, name, rows, jitter):
+    """Rows scaled so that their largest entry lies just under
+    INT64_ENTRY_BOUND still take the in-place int64 update, exactly."""
+    neg = equivalence_negs[name]
+    scale = (INT64_ENTRY_BOUND - 4) // max(abs(x) for r in rows for x in r)
+    classes = [DivisorClass([scale * x + jitter for x in r]) for r in rows]
+    assert max(abs(x) for f in classes for x in f) > INT64_ENTRY_BOUND - 70
+    got = h0_rows(classes, neg)
+    assert got.dtype == np.int64
+    assert got.tolist() == [h0(f, neg) for f in classes]
+
+
+def test_h0_rows_rounds_bounded_by_scalar_trace(monkeypatch, case_iv):
+    """Subtracting every negatively met curve per round takes, per call, at
+    most one round more than the longest ``reduce`` trace of its rows (the
+    last round only sees the rows nef), and fewer rounds in all than the
+    one-curve cyclic scan.  Rounds are counted as ``chi_rows`` calls."""
+    count = [0]
+    real_chi_rows, real_h0_rows = cones.chi_rows, cones.h0_rows
+
+    def counting_chi_rows(f):
+        count[0] += 1
+        return real_chi_rows(f)
+
+    calls = []
+
+    def recording_h0_rows(f, neg):
+        before = count[0]
+        out = real_h0_rows(f, neg)
+        calls.append((int_rows(f).tolist(), neg, count[0] - before))
+        return out
+
+    monkeypatch.setattr(cones, "chi_rows", counting_chi_rows)
+    monkeypatch.setattr(murank, "h0_rows", recording_h0_rows)
+    negs = [PointConfiguration.from_dynkin(name).neg for name in ("E6", "D5", "A5")]
+    for neg in negs + [case_iv.neg]:
+        murank.s_chain(NegSet(neg.classes), 6)  # fresh caches: every level is reduced
+    assert calls
+    traces = {}
+    ours = theirs = 0
+    for rows, neg, rounds in calls:
+        longest = 0
+        for r in rows:
+            key = (neg, tuple(r))
+            if key not in traces:
+                traces[key] = len(reduce(DivisorClass(r), neg).trace)
+            longest = max(longest, traces[key])
+        assert rounds <= 1 + longest, (neg, rounds, longest)
+        before = count[0]
+        cyclic_scan_h0_rows(rows, neg)
+        theirs += count[0] - before
+        ours += rounds
+    assert ours < theirs
 
 
 def test_h0_rows_dtype_guard(general):
@@ -197,6 +294,24 @@ def test_h0_rows_dtype_guard(general):
     assert got.dtype == object
     assert got.tolist() == [h0(DivisorClass(big), general.neg), 8]
     assert h0_rows(np.zeros((0, 7), dtype=np.int64), general.neg).shape == (0,)
+
+
+def test_distinct_neg_classes_meet_nonnegatively():
+    """The premise that makes each ``h0_rows`` round exact: subtracting one
+    NEG class never raises the pairing with another.  ``NegSet`` rejects a
+    set where it fails; here it is checked on every supported configuration
+    and on the problem of each of the 296 catalog markings."""
+    catalog = [PointConfiguration.from_dynkin(name).neg for name in sorted(dynkin_catalog())]
+    markings = [murank.change_of_marking(neg, h)
+                for neg in catalog for h in murank.e0_classes(neg)]
+    assert len(markings) == 296
+    negs = list(catalog_and_fixture_negs().values())
+    negs.append(neg_from_distinct(DistinctSpec(collinear=((1, 2, 3, 4),))))
+    for neg in negs + markings:
+        for a, b in itertools.combinations(neg.classes, 2):
+            assert a.dot(b) >= 0, (neg, a, b)
+    with pytest.raises(ConfigError, match="meet negatively"):
+        NegSet((E[1], E[1] - E[2]))
 
 
 def all_pairs_pare(classes):
