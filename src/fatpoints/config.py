@@ -421,5 +421,7 @@ class PointConfiguration:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise ConfigError("config file is nested too deeply to parse") from exc
         return cls.from_dict(data)
 

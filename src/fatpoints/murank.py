@@ -238,14 +238,12 @@ def _rational_curve_candidates(neg: NegSet) -> tuple:
 # certify
 
 
-def certify(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> Certificate:
+def certify(f: DivisorClass, neg: NegSet) -> Certificate:
     """Try to certify maximal rank for the multiplication map out of f.
 
-    Search order: conic-supported configurations are always surjective;
-    then the q*/l* and q/l criteria; then induction along a rational curve
-    whose complement certifies at the previous depth; then injectivity
-    transfer across a prime curve the class is orthogonal to.  Anything
-    else is inconclusive.
+    Search order: the direct rules (:func:`_direct`), then the one-level
+    search (:func:`_search`); anything else is inconclusive.  Every result
+    is cached on the NegSet.
     """
     cache = neg._cache.setdefault("cert", {})
     got = cache.get(f)
@@ -253,39 +251,33 @@ def certify(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> Certificate:
         return got  # stored only after f passed the nef check below
     if not is_nef(f, neg):
         raise ValueError(f"{f!r} is not nef on this configuration")
-    cert = _certify_uncached(f, neg, _depth)
-    if cert.status is not Status.INCONCLUSIVE or _depth == 0:
-        cache[f] = cert
+    cert = cache[f] = _direct(f, neg) or _search(f, neg)
     return cert
 
 
-def surjective_certified(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> bool:
-    """Certified surjective, directly or as bijective via the count.
+def certified(cert: Certificate | None, want: Status, f: DivisorClass, neg: NegSet) -> bool:
+    """Whether cert shows the map out of f to be ``want``, directly or by the count.
 
-    An injective map is onto as soon as three times the source section
-    count reaches the target's.
+    A certificate of the other status counts when the map is bijective: an
+    injective map is onto as soon as three times the source section count
+    reaches the target's, and a surjective map is one-to-one as soon as the
+    target's count reaches three times the source's.
     """
-    cert = certify(f, neg, _depth=_depth)
-    if cert.status is Status.SURJECTIVE:
+    if cert is None or cert.status is Status.INCONCLUSIVE:
+        return False
+    if cert.status is want:
         return True
-    if cert.status is Status.INJECTIVE:
-        b = ql_bounds(f, neg)
-        return b.h_next <= 3 * b.h
-    return False
+    b = ql_bounds(f, neg)
+    return b.h_next <= 3 * b.h if want is Status.SURJECTIVE else b.h_next >= 3 * b.h
 
 
-def injective_certified(f: DivisorClass, neg: NegSet, *, _depth: int = 0) -> bool:
-    """Certified injective, directly or as bijective via the count."""
-    cert = certify(f, neg, _depth=_depth)
-    if cert.status is Status.INJECTIVE:
-        return True
-    if cert.status is Status.SURJECTIVE:
-        b = ql_bounds(f, neg)
-        return b.h_next >= 3 * b.h
-    return False
+def _direct(f, neg) -> Certificate | None:
+    """The rules that read f alone; None when none fires.
 
-
-def _certify_uncached(f, neg, _depth) -> Certificate:
+    Conic-supported configurations are always surjective; then q* + l* = 0
+    certifies surjectivity and q = l = 0 injectivity, by the bounds of
+    Fitchett-Harbourne-Holay (J. Algebra 244, 2001).
+    """
     if on_conic(neg):
         return Certificate(Status.SURJECTIVE, "conic-support")
     b = ql_bounds(f, neg)
@@ -293,26 +285,33 @@ def _certify_uncached(f, neg, _depth) -> Certificate:
         return Certificate(Status.SURJECTIVE, "qstar+lstar=0")
     if b.q == 0 and b.l == 0:
         return Certificate(Status.INJECTIVE, "q=l=0")
+    return None
+
+
+def _known(f, neg) -> Certificate | None:
+    """What the search reads of a smaller class: its cached certificate, else
+    the direct rules.  Nothing in the search calls :func:`certify`."""
+    return neg._cache["cert"].get(f) or _direct(f, neg)
+
+
+def _search(f, neg) -> Certificate:
+    """Induction along a rational curve c whose complement f - c is known
+    surjective, then injectivity transfer (:func:`_kernel_transfer`)."""
     if not anticanonical_nef(neg):
         return Certificate(Status.INCONCLUSIVE, "no generator set available")
-    if _depth < 1:
-        for c in _rational_curve_candidates(neg):
-            fp = f - c
-            if fp.degree < 0 or not is_nef(fp, neg):
-                continue
-            if not step_allows(c, f, neg):
-                continue
-            if surjective_certified(fp, neg, _depth=_depth + 1):
-                return Certificate(
-                    Status.SURJECTIVE,
-                    f"rational-curve-step:{' '.join(map(str, c.display_row()))}")
-        cert = _kernel_transfer(f, neg, _depth)
-        if cert is not None:
-            return cert
-    return Certificate(Status.INCONCLUSIVE, "no criterion applied")
+    for c in _rational_curve_candidates(neg):
+        fp = f - c
+        if fp.degree < 0 or not is_nef(fp, neg) or not step_allows(c, f, neg):
+            continue
+        if certified(_known(fp, neg), Status.SURJECTIVE, fp, neg):
+            return Certificate(
+                Status.SURJECTIVE,
+                f"rational-curve-step:{' '.join(map(str, c.display_row()))}")
+    return (_kernel_transfer(f, neg)
+            or Certificate(Status.INCONCLUSIVE, "no criterion applied"))
 
 
-def _kernel_transfer(f, neg, _depth):
+def _kernel_transfer(f, neg):
     """Injectivity across a prime curve the class does not meet.
 
     Restriction to a prime curve c with f.c = 0 is left exact on sections;
@@ -330,7 +329,7 @@ def _kernel_transfer(f, neg, _depth):
                 Status.INJECTIVE,
                 f"kernel-transfer:{' '.join(map(str, c.display_row()))} "
                 "(complement has no sections)")
-        if injective_certified(red.nef_part, neg, _depth=_depth + 1):
+        if certified(_known(red.nef_part, neg), Status.INJECTIVE, red.nef_part, neg):
             return Certificate(
                 Status.INJECTIVE,
                 f"kernel-transfer:{' '.join(map(str, c.display_row()))}")
@@ -499,7 +498,7 @@ def _surjective_tail(base, step, neg, computed: int):
         return None
     for i0 in range(1, computed + 1):
         member = base + i0 * step
-        if not surjective_certified(member, neg):
+        if not certified(certify(member, neg), Status.SURJECTIVE, member, neg):
             continue
         target = base + (i0 + 1) * step
         if step_allows(step, target, neg):
@@ -571,32 +570,27 @@ def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
     notes = []
     certificates: dict = {}
     inconclusive = []
-    for f in itertools.chain(nef_generators(neg).pared, *chain.levels):
+
+    def check(f):
         cert = certificates[f] = certify(f, neg)
         if cert.status is Status.INCONCLUSIVE:
             inconclusive.append(f)
+
+    for f in itertools.chain(nef_generators(neg).pared, *chain.levels):
+        check(f)
     empty_level = next((i + 1 for i, lv in enumerate(chain.levels) if not lv), None)
+    found = None if empty_level is not None else _find_stabilization(chain)
     if empty_level is not None:
         notes.append(f"levels die out at depth {empty_level}; no rays needed")
-        return StabilizationReport(
-            ok=not inconclusive, j=None, k=None, witness={},
-            certificates=certificates, tails=(),
-            inconclusive=tuple(inconclusive), notes=tuple(notes))
-    found = _find_stabilization(chain)
-    if found is None:
+    elif found is None:
         notes.append("no stabilization pair (j, k) found within the depth")
-        return StabilizationReport(
-            ok=False, j=None, k=None, witness={}, certificates=certificates,
-            tails=(), inconclusive=tuple(inconclusive), notes=tuple(notes))
-    j, k, witness = found
+    j, k, witness = found or (None, None, {})
     tails = []
     for f, c in sorted(witness.items()):
         computed = chain.depth - j
-        tail = _h1_persistence_tail(f, c, neg, computed)
-        if tail is None:
-            tail = _surjective_tail(f, c, neg, computed)
-        if tail is None:
-            tail = _injective_tail(f, c, neg, computed)
+        tail = (_h1_persistence_tail(f, c, neg, computed)
+                or _surjective_tail(f, c, neg, computed)
+                or _injective_tail(f, c, neg, computed))
         if tail is None:
             inconclusive.append(f)
             notes.append("ray from " + " ".join(map(str, f.display_row()))
@@ -604,17 +598,13 @@ def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
             continue
         # ray members before the tail takes over need individual
         # certificates (surjective-induction carries its own base).
-        first_uncovered = tail.start if tail.kind != "surjective-induction" \
-            else tail.start + 1
+        first_uncovered = tail.start + (tail.kind == "surjective-induction")
         for i in range(1, first_uncovered):
-            member = f + i * c
-            cert = certificates[member] = certify(member, neg)
-            if cert.status is Status.INCONCLUSIVE:
-                inconclusive.append(member)
+            check(f + i * c)
         tails.append(tail)
     return StabilizationReport(
-        ok=not inconclusive, j=j, k=k, witness=witness,
-        certificates=certificates, tails=tuple(tails),
+        ok=not inconclusive and (empty_level is not None or found is not None),
+        j=j, k=k, witness=witness, certificates=certificates, tails=tuple(tails),
         inconclusive=tuple(inconclusive), notes=tuple(notes))
 
 

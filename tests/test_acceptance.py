@@ -9,6 +9,7 @@ import functools
 import hashlib
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -238,10 +239,12 @@ SWEEP_REPR_SHA256 = "63bb424a4319596252be93004e9b6910d1931c910873916d3cefbecdb9d
 def test_full_verification_sweep():
     start = time.perf_counter()
     reprs = []
+    solved = []  # the 4 case reports, then the 88 distinct marking problems
     for case in ("i", "ii", "iii", "iv"):
         rep = verify_configuration(distinct_case(case).neg)
         assert rep.ok, f"case {case} left something inconclusive"
         reprs.append(repr(rep))
+        solved.append(rep)
     cache = {}
     pairs = 0
     for name in sorted(dynkin_catalog()):
@@ -254,4 +257,15 @@ def test_full_verification_sweep():
     assert pairs == 296
     assert hashlib.sha256("".join(reprs).encode()).hexdigest() == SWEEP_REPR_SHA256
     assert elapsed < 1800.0
+    solved += cache.values()
+    assert Counter(rep.method for rep in solved) == {"chain": 65, "conic": 27}
+    # how the claim is certified: the rule of every certificate and every tail
+    chains = [rep.report for rep in solved if rep.report is not None]
+    rules = Counter(cert.reason.split(":")[0]
+                    for report in chains for cert in report.certificates.values())
+    assert rules == {"qstar+lstar=0": 10_513, "q=l=0": 466,
+                     "rational-curve-step": 46, "kernel-transfer": 4}
+    tails = Counter(tail.kind for report in chains for tail in report.tails)
+    assert tails == {"surjective-h1-persistence": 1_606, "injective-bound": 76,
+                     "surjective-induction": 10}
     return f"4 point cases plus {pairs} (type, marking) pairs, zero inconclusive"

@@ -177,11 +177,15 @@ def test_validation_errors(capsys, tmp_path):
     (("neg",), {"kind": "nodal", "roots": [], "type": "A1"}, "'type'"),
     (("neg",), {"kind": ["distinct"]}, "kind"),
     (("neg",), None, "Is a directory"),  # None: --config names a directory
+    pytest.param(("neg",), "[" * 200_000, "nested too deeply",  # a str is the raw text
+                 id="nested-200000-deep"),
 ])
 def test_malformed_input_one_line_error(capsys, tmp_path, argv, config, message):
     path = tmp_path / "cfg.json"
     if config is None:
         path.mkdir()
+    elif isinstance(config, str):
+        path.write_text(config)
     else:
         path.write_text(json.dumps(config))
     code, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])

@@ -12,13 +12,12 @@ from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfigur
                               anticanonical_nef, dynkin_catalog, neg_from_distinct,
                               neg_from_nodal)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi
-from fatpoints.murank import (MuBounds, SChain, Status, _canonical_problem, _certify_uncached,
-                              _deficient_rows, _find_stabilization, certify,
-                              change_of_marking, deficient, e0_classes, effective_roots,
-                              exceptional_configuration, injective_certified, on_conic,
-                              plane_point_indices, ql_bounds, s_chain,
-                              surjective_certified, verify_all_markings,
-                              verify_configuration, verify_stabilization)
+from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _canonical_problem,
+                              _deficient_rows, _find_stabilization, _rational_curve_candidates,
+                              _search, certified, certify, change_of_marking, deficient,
+                              e0_classes, effective_roots, exceptional_configuration,
+                              on_conic, plane_point_indices, ql_bounds, s_chain, step_allows,
+                              verify_all_markings, verify_configuration, verify_stabilization)
 from fatpoints.weyl import all_roots, exceptional_classes
 
 from conftest import distinct_case
@@ -152,15 +151,15 @@ def test_certify_39(case_iv):
         cert = certify(f, case_iv.neg)
         assert cert.status is Status.SURJECTIVE
         assert cert.reason == "qstar+lstar=0"
-    with pytest.raises(TypeError):  # _depth is keyword-only
+    with pytest.raises(TypeError):  # certify takes the class and the NegSet only
         certify(gens.pared[0], case_iv.neg, gens)
 
 
 def test_certify_zero(case_iv):
     cert = certify(ZERO, case_iv.neg)
     assert cert.status in (Status.SURJECTIVE, Status.INJECTIVE)
-    assert surjective_certified(ZERO, case_iv.neg)
-    assert injective_certified(ZERO, case_iv.neg)
+    assert certified(cert, Status.SURJECTIVE, ZERO, case_iv.neg)
+    assert certified(cert, Status.INJECTIVE, ZERO, case_iv.neg)
 
 
 def test_certify_requires_nef(case_iv):
@@ -173,7 +172,7 @@ def test_certify_hard_class_on_vertical_a1(a1_vertical_neg):
     cert = certify(two_h, a1_vertical_neg)
     assert cert.status is Status.SURJECTIVE
     assert cert.reason.startswith("rational-curve-step")
-    assert injective_certified(two_h, a1_vertical_neg)
+    assert certified(cert, Status.INJECTIVE, two_h, a1_vertical_neg)
 
 
 def test_conic_shortcut():
@@ -214,16 +213,16 @@ def good_part_sum(f, neg):
 
 def test_good_part_sum_never_fires_on_the_sweep(monkeypatch):
     # every class the cases i-iv and 296-marking sweep certifies past q=l=0,
-    # at any search depth, is one the retired rule had no witness for
+    # that is every class it sends to the search, is one the retired rule
+    # had no witness for
     reached = []
 
-    def record(f, neg, depth):
-        cert = _certify_uncached(f, neg, depth)
-        if cert.reason not in ("conic-support", "qstar+lstar=0", "q=l=0"):
-            reached.append((f, neg, cert.reason.split(":")[0]))
+    def record(f, neg):
+        cert = _search(f, neg)
+        reached.append((f, neg, cert.reason.split(":")[0]))
         return cert
 
-    monkeypatch.setattr("fatpoints.murank._certify_uncached", record)
+    monkeypatch.setattr("fatpoints.murank._search", record)
     for case in ("i", "ii", "iii", "iv"):
         assert verify_configuration(neg_from_distinct(FIXTURE_SPECS[case])).ok
     solved = {}
@@ -234,21 +233,164 @@ def test_good_part_sum_never_fires_on_the_sweep(monkeypatch):
     assert all(good_part_sum(f, neg) is None for f, neg, _ in reached)
 
 
-def test_good_part_sum_never_fires_on_random_sums():
-    # seeded nef sums of pared generators on the fixtures and the 88 distinct
-    # marked problems; few of them get past the earlier rules at all
+def seeded_nef_sums():
+    """2000 seeded (neg, f): f a sum of one to three multiples of pared
+    generators, on the fixtures and the 88 distinct marked problems."""
     negs = [distinct_case(c).neg for c in FIXTURE_SPECS]
     negs += distinct_marking_problems(sorted(dynkin_catalog()))
     rng = random.Random(2005)
-    reached = 0
     for _ in range(2000):
         neg = rng.choice(negs)
         pared = nef_generators(neg).pared
         f = sum((rng.randint(1, 6) * rng.choice(pared) for _ in range(rng.randint(1, 3))),
                 ZERO)
+        yield neg, f
+
+
+def test_good_part_sum_never_fires_on_random_sums():
+    # few of the seeded sums get past the earlier rules at all
+    reached = 0
+    for neg, f in seeded_nef_sums():
         assert good_part_sum(f, neg) is None, (neg.nodal, f)
         reached += past_ql_criteria(f, neg)
     assert reached >= 1
+
+
+# Reference copy of the depth-threaded certificate search that the one-level
+# ``certify`` replaced.  The smaller class of a rational-curve step or of a
+# kernel transfer went back through ``certify`` at depth 1, which read the
+# cache, applied only the direct rules and cached only conclusive results.
+
+
+def reference_certify(f, neg, *, _depth=0):
+    cache = neg._cache.setdefault("cert", {})
+    got = cache.get(f)
+    if got is not None:
+        return got
+    if not is_nef(f, neg):
+        raise ValueError(f"{f!r} is not nef on this configuration")
+    cert = reference_certify_uncached(f, neg, _depth)
+    if cert.status is not Status.INCONCLUSIVE or _depth == 0:
+        cache[f] = cert
+    return cert
+
+
+def reference_surjective_certified(f, neg, *, _depth=0):
+    cert = reference_certify(f, neg, _depth=_depth)
+    if cert.status is Status.SURJECTIVE:
+        return True
+    if cert.status is Status.INJECTIVE:
+        b = ql_bounds(f, neg)
+        return b.h_next <= 3 * b.h
+    return False
+
+
+def reference_injective_certified(f, neg, *, _depth=0):
+    cert = reference_certify(f, neg, _depth=_depth)
+    if cert.status is Status.INJECTIVE:
+        return True
+    if cert.status is Status.SURJECTIVE:
+        b = ql_bounds(f, neg)
+        return b.h_next >= 3 * b.h
+    return False
+
+
+def reference_certify_uncached(f, neg, _depth):
+    if on_conic(neg):
+        return Certificate(Status.SURJECTIVE, "conic-support")
+    b = ql_bounds(f, neg)
+    if b.q_star + b.l_star == 0:
+        return Certificate(Status.SURJECTIVE, "qstar+lstar=0")
+    if b.q == 0 and b.l == 0:
+        return Certificate(Status.INJECTIVE, "q=l=0")
+    if not anticanonical_nef(neg):
+        return Certificate(Status.INCONCLUSIVE, "no generator set available")
+    if _depth < 1:
+        for c in _rational_curve_candidates(neg):
+            fp = f - c
+            if fp.degree < 0 or not is_nef(fp, neg):
+                continue
+            if not step_allows(c, f, neg):
+                continue
+            if reference_surjective_certified(fp, neg, _depth=_depth + 1):
+                return Certificate(
+                    Status.SURJECTIVE,
+                    f"rational-curve-step:{' '.join(map(str, c.display_row()))}")
+        cert = reference_kernel_transfer(f, neg, _depth)
+        if cert is not None:
+            return cert
+    return Certificate(Status.INCONCLUSIVE, "no criterion applied")
+
+
+def reference_kernel_transfer(f, neg, _depth):
+    for c in _rational_curve_candidates(neg):
+        if f.dot(c) != 0 or h0(E0 - c, neg) != 0:
+            continue
+        red = reduce(f - c, neg)
+        if not red.effective:
+            return Certificate(
+                Status.INJECTIVE,
+                f"kernel-transfer:{' '.join(map(str, c.display_row()))} "
+                "(complement has no sections)")
+        if reference_injective_certified(red.nef_part, neg, _depth=_depth + 1):
+            return Certificate(
+                Status.INJECTIVE,
+                f"kernel-transfer:{' '.join(map(str, c.display_row()))}")
+    return None
+
+
+def fresh(neg):
+    """An equal NegSet with nothing cached."""
+    return NegSet(neg.classes)
+
+
+def test_certify_matches_depth_reference_on_the_sweep(monkeypatch):
+    # cases i-iv and the 88 distinct marking problems, verified once with
+    # each search on its own fresh NegSet: the same classes reach certify in
+    # the same order, with equal certificates and equal bijection checks
+    negs = [distinct_case(c).neg for c in ("i", "ii", "iii", "iv")]
+    negs += distinct_marking_problems(sorted(dynkin_catalog()))
+    side = {}
+
+    def record(f, neg):
+        cert = side["search"](f, neg)
+        side["calls"].append((f, cert))
+        return cert
+
+    monkeypatch.setattr("fatpoints.murank.certify", record)
+    rules = Counter()
+    for neg in negs:
+        runs = []
+        for search in (certify, reference_certify):
+            side.update(search=search, calls=[])
+            problem = fresh(neg)
+            runs.append((problem, side["calls"], verify_configuration(problem)))
+        (new_neg, new_calls, new_report), (ref_neg, ref_calls, ref_report) = runs
+        assert new_calls == ref_calls
+        assert new_report == ref_report
+        for f, cert in new_calls:
+            assert (certified(cert, Status.SURJECTIVE, f, new_neg)
+                    == reference_surjective_certified(f, ref_neg))
+            assert (certified(cert, Status.INJECTIVE, f, new_neg)
+                    == reference_injective_certified(f, ref_neg))
+        rules.update(c.reason.split(":")[0] for c in new_neg._cache.get("cert", {}).values())
+    assert rules["rational-curve-step"] == 46 and rules["kernel-transfer"] == 4
+
+
+def test_certify_matches_depth_reference_on_random_sums():
+    sides = {}  # neg -> (NegSet for certify, NegSet for the reference)
+    for neg, f in seeded_nef_sums():
+        if neg not in sides:
+            sides[neg] = fresh(neg), fresh(neg)
+        new_neg, ref_neg = sides[neg]
+        assert certify(f, new_neg) == reference_certify(f, ref_neg), (neg.nodal, f)
+
+
+def test_certify_matches_depth_reference_on_vertical_a1(a1_vertical_neg):
+    two_h = DivisorClass((10, 4, 4, 4, 4, 4, 4))
+    cert = certify(two_h, fresh(a1_vertical_neg))
+    assert cert.reason.startswith("rational-curve-step")
+    assert cert == reference_certify(two_h, fresh(a1_vertical_neg))
 
 
 def test_s_chain_case_iv(case_iv):
@@ -658,7 +800,8 @@ def test_gamma_within_injectivity_theory(a1_vertical_neg):
     for tail in report.tails:
         if tail.kind == "injective-bound":
             member = tail.base + tail.start * tail.step
-            assert injective_certified(member, a1_vertical_neg)
+            assert certified(certify(member, a1_vertical_neg), Status.INJECTIVE, member,
+                             a1_vertical_neg)
 
 
 def permutation_loop_canonical(nodal):
