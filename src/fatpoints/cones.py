@@ -13,14 +13,15 @@ steps as the multiplicities grow.  A class falling down a pencil, a few
 units of degree per round, is stopped by a nef witness (``_nef_witness``).
 
 ``h0_rows`` reduces a whole array of classes at once: each round pairs
-every unfinished row with the NEG Gram block in one matrix product and
-subtracts from each row the forced multiple of every NEG class it meets
-negatively, exact since distinct irreducible curves meet nonnegatively and
-finite since ``reduce``'s weight drops every round.  Rows are int64 while
-every entry is below ``INT64_ENTRY_BOUND`` in absolute value, so that every
-pairing and the self-intersection of every nef row fit; otherwise the same
-code runs on ``dtype=object`` arrays of Python ints.  The scalar ``reduce``
-and ``h0`` stay for single classes, where a numpy call costs more.
+every unfinished row with the NEG Gram block in one matrix product, retires
+the nef rows (``nef_rows``) with h0 = chi and subtracts from each other row
+the forced multiple of every NEG class it meets negatively, exact since
+distinct irreducible curves meet nonnegatively and finite since
+``reduce``'s weight drops every round.  Rows are int64 while every entry is
+below ``INT64_ENTRY_BOUND`` in absolute value, so that every pairing and
+the self-intersection of every nef row fit; otherwise the same loop runs on
+``dtype=object`` arrays of Python ints.  The scalar ``reduce`` and ``h0``
+stay for single classes, where a numpy call costs more.
 
 When -K is nef, the nef cone is generated as a semigroup by the nef
 members of the union of seven fixed reflection orbits (1279 classes in
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import weyl
 from .config import NegSet, anticanonical_nef
-from .lattice import DivisorClass, chi
+from .lattice import MINUS_K, DivisorClass, chi
 
 #: Orbit seeds whose union of reflection orbits spans the nef-cone search
 #: space: E0, E0-E1, 2E0-E1-E2, and 3E0 minus three to six basis classes.
@@ -169,14 +170,22 @@ _FORM = np.array((1, -1, -1, -1, -1, -1, -1), dtype=np.int64)
 WITNESS_STEPS = 32
 
 
-def _curves(neg: NegSet, dtype) -> np.ndarray:
-    """The NEG classes as the rows of an array."""
-    return np.array(neg.classes, dtype=dtype).reshape(-1, 7)
+def _neg_blocks(neg: NegSet, dtype) -> tuple:
+    """NEG as rows, the block with F.C = (F @ block)[C], and -C^2; cached."""
+    got = neg._cache.get(("blocks", dtype))
+    if got is None:
+        curves = np.array(neg.classes, dtype=dtype).reshape(-1, 7)
+        got = neg._cache["blocks", dtype] = (curves, (curves * _FORM).T,
+                                             -(curves * curves) @ _FORM)
+        for a in got:
+            a.flags.writeable = False
+    return got
 
 
-def _gram(neg: NegSet, dtype) -> np.ndarray:
-    """7 x len(neg) block with F.C = (F @ block)[C] for every NEG class C."""
-    return (_curves(neg, dtype) * _FORM).T
+def nef_rows(f: np.ndarray, neg: NegSet) -> np.ndarray:
+    """Which rows of an integer array are nef of degree >= 0: one product
+    with the NEG Gram block, the test ``h0_rows`` applies in its first round."""
+    return (f[:, 0] >= 0) & (f @ _neg_blocks(neg, f.dtype)[1] >= 0).all(1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -195,39 +204,45 @@ def _nef_witness(cur: np.ndarray, neg: NegSet) -> np.ndarray:
     class, which the running class keeps meeting negatively.
     """
     rows = _fibre_rows()
-    nef = rows[(rows @ _gram(neg, rows.dtype) >= 0).all(1)]
+    nef = rows[nef_rows(rows, neg)]
     return (cur @ (nef * _FORM).T.astype(cur.dtype) < 0).any(1)
 
 
 def int_rows(rows) -> np.ndarray:
-    """An n x 7 array of classes: int64 inside the entry bound, else Python ints."""
+    """An n x 7 array of classes: int64 inside the entry bound, else Python
+    ints.  Floats, bools and other non-``int`` entries raise ``TypeError``."""
     a = np.asarray(rows)
     if a.size == 0:
         return a.astype(np.int64).reshape(0, 7)
     if a.dtype == object:
+        for x in a.flat:
+            if type(x) is not int:
+                raise TypeError(f"non-integer coefficient {x!r}")
         small = all(-INT64_ENTRY_BOUND < x < INT64_ENTRY_BOUND for x in a.flat)
-    else:
+    elif a.dtype.kind in "iu":
         small = -INT64_ENTRY_BOUND < a.min() and a.max() < INT64_ENTRY_BOUND
+    else:
+        raise TypeError(f"non-integer coefficients of dtype {a.dtype}")
     return a.astype(np.int64 if small else object).reshape(-1, 7)
 
 
 def chi_rows(f: np.ndarray) -> np.ndarray:
-    """``lattice.chi`` of every row, parity check included."""
-    f0, fi = f[:, 0], f[:, 1:]
-    n = f0 * f0 - (fi * fi).sum(1) + 3 * f0 - fi.sum(1)  # F.F - K.F
-    if (n % 2 != 0).any():
-        bad = DivisorClass(f[(n % 2 != 0).argmax()].tolist())
+    """``lattice.chi`` of every row from F.(F - K), parity check included."""
+    n = (f * (f + MINUS_K)) @ _FORM
+    if (n & 1).any():
+        bad = DivisorClass(f[(n & 1).argmax()].tolist())
         raise ArithmeticError(f"parity violation in chi({bad!r})")
-    return n // 2 + 1
+    return (n >> 1) + 1
 
 
 def h0_rows(f, neg: NegSet) -> np.ndarray:
     """``h0`` of every row of an n x 7 integer array, in one batched reduction.
 
-    Each round pairs the unfinished rows with every NEG class at once, and
-    each row subtracts ceil(-F.C / -C^2) copies of every C it meets
-    negatively.  Two distinct irreducible curves meet nonnegatively, so
-    every copy taken in a round is still forced: a round is a run of
+    Each round pairs the unfinished rows with every NEG class at once; the
+    rows that meet none negatively retire (one ``chi_rows`` call per round),
+    and each other row subtracts ceil(-F.C / -C^2) copies of every C it
+    meets negatively.  Two distinct irreducible curves meet nonnegatively,
+    so every copy taken in a round is still forced: a round is a run of
     ``reduce`` steps, h0 is unchanged for an effective row and stays 0 for
     an ineffective one, and entries stay within the row's initial ones
     while its degree is >= 0 (a round that ends below degree 0 may
@@ -241,9 +256,7 @@ def h0_rows(f, neg: NegSet) -> np.ndarray:
     """
     cur = int_rows(f)
     out = np.zeros(len(cur), dtype=cur.dtype)
-    curves = _curves(neg, cur.dtype)
-    gram = _gram(neg, cur.dtype)
-    minus_sq = -(curves * curves * _FORM).sum(1)
+    curves, gram, minus_sq = _neg_blocks(neg, cur.dtype)
     idx = np.flatnonzero(cur[:, 0] >= 0)
     cur = cur[idx]
     rounds = 0
@@ -251,9 +264,11 @@ def h0_rows(f, neg: NegSet) -> np.ndarray:
         met = cur @ gram
         hit = np.minimum(met, 0, out=met).any(1)
         out[idx[~hit]] = chi_rows(cur[~hit])
+        met = met[hit]  # the full pairings go before the rows are copied
+        idx, cur = idx[hit], cur[hit]
         met //= minus_sq
         cur += met @ curves
-        keep = hit & (cur[:, 0] >= 0)
+        keep = cur[:, 0] >= 0
         rounds += 1
         if rounds % WITNESS_STEPS == 0:
             keep &= ~_nef_witness(cur, neg)
@@ -349,8 +364,7 @@ def nef_generators(neg: NegSet) -> GeneratorSet:
     if not anticanonical_nef(neg):
         raise ValueError("nef-cone generators require a nef anticanonical class")
     classes, rows = _sorted_union()
-    nef = (rows @ _gram(neg, rows.dtype) >= 0).all(1)
-    raw = tuple(itertools.compress(classes, nef.tolist()))
+    raw = tuple(itertools.compress(classes, nef_rows(rows, neg).tolist()))
     gens = GeneratorSet(raw=raw, pared=_pare(raw))
     neg._cache["gens"] = gens
     return gens
@@ -370,7 +384,7 @@ def gamma(neg: NegSet) -> tuple:
     p = int_rows(pared)
     # rest[f, p]: f - p has degree >= 0 and meets every NEG class >= 0
     rest = p[:, None, 0] >= p[None, :, 0]
-    for pairing in (p @ _gram(neg, p.dtype)).T:
+    for pairing in (p @ _neg_blocks(neg, p.dtype)[1]).T:
         rest &= pairing[:, None] >= pairing[None]
     rest &= (p[:, None] != p[None]).any(2)  # f - p nonzero
     return tuple(itertools.compress(pared, (~rest.any(1)).tolist()))

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import weyl
 from .config import _CONIC6, NegSet, anticanonical_nef
-from .cones import (chi_rows, gamma, h0, h0_rows, int_rows, is_nef,
-                    nef_generators, pack_keys, packable, reduce)
+from .cones import (chi_rows, gamma, h0, h0_rows, int_rows, is_nef, nef_generators,
+                    nef_rows, pack_keys, packable, reduce)
 from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus
 
 
@@ -128,29 +128,34 @@ def deficient(f: DivisorClass, neg: NegSet) -> bool:
 
 
 def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.ndarray:
-    """``deficient`` for every row of an n x 7 array, batched with ``h0_rows``.
+    """``deficient`` for every row of an n x 7 array, decided for all rows at once.
 
     The one kernel of the q/l bounds; :func:`ql_bounds` reads the cache it
     fills.  The pivot of a row is the first usable index carrying its
-    largest multiplicity.  h0 of f, f - Ej and f - (E0 - Ej) take one
-    ``h0_rows`` call each rather than one call on all 3n rows, which would
-    triple the largest temporary arrays.  The ``MuBounds`` of every row
-    (``cache_all``) or of the deficient rows only go into the cache, their
-    h_next from one more ``h0_rows`` call on those rows alone.  Raises
-    ``ValueError`` on an ineffective row, ``ArithmeticError`` on h1 < 0.
+    largest multiplicity.  Nef rows (``cones.nef_rows``) take h0 = chi(F)
+    and h0(F + E0) = chi(F) + deg F + 2 by Riemann-Roch, so only f - Ej and
+    f - (E0 - Ej) are reduced; other rows (from :func:`ql_bounds`) take two
+    more ``h0_rows`` calls.  The ``MuBounds`` of every row (``cache_all``)
+    or of the deficient rows go into the cache, with the certificate
+    (:func:`_rules`) of each such nef row.  Raises ``ValueError`` on an
+    ineffective row, ``ArithmeticError`` on h1 < 0.
     """
     f = int_rows(f)
     n = len(f)
     usable = np.array(plane_point_indices(neg))
     pivot = usable[f[:, usable].argmax(1)]
-    shift = np.zeros_like(f)  # E_j, stored as -1 at the pivot j
-    shift[np.arange(n), pivot] = -1
-    fq = f - shift
-    fl = f + shift
+    fq, fl = f.copy(), f.copy()  # f - Ej and f - (E0 - Ej), Ej stored as -1 at j
+    fq[np.arange(n), pivot] += 1
+    fl[np.arange(n), pivot] -= 1
     fl[:, 0] -= 1
-    h, q, l = (h0_rows(x, neg) for x in (f, fq, fl))
+    nef = nef_rows(f, neg)
+    h = chi_rows(f)
+    h_next = h + f[:, 0] + 2
+    if not nef.all():
+        h[~nef], h_next[~nef] = (h0_rows(f[~nef] + d, neg) for d in (ZERO, E0))
     if (h == 0).any():
         raise ValueError(f"{DivisorClass(f[(h == 0).argmax()].tolist())!r} is not effective")
+    q, l = h0_rows(fq, neg), h0_rows(fl, neg)
     q_star = q - chi_rows(fq)
     l_star = l - chi_rows(fl)
     bad = (q_star < 0) | (l_star < 0)
@@ -159,13 +164,15 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
             f"negative h1 in bounds for {DivisorClass(f[bad.argmax()].tolist())!r}")
     mask = (q == 0) | (l == 0) | (q_star > 0) | (l_star > 0)
     keep = slice(None) if cache_all else mask
-    kept = f[keep]
-    h_next = h0_rows(kept + np.array(E0, dtype=kept.dtype), neg)
-    cache = neg._cache.setdefault("bounds", {})
-    for row, *values in zip(kept.tolist(), q[keep].tolist(), l[keep].tolist(),
-                            q_star[keep].tolist(), l_star[keep].tolist(),
-                            h[keep].tolist(), h_next.tolist(), pivot[keep].tolist()):
-        cache.setdefault(DivisorClass(row), MuBounds(*values))
+    conic = on_conic(neg)
+    bounds = neg._cache.setdefault("bounds", {})
+    certs = neg._cache.setdefault("cert", {})
+    cols = (f, nef, q, l, q_star, l_star, h, h_next, pivot)
+    for row, is_nef_row, *values in zip(*(x[keep].tolist() for x in cols)):
+        c = DivisorClass(row)
+        b = bounds.setdefault(c, MuBounds(*values))
+        if is_nef_row:
+            certs.setdefault(c, _rules(conic, b))
     return mask
 
 
@@ -224,11 +231,10 @@ def _rational_curve_candidates(neg: NegSet) -> tuple:
     if cache is not None:
         return cache
     cands = list(neg.classes)
-    pool = (set(nef_generators(neg).pared) | weyl.orbit(E0).elements
-            | weyl.orbit(E0 - E[1]).elements)
-    extra = [c for c in sorted(pool)
-             if c != ZERO and is_nef(c, neg) and arithmetic_genus(c) == 0]
-    cands.extend(extra)
+    pared = set(nef_generators(neg).pared)  # nef by construction
+    pool = pared | weyl.orbit(E0).elements | weyl.orbit(E0 - E[1]).elements
+    cands += [c for c in sorted(pool) if c != ZERO and arithmetic_genus(c) == 0
+              and (c in pared or is_nef(c, neg))]
     out = tuple(dict.fromkeys(cands))
     neg._cache["rc_cands"] = out
     return out
@@ -243,16 +249,17 @@ def certify(f: DivisorClass, neg: NegSet) -> Certificate:
 
     Search order: the direct rules (:func:`_direct`), then the one-level
     search (:func:`_search`); anything else is inconclusive.  Every result
-    is cached on the NegSet.
+    is cached on the NegSet, for nef classes only; the bounds kernel stores
+    direct-rule results there, None until the search decides the class.
     """
     cache = neg._cache.setdefault("cert", {})
-    got = cache.get(f)
-    if got is not None:
-        return got  # stored only after f passed the nef check below
-    if not is_nef(f, neg):
-        raise ValueError(f"{f!r} is not nef on this configuration")
-    cert = cache[f] = _direct(f, neg) or _search(f, neg)
-    return cert
+    if f not in cache:
+        if not is_nef(f, neg):
+            raise ValueError(f"{f!r} is not nef on this configuration")
+        cache[f] = _direct(f, neg)
+    if cache[f] is None:
+        cache[f] = _search(f, neg)
+    return cache[f]
 
 
 def certified(cert: Certificate | None, want: Status, f: DivisorClass, neg: NegSet) -> bool:
@@ -271,21 +278,23 @@ def certified(cert: Certificate | None, want: Status, f: DivisorClass, neg: NegS
     return b.h_next <= 3 * b.h if want is Status.SURJECTIVE else b.h_next >= 3 * b.h
 
 
-def _direct(f, neg) -> Certificate | None:
-    """The rules that read f alone; None when none fires.
-
-    Conic-supported configurations are always surjective; then q* + l* = 0
-    certifies surjectivity and q = l = 0 injectivity, by the bounds of
-    Fitchett-Harbourne-Holay (J. Algebra 244, 2001).
-    """
-    if on_conic(neg):
+def _rules(conic: bool, b: MuBounds | None) -> Certificate | None:
+    """The direct rules in order, None when none fires: a conic-supported
+    configuration is surjective (b unread); then, on the bounds b of the
+    class, q* + l* = 0 certifies surjectivity and q = l = 0 injectivity
+    (Fitchett-Harbourne-Holay, J. Algebra 244, 2001)."""
+    if conic:
         return Certificate(Status.SURJECTIVE, "conic-support")
-    b = ql_bounds(f, neg)
     if b.q_star + b.l_star == 0:
         return Certificate(Status.SURJECTIVE, "qstar+lstar=0")
     if b.q == 0 and b.l == 0:
         return Certificate(Status.INJECTIVE, "q=l=0")
     return None
+
+
+def _direct(f, neg) -> Certificate | None:
+    """:func:`_rules` on f, whose bounds a conic configuration never needs."""
+    return _rules(True, None) if on_conic(neg) else _rules(False, ql_bounds(f, neg))
 
 
 def _known(f, neg) -> Certificate | None:
@@ -296,12 +305,15 @@ def _known(f, neg) -> Certificate | None:
 
 def _search(f, neg) -> Certificate:
     """Induction along a rational curve c whose complement f - c is known
-    surjective, then injectivity transfer (:func:`_kernel_transfer`)."""
+    surjective (nef if certificates are cached for it), then injectivity
+    transfer (:func:`_kernel_transfer`)."""
     if not anticanonical_nef(neg):
         return Certificate(Status.INCONCLUSIVE, "no generator set available")
+    known_nef = neg._cache["cert"]
     for c in _rational_curve_candidates(neg):
         fp = f - c
-        if fp.degree < 0 or not is_nef(fp, neg) or not step_allows(c, f, neg):
+        if (fp.degree < 0 or (fp not in known_nef and not is_nef(fp, neg))
+                or not step_allows(c, f, neg)):
             continue
         if certified(_known(fp, neg), Status.SURJECTIVE, fp, neg):
             return Certificate(

@@ -8,6 +8,7 @@ never materialised.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -46,12 +47,14 @@ class OrbitSet:
         return x in self.elements
 
 
+@functools.lru_cache(maxsize=7)
 def orbit(seed: DivisorClass) -> OrbitSet:
     """Breadth-first orbit of seed under the six simple reflections.
 
     The orbit of any class has at most |W(E6)| = 51840 elements, so the
     search always ends; a seed with trivial stabiliser, such as
-    (100; 1, 2, 3, 4, 5, 6), reaches that bound in about a second.
+    (100; 1, 2, 3, 4, 5, 6), reaches that bound in about a second.  The
+    last seven orbits, one per seed of ``cones.GENERATOR_SEEDS``, are kept.
     """
     seen = {seed}
     frontier = [seed]

@@ -199,9 +199,7 @@ def cyclic_scan_h0_rows(f, neg):
     Looks ``chi_rows`` up on the module, so a test can count its rounds."""
     cur = int_rows(f)
     out = np.zeros(len(cur), dtype=cur.dtype)
-    curves = cones._curves(neg, cur.dtype)
-    gram = cones._gram(neg, cur.dtype)
-    minus_sq = -(curves * curves * cones._FORM).sum(1)
+    curves, gram, minus_sq = cones._neg_blocks(neg, cur.dtype)
     columns = np.arange(len(curves))
     idx = np.flatnonzero(cur[:, 0] >= 0)
     cur, start = cur[idx], np.zeros(len(idx), dtype=np.int64)
@@ -294,6 +292,56 @@ def test_h0_rows_dtype_guard(general):
     assert got.dtype == object
     assert got.tolist() == [h0(DivisorClass(big), general.neg), 8]
     assert h0_rows(np.zeros((0, 7), dtype=np.int64), general.neg).shape == (0,)
+
+
+@pytest.mark.parametrize("rows", [
+    [[3.7, 1, 1, 0, 0, 0, 0]],  # once truncated to degree 3, h0 8
+    np.array([[3, 1, 1, 0, 0, 0, 0]], dtype=float),
+    np.ones((1, 7), dtype=bool),
+    np.array([[3, True, 1, 0, 0, 0, 0]], dtype=object),
+    np.array([[3, 1.0, 1, 0, 0, 0, 0]], dtype=object),
+    np.array([[np.int64(3), 1, 1, 0, 0, 0, 0]], dtype=object),
+    [["3", "1", "1", "0", "0", "0", "0"]],
+], ids=["float", "float-integral", "bool", "object-bool", "object-float",
+        "object-numpy-int", "str"])
+def test_h0_rows_rejects_non_integer_rows(general, rows):
+    with pytest.raises(TypeError, match="non-integer") as err:
+        h0_rows(rows, general.neg)
+    assert "\n" not in str(err.value)
+
+
+def test_ql_bounds_rejects_non_integer_classes(general):
+    neg = NegSet(general.neg.classes)  # nothing cached: the kernel sees the row
+    for f in ((3.7, 1, 1, 0, 0, 0, 0), DivisorClass((True, 0, 0, 0, 0, 0, 0))):
+        with pytest.raises(TypeError, match="non-integer coefficient"):
+            murank.ql_bounds(f, neg)
+    assert murank.ql_bounds(E0, neg).h == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(-60, 60), min_size=7, max_size=7),
+                     min_size=1, max_size=12),
+       scale=st.sampled_from((1, 2 ** 40)))
+def test_chi_rows_matches_scalar_chi(rows, scale):
+    classes = [DivisorClass([scale * x + (scale > 1) for x in r]) for r in rows]
+    f = int_rows(classes)
+    assert f.dtype == (np.int64 if scale == 1 else object)
+    got = cones.chi_rows(f)
+    assert got.tolist() == [chi(c) for c in classes]
+    assert all(type(x) is int for x in got.tolist())
+
+
+def test_nef_rows_is_the_first_round_test(equivalence_negs):
+    """``nef_rows`` picks exactly the rows that ``h0_rows`` answers with chi
+    in its first round: nef of degree >= 0."""
+    rng = random.Random(5)
+    union = sorted(seed_orbit_union())
+    for neg in equivalence_negs.values():
+        classes = list(nef_generators(neg).raw) + rng.sample(union, 100) + [
+            DivisorClass([rng.randint(-3, 9) for _ in range(7)]) for _ in range(100)]
+        got = cones.nef_rows(int_rows(classes), neg)
+        assert got.tolist() == [f[0] >= 0 and is_nef(f, neg) for f in classes]
+        assert got.any() and not got.all()
 
 
 def test_distinct_neg_classes_meet_nonnegatively():

@@ -12,8 +12,10 @@ from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfigur
                               anticanonical_nef, dynkin_catalog, neg_from_distinct,
                               neg_from_nodal)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi
+from fatpoints import murank
 from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _canonical_problem,
-                              _deficient_rows, _find_stabilization, _rational_curve_candidates,
+                              _deficient_rows, _direct, _find_stabilization,
+                              _rational_curve_candidates,
                               _search, certified, certify, change_of_marking, deficient,
                               e0_classes, effective_roots, exceptional_configuration,
                               on_conic, plane_point_indices, ql_bounds, s_chain, step_allows,
@@ -902,3 +904,102 @@ def test_ql_bounds_errors_match_scalar_reference(name, coeffs):
         assert str(got.value) == str(exc)
     else:
         assert ql_bounds(f, NegSet(neg.classes)) == want
+
+
+def kernel_problems(a1_vertical_neg):
+    """Cases i-iv, a conic configuration, the 88 distinct marking problems
+    and the A1-vertical fixture, each as a fresh NegSet."""
+    negs = [distinct_case(c).neg for c in ("i", "ii", "iii", "iv", "conic")]
+    negs += distinct_marking_problems(sorted(dynkin_catalog())) + [a1_vertical_neg]
+    assert len(negs) == 94
+    return [fresh(neg) for neg in negs]
+
+
+def test_kernel_certificates_match_direct_rules(a1_vertical_neg):
+    """The bounds kernel stores a direct-rule certificate (None when no rule
+    fires) for gamma and every level member, all nef, each equal to what
+    ``_direct`` gives on a NegSet where no chain was built."""
+    reasons = Counter()
+    for neg in kernel_problems(a1_vertical_neg):
+        chain = s_chain(neg, 6)
+        certs = neg._cache["cert"]
+        assert set(certs) == set(chain.gamma).union(*chain.levels), neg.nodal
+        other = fresh(neg)
+        for f, cert in certs.items():
+            assert is_nef(f, neg)
+            assert cert == _direct(f, other), (neg.nodal, f)
+            reasons[cert and cert.reason] += 1
+    assert set(reasons) == {"conic-support", "qstar+lstar=0", "q=l=0", None}
+
+
+def test_s_chain_reduces_twice_per_level(monkeypatch, case_iv):
+    """Chain levels are nef, so each ``_deficient_rows`` call reduces only
+    f - Ej and f - (E0 - Ej): two ``h0_rows`` calls, none for f or f + E0."""
+    calls = Counter()
+    real_h0_rows, real_deficient_rows = murank.h0_rows, murank._deficient_rows
+
+    def counting_h0_rows(f, neg):
+        calls["h0_rows"] += 1
+        return real_h0_rows(f, neg)
+
+    def counting_deficient_rows(f, neg, cache_all=False):
+        calls["deficient"] += 1
+        return real_deficient_rows(f, neg, cache_all)
+
+    monkeypatch.setattr(murank, "h0_rows", counting_h0_rows)
+    monkeypatch.setattr(murank, "_deficient_rows", counting_deficient_rows)
+    negs = [PointConfiguration.from_dynkin(name).neg for name in ("E6", "D5", "A5")]
+    for neg in negs + [case_iv.neg]:
+        neg = fresh(neg)
+        effective_roots(neg)  # the root table, one more h0_rows call, comes first
+        calls.clear()
+        s_chain(neg, 6)
+        assert calls == {"deficient": 6, "h0_rows": 12}, neg.nodal
+
+
+def test_verify_stabilization_checks_no_member_for_nef(monkeypatch, a1_vertical_neg):
+    """Gamma and the level members are nef by construction: the kernel's
+    stored certificates stand in for the scalar nef check."""
+    checked = []
+    real_is_nef = murank.is_nef
+    monkeypatch.setattr(murank, "is_nef", lambda f, neg: checked.append(f) or real_is_nef(f, neg))
+    for neg in kernel_problems(a1_vertical_neg):
+        if on_conic(neg):
+            continue
+        chain = s_chain(neg, 6)
+        checked.clear()
+        assert verify_stabilization(chain, neg).ok
+        assert not set(checked) & set(chain.gamma).union(*chain.levels), neg.nodal
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(BOUNDS_NEGS)),
+       scale=st.sampled_from((1, 1, 3, 2 ** 40)))
+def test_deficient_rows_on_mixed_nef_rows_matches_scalar_reference(data, name, scale):
+    """One call on rows that are nef (answered by Riemann-Roch) and rows
+    that are not (reduced): bounds, deficiency and stored certificates as
+    the scalar reference gives them, in int64 and at 2**40 (object)."""
+    neg = BOUNDS_NEGS[name]
+    pared = nef_generators(neg).pared
+    rows = []
+    for i in range(data.draw(st.integers(2, 5))):
+        coeffs = data.draw(st.lists(st.integers(0, 3), min_size=len(pared),
+                                    max_size=len(pared)).filter(any))
+        nef_part = sum((c * g for c, g in zip(coeffs, pared)), ZERO)
+        if i % 2:  # m*C with m*C^2 < -(scale*nef_part).C: not nef
+            c = data.draw(st.sampled_from(neg.classes))
+            rows.append(scale * nef_part + (scale * nef_part.dot(c) + 1) * c)
+        else:  # nef for i = 0; later, nef or not by the curves drawn
+            curves = data.draw(st.lists(st.sampled_from(neg.classes), max_size=2 * (i > 0)))
+            rows.append(scale * nef_part + sum(curves, ZERO))
+    nef = [is_nef(f, neg) for f in rows]
+    assert nef[0] and not nef[1]
+    kernel, ref = fresh(neg), fresh(neg)
+    mask = _deficient_rows(np.array(rows, dtype=object), kernel, cache_all=True)
+    assert mask.tolist() == [scalar_deficient(f, ref) for f in rows]
+    certs = kernel._cache["cert"]
+    for f, is_nef_row in zip(rows, nef):
+        assert kernel._cache["bounds"][f] == scalar_ql_bounds(f, ref)
+        assert (f in certs) == is_nef_row
+        if is_nef_row:
+            assert certs[f] == _direct(f, ref)

@@ -124,3 +124,13 @@ def test_orbit_sorted_deterministic():
     b = orbit(E0).sorted()
     assert a == b
     assert list(a) == sorted(a)
+
+
+def test_orbit_is_cached_for_the_generator_seeds():
+    from fatpoints.cones import GENERATOR_SEEDS
+    assert orbit.cache_info().maxsize == len(GENERATOR_SEEDS)
+    first = [orbit(seed) for seed in GENERATOR_SEEDS]
+    again = [orbit(seed) for seed in GENERATOR_SEEDS]
+    assert again == first
+    assert all(a is b for a, b in zip(again, first))
+    assert [len(o) for o in first] == [72, 27, 216, 720, 216, 27, 1]
