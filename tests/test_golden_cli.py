@@ -3,9 +3,11 @@
 ``golden_cli.json`` holds the exit code and the sha256 of stdout of
 ``verify`` and ``verify --json``, each with and without ``--all-e0``, on
 cases i-iv and the 20 catalog types, of ``nefgens`` and ``nefgens --raw``,
-text and ``--json``, on the six fixture cases, and of three ``verify
+text and ``--json``, on the six fixture cases, of three ``verify
 --depth 13`` runs (levels past 6; on some A1 markings their entries leave
-the int64 key packing range).  A change that means to alter this output
+the int64 key packing range), and of ``hilbert`` and ``resolve``, text and
+``--json``, at the large multiplicities ``LARGE_MULT`` on cases iv and
+general and the types E6, D5 and A5.  A change that means to alter this output
 rewrites the file with ``PYTHONPATH=src python tests/test_golden_cli.py``
 and says why.
 """
@@ -22,6 +24,9 @@ import pytest
 
 from fatpoints.cli import main
 from fatpoints.config import FIXTURE_SPECS, dynkin_catalog
+
+#: Multiplicities of the pinned ``hilbert`` and ``resolve`` runs.
+LARGE_MULT = "200,199,198,100,66,1"
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 NOTE = ("exit code and sha256 of the stdout of `fatpoints <arguments> --config "
@@ -42,6 +47,10 @@ def commands() -> list:
                 out.append(f"{name} nefgens{which}{fmt}")
     out += ["A1 verify --all-e0 --depth 13", "A1 verify --all-e0 --depth 13 --json",
             "i verify --depth 13"]
+    for name in ("iv", "general", "E6", "D5", "A5"):
+        for command in ("hilbert", "resolve"):
+            for fmt in ("", " --json"):
+                out.append(f"{name} {command} --mult {LARGE_MULT}{fmt}")
     return out
 
 
