@@ -11,6 +11,9 @@ reductions take a handful of steps however large the multiplicities;
 chains of -2 curves that pass a multiple back and forth still take more
 steps as the multiplicities grow.  A class falling down a pencil, a few
 units of degree per round, is stopped by a nef witness (``_nef_witness``).
+The loop carries the pairings of the running class with NEG (``_strip``):
+they are dot products once, and a step of n copies of C_j lowers them by n
+times row j of the NEG Gram table, so a step costs one Gram-row update.
 
 ``h0_rows`` reduces a whole array of classes at once: each round pairs
 every unfinished row with the NEG Gram block in one matrix product, retires
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,30 +132,47 @@ def reduce(f: DivisorClass, neg: NegSet) -> Reduction:
     which an effective class never has.
     """
     classes = neg.classes
-    cur = f
-    trace = []
+    effective, cur, _, steps = _strip(f, [f.dot(c) for c in classes], neg)
     counts: dict = {}
-    witnessed = False
+    for j, n in steps:
+        counts[classes[j]] = counts.get(classes[j], 0) + n
+    return Reduction(effective=effective, nef_part=DivisorClass(cur) if steps else f,
+                     fixed_part=tuple(sorted(counts.items())),
+                     trace=tuple(classes[j] if n == 1 else n * classes[j]
+                                 for j, n in steps))
+
+
+def _strip(cur, d: list, neg: NegSet) -> tuple:
+    """``reduce``'s loop on a class given with its pairings d[j] = F.C_j.
+
+    cur is the class as a sequence of 7 ints and d its pairings with the
+    sorted NEG classes.  A step of n copies of C_j subtracts n*C_j from cur
+    and n times row j of the Gram table (``_gram``) from d, so no step
+    makes a dot product.  Returns (effective, cur, d, steps): the class
+    where the loop stopped, as a list unless no step was taken, its
+    pairings, and the (j, n) of each step in order.
+    """
+    classes, gram = neg.classes, _gram(neg)
+    k = len(classes)
+    steps = []
+    start = 0
     while cur[0] >= 0:
-        if trace and len(trace) % WITNESS_STEPS == 0 and _nef_witness(int_rows([cur]), neg)[0]:
-            witnessed = True
-            break
-        for c in classes:
-            d = cur.dot(c)
-            if d < 0:
+        if steps and len(steps) % WITNESS_STEPS == 0 and _nef_witness(int_rows([cur]), neg)[0]:
+            return False, cur, d, steps
+        for j in itertools.chain(range(start, k), range(start)):
+            if d[j] < 0:
                 break
         else:
-            break
-        n = -(d // -c.dot(c))
-        step = c if n == 1 else n * c
-        cur = cur - step
-        trace.append(step)
-        counts[c] = counts.get(c, 0) + n
-        p = classes.index(c) + 1
-        classes = classes[p:] + classes[:p]
-    return Reduction(effective=cur[0] >= 0 and not witnessed, nef_part=cur,
-                     fixed_part=tuple(sorted(counts.items())),
-                     trace=tuple(trace))
+            return True, cur, d, steps
+        c, row = classes[j], gram[j]
+        n = -(d[j] // -row[j])
+        if n > 1:
+            c, row = [n * x for x in c], [n * x for x in row]
+        cur = list(map(operator.sub, cur, c))
+        d = list(map(operator.sub, d, row))
+        steps.append((j, n))
+        start = j + 1
+    return False, cur, d, steps
 
 
 def h0(f: DivisorClass, neg: NegSet) -> int:
@@ -179,6 +200,16 @@ def _neg_blocks(neg: NegSet, dtype) -> tuple:
                                              -(curves * curves) @ _FORM)
         for a in got:
             a.flags.writeable = False
+    return got
+
+
+def _gram(neg: NegSet) -> list:
+    """The NEG Gram table as lists of Python ints, row j the pairings of
+    C_j with the sorted NEG classes: one product of the int64 blocks; cached."""
+    got = neg._cache.get("gram")
+    if got is None:
+        curves, block, _ = _neg_blocks(neg, np.dtype(np.int64))
+        got = neg._cache["gram"] = (curves @ block).tolist()
     return got
 
 

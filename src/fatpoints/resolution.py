@@ -24,7 +24,11 @@ has the same h0.  If F_{t+1} has no sections, neither has F_t, so below
 the first degree without sections nothing is reduced.  A degree past T
 doubles T and walks the new top range down to the old T+1.  Walking down,
 each step strips only the few curves that subtracting E0 makes negative,
-so the cost of a degree does not grow with the multiplicities.
+so the cost of a degree does not grow with the multiplicities.  The walk
+carries the pairings of the nef part with the NEG classes along with it
+(``cones._strip``): subtracting E0 lowers the pairing with C by deg C and
+each step updates them by one row of the NEG Gram table, so a walked
+degree takes no dot product with a NEG class.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ import numbers
 from dataclasses import dataclass
 
 from .config import NegSet, anticanonical_nef
-from .cones import reduce
-from .lattice import E0, DivisorClass, chi
+from .cones import _strip, reduce
+from .lattice import DivisorClass, chi
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -165,7 +169,8 @@ class _DegreeScan:
         return v
 
     def _extend(self, t: int) -> None:
-        """Reduce F_top once, then walk down to the first unknown degree.
+        """Reduce F_top once, then walk down to the first unknown degree,
+        carrying the nef part's pairings with the NEG classes.
 
         The first top is two past the least degree where F_t meets every
         NEG class nonnegatively, near where the Hilbert function settles;
@@ -182,10 +187,16 @@ class _DegreeScan:
         red = reduce(z.class_for_degree(top), neg)
         part = red.nef_part if red.effective else None
         walked = [part]
+        degrees = [c.degree for c in neg.classes]
+        if part is not None:
+            d = [part.dot(c) for c in neg.classes]
         for _ in range(top - old):
             if part is not None:
-                red = reduce(part - E0, neg)
-                part = red.nef_part if red.effective else None
+                cur = list(part)
+                cur[0] -= 1  # (N - E0).C = N.C - deg C
+                effective, cur, d, _ = _strip(
+                    cur, [a - b for a, b in zip(d, degrees)], neg)
+                part = DivisorClass(cur) if effective else None
             walked.append(part)
         walked.reverse()
         self.nef.extend(walked)

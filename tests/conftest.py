@@ -3,8 +3,9 @@ import os
 import pytest
 from hypothesis import settings
 
-from fatpoints.config import FIXTURE_SPECS, PointConfiguration, neg_from_nodal
-from fatpoints.lattice import E
+from fatpoints.config import (FIXTURE_SPECS, NegSet, PointConfiguration, dynkin_catalog,
+                              neg_from_nodal)
+from fatpoints.lattice import E, DivisorClass
 
 # CI runs with HYPOTHESIS_PROFILE=ci: fixed examples, no per-example deadline
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -13,6 +14,18 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 def distinct_case(name):
     return PointConfiguration.from_distinct(FIXTURE_SPECS[name])
+
+
+#: The six distinct fixtures and the 20 catalog types.
+WALK_NEGS = tuple(
+    [distinct_case(c).neg for c in ("i", "ii", "iii", "iv", "general", "conic")]
+    + [PointConfiguration.from_dynkin(n).neg for n in sorted(dynkin_catalog())])
+
+
+def relabelled(neg, perm):
+    """NEG with point i renamed perm[i - 1]."""
+    return NegSet(tuple(DivisorClass((c[0],) + tuple(c[perm[i]] for i in range(6)))
+                        for c in neg))
 
 
 @pytest.fixture(scope="session")

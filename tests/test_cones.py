@@ -14,7 +14,7 @@ from fatpoints.config import (ConfigError, DistinctSpec, NegSet, PointConfigurat
                               dynkin_catalog, neg_from_distinct)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi, through
 
-from conftest import distinct_case
+from conftest import WALK_NEGS, distinct_case, relabelled
 
 # the 39 pared generators of the four-line configuration, as displayed
 PARED_39_ROWS = """
@@ -147,6 +147,71 @@ def per_copy_reduce(f, neg, order=None):
         cur = cur - hit
         counts[hit] = counts.get(hit, 0) + 1
     return False, cur, tuple(sorted(counts.items()))
+
+
+def cyclic_scan_reduce(f, neg):
+    """Reference ``reduce`` that pairs the running class with the NEG
+    classes afresh at every step: it scans them cyclically from the class
+    after the last hit and subtracts ceil(-F.C / -C^2) copies of the first
+    C met negatively, with the same nef witness every ``WITNESS_STEPS``."""
+    classes = neg.classes
+    cur = f
+    trace = []
+    counts = {}
+    witnessed = False
+    while cur[0] >= 0:
+        if trace and len(trace) % WITNESS_STEPS == 0 and \
+                cones._nef_witness(int_rows([cur]), neg)[0]:
+            witnessed = True
+            break
+        for c in classes:
+            d = cur.dot(c)
+            if d < 0:
+                break
+        else:
+            break
+        n = -(d // -c.dot(c))
+        step = c if n == 1 else n * c
+        cur = cur - step
+        trace.append(step)
+        counts[c] = counts.get(c, 0) + n
+        p = classes.index(c) + 1
+        classes = classes[p:] + classes[:p]
+    return cones.Reduction(effective=cur[0] >= 0 and not witnessed, nef_part=cur,
+                           fixed_part=tuple(sorted(counts.items())), trace=tuple(trace))
+
+
+#: A pencil class of the general fixture at scale 10**12, jittered off the
+#: pencil: it falls down the pencil until the nef witness stops it.
+PENCIL_WALK = dict(index=4, perm=(1, 2, 3, 4, 5, 6), coeffs=[3, 2, 1, 1, 1, 1, 1],
+                   scale=10 ** 12, jitter=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(0, len(WALK_NEGS) - 1), perm=st.permutations(range(1, 7)),
+       coeffs=st.lists(st.integers(-3, 60), min_size=7, max_size=7),
+       scale=st.sampled_from((1, 1, 1, 2 ** 40, 10 ** 12)), jitter=st.integers(-3, 3))
+@example(**PENCIL_WALK)
+def test_reduce_matches_cyclic_scan(index, perm, coeffs, scale, jitter):
+    # scale 2**40 and 10**12 put entries past INT64_ENTRY_BOUND, so the
+    # nef witness runs on Python ints
+    neg = relabelled(WALK_NEGS[index], perm)
+    f = DivisorClass([scale * x + jitter for x in coeffs])
+    red = reduce(f, neg)
+    assert red == cyclic_scan_reduce(f, neg)
+    assert type(red.nef_part) is DivisorClass
+
+
+def test_pencil_walk_example_stops_at_the_witness():
+    w = PENCIL_WALK
+    neg = relabelled(WALK_NEGS[w["index"]], w["perm"])
+    f = DivisorClass([w["scale"] * x + w["jitter"] for x in w["coeffs"]])
+    assert max(f) > INT64_ENTRY_BOUND
+    red = cyclic_scan_reduce(f, neg)
+    # stopped at degree >= 0, so by the witness, after a multiple of its period
+    assert not red.effective and red.nef_part[0] >= 0
+    assert len(red.trace) % WITNESS_STEPS == 0 < len(red.trace)
+    assert reduce(f, neg) == red
 
 
 @pytest.fixture(scope="module")
