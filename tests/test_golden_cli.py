@@ -7,7 +7,9 @@ text and ``--json``, on the six fixture cases, of three ``verify
 --depth 13`` runs (levels past 6; on some A1 markings their entries leave
 the int64 key packing range), and of ``hilbert`` and ``resolve``, text and
 ``--json``, at the large multiplicities ``LARGE_MULT`` on cases iv and
-general and the types E6, D5 and A5.  A change that means to alter this output
+general and the types E6, D5 and A5, and at ``ASCENDING_MULT`` on E6 and D4,
+where ``proximity_normalize`` changes the multiplicities; one ``hilbert
+--deg`` run reaches past twice sigma.  A change that means to alter this output
 rewrites the file with ``PYTHONPATH=src python tests/test_golden_cli.py``
 and says why.
 """
@@ -27,6 +29,10 @@ from fatpoints.config import FIXTURE_SPECS, dynkin_catalog
 
 #: Multiplicities of the pinned ``hilbert`` and ``resolve`` runs.
 LARGE_MULT = "200,199,198,100,66,1"
+#: The same values in ascending order: on E6 and D4 the infinitely-near
+#: points get larger multiplicities than the points they lie near, so
+#: normalization rewrites them (E6: 128,128,127,127,127,127).
+ASCENDING_MULT = "1,66,100,198,199,200"
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 NOTE = ("exit code and sha256 of the stdout of `fatpoints <arguments> --config "
@@ -51,6 +57,11 @@ def commands() -> list:
         for command in ("hilbert", "resolve"):
             for fmt in ("", " --json"):
                 out.append(f"{name} {command} --mult {LARGE_MULT}{fmt}")
+    for name in ("E6", "D4"):
+        for command in ("hilbert", "resolve"):
+            for fmt in ("", " --json"):
+                out.append(f"{name} {command} --mult {ASCENDING_MULT}{fmt}")
+    out.append(f"E6 hilbert --mult {ASCENDING_MULT} --deg 800")  # sigma is 383
     return out
 
 
