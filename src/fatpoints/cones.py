@@ -219,10 +219,13 @@ def nef_rows(f: np.ndarray, neg: NegSet) -> np.ndarray:
     return (f[:, 0] >= 0) & (f @ _neg_blocks(neg, f.dtype)[1] >= 0).all(1)
 
 
-@functools.lru_cache(maxsize=1)
-def _fibre_rows() -> np.ndarray:
-    """The 27 conic-bundle classes, the reflection orbit of E0 - E1."""
-    return np.array(sorted(weyl.orbit(GENERATOR_SEEDS[1]).elements), dtype=np.int64)
+@functools.lru_cache(maxsize=None)
+def orbit_rows(seed: DivisorClass) -> tuple:
+    """The reflection orbit of seed sorted, and as a read-only int64 array."""
+    classes = tuple(sorted(weyl.orbit(seed).elements))
+    rows = np.array(classes, dtype=np.int64)
+    rows.flags.writeable = False
+    return classes, rows
 
 
 def _nef_witness(cur: np.ndarray, neg: NegSet) -> np.ndarray:
@@ -234,7 +237,7 @@ def _nef_witness(cur: np.ndarray, neg: NegSet) -> np.ndarray:
     curve of the round in 0 and so is nef with square 0: a conic-bundle
     class, which the running class keeps meeting negatively.
     """
-    rows = _fibre_rows()
+    _, rows = orbit_rows(GENERATOR_SEEDS[1])  # the 27 conic-bundle classes
     nef = rows[nef_rows(rows, neg)]
     return (cur @ (nef * _FORM).T.astype(cur.dtype) < 0).any(1)
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import weyl
 from .config import _CONIC6, NegSet, anticanonical_nef
 from .cones import (chi_rows, gamma, h0, h0_rows, int_rows, is_nef, nef_generators,
-                    nef_rows, pack_keys, packable, reduce)
+                    nef_rows, orbit_rows, pack_keys, packable, reduce)
 from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus
 
 
@@ -231,10 +231,9 @@ def _rational_curve_candidates(neg: NegSet) -> tuple:
     if cache is not None:
         return cache
     cands = list(neg.classes)
-    pared = set(nef_generators(neg).pared)  # nef by construction
-    pool = pared | weyl.orbit(E0).elements | weyl.orbit(E0 - E[1]).elements
-    cands += [c for c in sorted(pool) if c != ZERO and arithmetic_genus(c) == 0
-              and (c in pared or is_nef(c, neg))]
+    pool = set(nef_generators(neg).pared).union(  # pared: nef by construction
+        _nef_orbit(E0, neg), _nef_orbit(E0 - E[1], neg))
+    cands += [c for c in sorted(pool) if c != ZERO and arithmetic_genus(c) == 0]
     out = tuple(dict.fromkeys(cands))
     neg._cache["rc_cands"] = out
     return out
@@ -624,9 +623,15 @@ def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
 # Markings
 
 
+def _nef_orbit(seed: DivisorClass, neg: NegSet) -> tuple:
+    """Nef members of the orbit of seed, sorted: one ``nef_rows`` product."""
+    classes, rows = orbit_rows(seed)
+    return tuple(itertools.compress(classes, nef_rows(rows, neg).tolist()))
+
+
 def e0_classes(neg: NegSet) -> tuple:
     """Nef members of the orbit of E0: the possible plane markings."""
-    return tuple(h for h in sorted(weyl.orbit(E0).elements) if is_nef(h, neg))
+    return _nef_orbit(E0, neg)
 
 
 def exceptional_configuration(h: DivisorClass, neg: NegSet) -> tuple:

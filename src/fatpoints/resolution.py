@@ -10,25 +10,32 @@ counts follow as s_i = t_i - (third difference of the Hilbert function).
 The Hilbert function and resolution are those of Harbourne, *Free
 resolutions of fat point ideals on P2* (JPAA 125, 1998).
 
-Every degree is read off one scan that walks down the degrees.  It
-reduces F_T once at a top degree T, then gets degree t from the nef part
-N_{t+1} of degree t+1 by reducing N_{t+1} - E0 instead of F_t.  This is
-exact.  Fix(F + E0) <= Fix(F), because |E0| is base-point free.  Each
-``reduce`` step subtracts only a forced component: copies of an
-irreducible curve C with F.C < 0.  Those copies stay forced in F_t =
-F_{t+1} - E0, since E0.C >= 0.  Two distinct forced curves stay forced
-after either is subtracted, since they meet nonnegatively, so the order of
-forced subtractions does not change where they end.  Hence N_{t+1} - E0
-(F_t less the fixed part of F_{t+1}) reduces to the nef part of F_t and
-has the same h0.  If F_{t+1} has no sections, neither has F_t, so below
-the first degree without sections nothing is reduced.  A degree past T
-doubles T and walks the new top range down to the old T+1.  Walking down,
-each step strips only the few curves that subtracting E0 makes negative,
-so the cost of a degree does not grow with the multiplicities.  The walk
-carries the pairings of the nef part with the NEG classes along with it
-(``cones._strip``): subtracting E0 lowers the pairing with C by deg C and
-each step updates them by one row of the NEG Gram table, so a walked
-degree takes no dot product with a NEG class.
+Every invariant is read off one degree table (``_table``): two lists,
+the nef part N_t of F_t (None without sections) and its section count
+h0(F_t), for t = 0..T.  ``hilbert`` finds alpha and tau on the h0 list,
+with h1 = h0 - chi by Riemann-Roch; ``betti`` and ``mu_cokernel`` read the
+cokernels off both lists.  The NegSet keeps the table of the last scheme
+asked about, so ``hilbert`` followed by ``betti`` fills it once.
+
+The table is filled walking down the degrees.  It reduces F_T once at a
+top degree T, two past the least degree where F_T meets every NEG class
+nonnegatively, then gets degree t from N_{t+1} by reducing N_{t+1} - E0
+instead of F_t.  This is exact.  Fix(F + E0) <= Fix(F), because |E0| is
+base-point free.  Each ``reduce`` step subtracts only a forced component:
+copies of an irreducible curve C with F.C < 0.  Those copies stay forced
+in F_t = F_{t+1} - E0, since E0.C >= 0.  Two distinct forced curves stay
+forced after either is subtracted, since they meet nonnegatively, so the
+order of forced subtractions does not change where they end.  Hence
+N_{t+1} - E0 (F_t less the fixed part of F_{t+1}) reduces to N_t and has
+the same h0.  If F_{t+1} has no sections, neither has F_t, so below the
+first degree without sections nothing is reduced.  A degree past T at
+least doubles T and walks the new top range down to the old T+1.  Walking
+down, each step strips only the few curves that subtracting E0 makes
+negative, so the cost of a degree does not grow with the multiplicities.
+The walk carries the pairings of the nef part with the NEG classes along
+with it (``cones._strip``): subtracting E0 lowers the pairing with C by
+deg C and each step updates them by one row of the NEG Gram table, so a
+walked degree takes no dot product with a NEG class.
 """
 
 from __future__ import annotations
@@ -128,79 +135,73 @@ class HilbertProfile:
         return got
 
 
-class _DegreeScan:
-    """Nef parts of F_t for t = 0..top, found walking down; see module doc.
+def _table(z: FatPointScheme, t: int) -> tuple:
+    """The lists (nef, h0) of the degree table of a normalized z (module
+    doc), extended to cover degree t.
 
-    ``nef[t]`` is the nef part ``reduce`` gives F_t, or None when F_t has
-    no sections, and ``h0[t]`` is the section count of F_t.  A degree past
-    the top extends the scan.  The lists are kept on the NegSet, keyed by
-    the normalized multiplicities of z, so that ``hilbert`` followed by
-    ``betti`` scans once; the scan object itself is not, so the cache holds
-    no reference back to the NegSet.
+    ``nef[u]`` is the nef part ``reduce`` gives F_u, or None when F_u has no
+    sections; ``h0[u]`` is the section count of F_u.  One slot on the
+    NegSet, keyed by the multiplicities, holds the lists.
     """
+    neg = z.neg
+    key, nef, h0 = neg._cache.get("scan", (None, None, None))
+    if key != z.multiplicities:
+        nef, h0 = [], []
+        neg._cache["scan"] = (z.multiplicities, nef, h0)
+    old = len(nef)
+    if t < old:
+        return nef, h0
+    if old:
+        top = max(t, 2 * old)
+    else:
+        f0 = z.class_for_degree(0)  # F_u.C = u*C.degree + F_0.C
+        top = max(t, 2 + max([0] + [-(f0.dot(c) // c.degree)
+                                    for c in neg if c.degree > 0]))
+    red = reduce(z.class_for_degree(top), neg)
+    part = red.nef_part if red.effective else None
+    walked = [part]
+    degrees = [c.degree for c in neg.classes]
+    if part is not None:
+        d = [part.dot(c) for c in neg.classes]
+    for _ in range(top - old):
+        if part is not None:
+            cur = list(part)
+            cur[0] -= 1  # (N - E0).C = N.C - deg C
+            effective, cur, d, _ = _strip(
+                cur, [a - b for a, b in zip(d, degrees)], neg)
+            part = DivisorClass(cur) if effective else None
+        walked.append(part)
+    walked.reverse()
+    nef.extend(walked)
+    h0.extend(0 if p is None else chi(p) for p in walked)
+    return nef, h0
 
-    def __init__(self, z: FatPointScheme):
-        self.z = z
-        self.nef, self.h0 = z.neg._cache.setdefault("scan", {}).setdefault(
-            z.multiplicities, ([], []))
-        # chi(F_t) = (t+1)(t+2)/2 - conditions, by Riemann-Roch
-        self.conditions = sum(m * (m + 1) // 2 for m in z.multiplicities)
 
-    def nef_part(self, t: int) -> DivisorClass | None:
-        if t < 0:
-            return None
-        if t >= len(self.nef):
-            self._extend(t)
-        return self.nef[t]
-
-    def sections(self, t: int) -> int:
-        if t < 0:
-            return 0
-        if t >= len(self.h0):
-            self._extend(t)
-        return self.h0[t]
-
-    def h1(self, t: int) -> int:
-        """First cohomology of F_t (t >= 0, so that h2 vanishes)."""
-        v = self.sections(t) - ((t + 1) * (t + 2) // 2 - self.conditions)
+def _alpha_tau(z: FatPointScheme) -> tuple:
+    """alpha and tau of a normalized z, read off the degree table, which
+    then covers degree tau + 2 (the two degrees that confirm tau)."""
+    # h1 = h0 - chi(F_t), and chi(F_t) = (t+1)(t+2)/2 - conditions by
+    # Riemann-Roch (t >= 0, so that h2 vanishes)
+    conditions = sum(m * (m + 1) // 2 for m in z.multiplicities)
+    hard_stop = 4 * (sum(z.multiplicities) + 3)
+    _, h0 = _table(z, 0)
+    while True:
+        h1 = [v - (t + 1) * (t + 2) // 2 + conditions for t, v in enumerate(h0)]
+        alpha = next((t for t, v in enumerate(h0) if v), len(h0))
+        tau = next((t for t, v in enumerate(h1) if v <= 0), len(h1))
+        if max(alpha, tau + 2) < len(h0) or len(h0) > hard_stop + 3:
+            break
+        _, h0 = _table(z, len(h0))
+    for t, v in enumerate(h1[:tau + 3]):
         if v < 0:
             raise ArithmeticError(
                 f"negative h1 in degree {t}; section count corrupted")
-        return v
-
-    def _extend(self, t: int) -> None:
-        """Reduce F_top once, then walk down to the first unknown degree,
-        carrying the nef part's pairings with the NEG classes.
-
-        The first top is two past the least degree where F_t meets every
-        NEG class nonnegatively, near where the Hilbert function settles;
-        later tops at least double.
-        """
-        z, neg = self.z, self.z.neg
-        old = len(self.nef)
-        if old:
-            top = max(t, 2 * old)
-        else:
-            f0 = z.class_for_degree(0)  # F_t.C = t*C.degree + F_0.C
-            top = max(t, 2 + max([0] + [-(f0.dot(c) // c.degree)
-                                        for c in neg if c.degree > 0]))
-        red = reduce(z.class_for_degree(top), neg)
-        part = red.nef_part if red.effective else None
-        walked = [part]
-        degrees = [c.degree for c in neg.classes]
-        if part is not None:
-            d = [part.dot(c) for c in neg.classes]
-        for _ in range(top - old):
-            if part is not None:
-                cur = list(part)
-                cur[0] -= 1  # (N - E0).C = N.C - deg C
-                effective, cur, d, _ = _strip(
-                    cur, [a - b for a, b in zip(d, degrees)], neg)
-                part = DivisorClass(cur) if effective else None
-            walked.append(part)
-        walked.reverse()
-        self.nef.extend(walked)
-        self.h0.extend(0 if p is None else chi(p) for p in walked)
+    if max(alpha, tau) > hard_stop + 1:
+        raise ArithmeticError("Hilbert scan failed to stabilize")
+    if h1[tau + 1] or h1[tau + 2]:
+        raise ArithmeticError(
+            f"first cohomology failed to stay zero past degree {tau}")
+    return alpha, tau
 
 
 def hilbert(z: FatPointScheme, t_max: int | None = None) -> HilbertProfile:
@@ -210,32 +211,23 @@ def hilbert(z: FatPointScheme, t_max: int | None = None) -> HilbertProfile:
     normalization.  The values run through the first degree where the
     first-cohomology term of the degree class vanishes, which is stable in
     the degree, and two confirming degrees are checked anyway.  They are
-    read off the scan that walks down the degrees (module doc): each degree
-    reduces the nef part one degree up less E0, not the degree class.
+    read off the degree table (module doc).
     """
     z = proximity_normalize(z)
-    scan = _DegreeScan(z)
-    values: dict = {}
-    alpha = None
-    tau = None
-    t = 0
-    hard_stop = 4 * (sum(z.multiplicities) + 3)
-    while True:
-        values[t] = scan.sections(t)
-        if alpha is None and values[t] > 0:
-            alpha = t
-        if tau is None and scan.h1(t) == 0:
-            if scan.h1(t + 1) != 0 or scan.h1(t + 2) != 0:
-                raise ArithmeticError(
-                    f"first cohomology failed to stay zero past degree {t}")
-            tau = t
-        if tau is not None and alpha is not None and t >= tau + 2 \
-                and (t_max is None or t >= t_max):
-            break
-        if (alpha is None or tau is None) and t > hard_stop:
-            raise ArithmeticError("Hilbert scan failed to stabilize")
-        t += 1
-    return HilbertProfile(values=values, alpha=alpha, tau=tau, sigma=tau + 1)
+    alpha, tau = _alpha_tau(z)
+    end = max(alpha, tau + 2, t_max or 0)
+    _, h0 = _table(z, end)
+    return HilbertProfile(values=dict(enumerate(h0[:end + 1])), alpha=alpha,
+                          tau=tau, sigma=tau + 1)
+
+
+def _supported(z: FatPointScheme) -> FatPointScheme:
+    """z normalized, after checking that a result covers its configuration."""
+    z = proximity_normalize(z)
+    if not z.is_supported():
+        raise UnsupportedConfigurationError(
+            "infinitely-near configuration without nef anticanonical class")
+    return z
 
 
 def mu_cokernel(z: FatPointScheme, i: int) -> int:
@@ -244,23 +236,22 @@ def mu_cokernel(z: FatPointScheme, i: int) -> int:
     Strips the fixed part of the degree-i class; on the residual nef part
     the multiplication map has maximal rank, and the fixed part contributes
     the difference of section counts one degree up.  The nef part is the
-    one the downward degree scan (module doc) holds for degree i.
+    one the degree table (module doc) holds for degree i.
     """
-    z = proximity_normalize(z)
-    if not z.is_supported():
-        raise UnsupportedConfigurationError(
-            "infinitely-near configuration without nef anticanonical class")
-    return _cokernel(_DegreeScan(z), i)
+    nef, h0 = _table(_supported(z), i + 1)
+    if i < 0:  # degree i has no sections; h0[i] would read from the end
+        return h0[0] if i == -1 else 0
+    return _cokernel(nef, h0, i)
 
 
-def _cokernel(scan: _DegreeScan, i: int) -> int:
-    hi, hnext = scan.sections(i), scan.sections(i + 1)
+def _cokernel(nef: list, h0: list, i: int) -> int:
+    hi, hnext = h0[i], h0[i + 1]
     if hi == 0:
         return hnext
     # hi = chi(m) for the nef part m.  m + E0 meets every NEG class
     # nonnegatively and has degree >= 1, so its section count is its chi,
     # which Riemann-Roch puts at chi(m) + m.E0 + 2
-    hm_up = hi + scan.nef_part(i).degree + 2
+    hm_up = hi + nef[i].degree + 2
     return max(0, hm_up - 3 * hi) + (hnext - hm_up)
 
 
@@ -302,24 +293,19 @@ def betti(z: FatPointScheme) -> BettiTable:
     difference of the Hilbert function, always nonnegative, with one more
     generator than syzygy in total.
     """
-    z = proximity_normalize(z)
-    if not z.is_supported():
-        raise UnsupportedConfigurationError(
-            "infinitely-near configuration without nef anticanonical class")
-    prof = hilbert(z)
-    scan = _DegreeScan(z)
-    alpha, sigma = prof.alpha, prof.sigma
-    t: dict = {}
-    if prof(alpha) > 0:
-        t[alpha] = prof(alpha)
+    z = _supported(z)
+    alpha, tau = _alpha_tau(z)
+    nef, h0 = _table(z, tau + 2)
+    sigma = tau + 1
+    t = {alpha: h0[alpha]}
     for i in range(alpha, sigma):
-        v = _cokernel(scan, i)
+        v = _cokernel(nef, h0, i)
         if v:
             t[i + 1] = v
+    h = [0, 0, 0] + h0[:sigma + 2]  # h[i + 3] is the value in degree i
     s: dict = {}
     for i in range(0, sigma + 2):
-        d3 = prof(i) - 3 * prof(i - 1) + 3 * prof(i - 2) - prof(i - 3)
-        v = t.get(i, 0) - d3
+        v = t.get(i, 0) - (h[i + 3] - 3 * h[i + 2] + 3 * h[i + 1] - h[i])
         if v < 0:
             raise ArithmeticError(
                 f"negative syzygy count at degree {i}; maximal-rank step broken")

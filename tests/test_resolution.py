@@ -346,9 +346,9 @@ def test_degree_walk_matches_upward_scan(data):
     for i in range(-1, ref.sigma + 3):
         assert mu_cokernel(fresh, i) == _reference_mu_cokernel(z, i), i
     nz = proximity_normalize(fresh)
-    scan = resolution._DegreeScan(nz)
-    assert len(scan.nef) > ref.sigma + 1
-    for t, part in enumerate(scan.nef):
+    nef, _ = resolution._table(nz, 0)
+    assert len(nef) > ref.sigma + 1
+    for t, part in enumerate(nef):
         red = reduce(nz.class_for_degree(t), neg)
         assert part == (red.nef_part if red.effective else None), t
 
@@ -399,3 +399,68 @@ def test_betti_steps_do_not_grow_with_multiplicity(monkeypatch, type_name):
         betti(z)
         sigma = hilbert(z).sigma
         assert 0 < steps[0] <= 8 * (sigma + 3), (m, steps[0], sigma)
+
+
+def test_mu_cokernel_first_call_at_edge_degrees():
+    # mu_cokernel as the first call on a NegSet, at degrees below the table
+    # (where a list index would read from its end) and past its first top,
+    # which lies at most two past sum(m): F_t meets every NEG class
+    # nonnegatively from t = sum(m) on
+    rng = random.Random(37)
+    for neg in WALK_NEGS:
+        m = tuple(rng.randint(0, 12) for _ in range(6))
+        z = FatPointScheme(neg=neg, multiplicities=m)
+        past = sum(proximity_normalize(z).multiplicities) + 3
+        for i in (-2, -1, past):
+            fresh = FatPointScheme(neg=NegSet(neg.classes), multiplicities=m)
+            assert mu_cokernel(fresh, i) == _reference_mu_cokernel(z, i), (m, i)
+
+
+def test_scan_cache_holds_one_table(monkeypatch):
+    # the NegSet keeps the table of the last scheme only: betti after
+    # hilbert on one scheme walks no degree, and going back to an earlier
+    # scheme walks its degrees again
+    neg = NegSet(distinct_case("iv").neg.classes)
+    a = FatPointScheme(neg=neg, multiplicities=(2, 2, 6, 2, 2, 2))
+    b = FatPointScheme(neg=neg, multiplicities=(6, 5, 4, 3, 2, 1))
+    calls = [0]
+    plain = cones._strip
+
+    def counted(cur, d, neg):
+        calls[0] += 1
+        return plain(cur, d, neg)
+
+    monkeypatch.setattr(resolution, "_strip", counted)
+    hilbert(a)
+    hilbert(b)
+    key, nef, h0 = neg._cache["scan"]
+    assert key == b.multiplicities and len(nef) == len(h0)
+    calls[0] = 0
+    betti(b)
+    assert calls[0] == 0
+    hilbert(a)
+    assert calls[0] > 0
+
+
+def test_hilbert_checks_the_table(monkeypatch):
+    # corrupted section counts trip the checks hilbert makes on the table;
+    # uncorrupted, (2,2,6,2,2,2) on case iv has tau = 9
+    neg = distinct_case("iv").neg
+    real = resolution._table
+
+    def corrupted(edit):
+        def table(z, t):
+            nef, h0 = real(z, t)
+            return nef, edit(list(h0))
+        return table
+
+    cases = [
+        (lambda h: h[:9] + [h[9] - 1] + h[10:], "negative h1 in degree 9"),
+        (lambda h: h[:10] + [h[10] + 1] + h[11:], "failed to stay zero past degree 9"),
+        (lambda h: [v + 1 for v in h], "failed to stabilize"),
+    ]
+    for edit, message in cases:
+        monkeypatch.setattr(resolution, "_table", corrupted(edit))
+        with pytest.raises(ArithmeticError, match=message):
+            hilbert(FatPointScheme(neg=NegSet(neg.classes),
+                                   multiplicities=(2, 2, 6, 2, 2, 2)))
