@@ -18,7 +18,7 @@ cokernels off both lists.  The NegSet keeps the table of the last scheme
 asked about, so ``hilbert`` followed by ``betti`` fills it once.
 
 The table is filled walking down the degrees.  It reduces F_T once at a
-top degree T, two past the least degree where F_T meets every NEG class
+top degree T, two past the least degree where F_t meets every NEG class
 nonnegatively, then gets degree t from N_{t+1} by reducing N_{t+1} - E0
 instead of F_t.  This is exact.  Fix(F + E0) <= Fix(F), because |E0| is
 base-point free.  Each ``reduce`` step subtracts only a forced component:
