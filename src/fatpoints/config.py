@@ -3,17 +3,19 @@
 A configuration of six points is described either combinatorially, for
 distinct plane points (which maximal subsets are collinear, whether all six
 lie on a conic), or through its set of nodal roots (classes of (-2)-curves)
-when some points are infinitely near.  Either description determines
-NEG(X), the finite set of classes of reduced irreducible curves of negative
-self-intersection on the blow-up, and NEG(X) drives every computation in
-this package.
+when some points are infinitely near.  Either description names the
+curves of square <= -2 in NEG(X), the classes of reduced irreducible curves
+of negative self-intersection on the blow-up.  One rule adds the rest: an
+exceptional class is a curve exactly when it meets all those nonnegatively.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import weyl
 from .lattice import K, MINUS_K, DivisorClass, E, through
@@ -78,12 +80,18 @@ def anticanonical_nef(neg: NegSet) -> bool:
     return all(MINUS_K.dot(c) >= 0 for c in neg)
 
 
+def _with_exceptional(curves) -> NegSet:
+    """NEG from its curves of square <= -2 (a tuple): those curves and every
+    exceptional class that meets each of them nonnegatively."""
+    return NegSet(curves + tuple(e for e in weyl.exceptional_classes()
+                                 if all(e.dot(c) >= 0 for c in curves)))
+
+
 def neg_from_nodal(nodal) -> NegSet:
     """NEG(X) from a set of nodal roots.
 
-    An exceptional class is the class of an actual curve exactly when it
-    meets every nodal root nonnegatively, so NEG is the nodal set together
-    with the surviving exceptional classes.
+    The nodal roots are the curves of square <= -2, so NEG is the nodal set
+    together with the exceptional classes that meet every root nonnegatively.
     """
     nodal = tuple(sorted(set(nodal)))
     for c in nodal:
@@ -92,9 +100,7 @@ def neg_from_nodal(nodal) -> NegSet:
     for a, b in itertools.combinations(nodal, 2):
         if a.dot(b) < 0:
             raise ConfigError(f"nodal roots {a!r}, {b!r} meet negatively")
-    keep = [e for e in weyl.exceptional_classes()
-            if all(e.dot(c) >= 0 for c in nodal)]
-    return NegSet(nodal + tuple(keep))
+    return _with_exceptional(nodal)
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +142,12 @@ class DistinctSpec:
 def neg_from_distinct(spec: DistinctSpec) -> NegSet:
     """NEG(X) for six distinct points with the given collinearity pattern.
 
-    Members: the six basis classes Ei; one line class E0 - sum(Ei, i in S)
-    per maximal collinear subset S; E0-Ei-Ej for every pair on no listed
-    line; and conic classes 2E0 - sum over T for 5-subsets T containing no
-    collinear triple, or the full 2E0-E1-...-E6 when all six are conconic.
+    The curves of square <= -2 are one line class E0 - sum(Ei, i in S) per
+    maximal collinear subset S, and 2E0-E1-...-E6 when all six are conconic;
+    the exceptional classes meeting each of them nonnegatively complete NEG.
     """
-    idx = range(1, 7)
-    classes = list(E[1:])
-    covered_pairs = set()
-    for s in spec.collinear:
-        classes.append(through(1, s))
-        covered_pairs.update(frozenset(p) for p in itertools.combinations(sorted(s), 2))
-    classes += (through(1, p) for p in itertools.combinations(idx, 2)
-                if frozenset(p) not in covered_pairs)
-    if spec.six_on_conic:
-        classes.append(_CONIC6)
-    else:
-        classes += (through(2, t) for t in itertools.combinations(idx, 5)
-                    if not any(len(s & frozenset(t)) >= 3 for s in spec.collinear))
-    return NegSet(tuple(classes))
+    curves = tuple(through(1, s) for s in spec.collinear)
+    return _with_exceptional(curves + ((_CONIC6,) if spec.six_on_conic else ()))
 
 
 #: The named distinct-point configurations that the coordinate oracle
@@ -214,86 +207,52 @@ def dynkin_catalog() -> dict:
     return dict(_CATALOG)
 
 
+def _diagram(roots) -> tuple:
+    """("A", m), ("D", m) or ("E", 6) for a connected set of m nodal roots.
+
+    They form a Dynkin diagram exactly when every pivot of their Cartan
+    matrix (the negated Gram matrix) is positive, and the product of the
+    pivots is m + 1 for A_m, 4 for D_m (m >= 4) and 3 for E6.
+    """
+    m = len(roots)
+    a = [[-x.dot(y) for y in roots] for x in roots]
+    det = 1
+    for k, row in enumerate(a):
+        if row[k] <= 0:
+            det = 0  # not positive definite: no diagram has determinant 0
+            break
+        det *= row[k]
+        for below in a[k + 1:]:
+            if below[k]:
+                f = Fraction(below[k]) / row[k]
+                below[k:] = [x - f * y for x, y in zip(below[k:], row[k:])]
+    for kind, want, fits in (("A", m + 1, True), ("D", 4, m >= 4), ("E", 3, m == 6)):
+        if fits and det == want:
+            return (kind, m)
+    raise ConfigError(f"component of {m} roots is not an A/D/E diagram")
+
+
 def dynkin_classify(nodal) -> str:
     """Recognize a nodal-root set as a disjoint union of A/D/E diagrams.
 
-    Builds the intersection graph (edges where two roots meet once), splits
-    into connected components, and names each by its shape: paths are A_n,
-    a single degree-3 vertex with leg lengths (1,1,n-3) is D_n, legs
-    (1,2,2) on six vertices is E6.  The multiset name sorts components as
+    Splits the intersection graph (edges where two roots meet once) into
+    connected components and names each by ``_diagram``, sorted as
     A1 < A2 < ... < D4 < D5 < E6 with count prefixes, e.g. "2A1A3".
     """
     nodes = tuple(sorted(set(nodal)))
     for c in nodes:
         if c.dot(c) != -2:
             raise ConfigError(f"{c!r} is not a nodal root (square != -2)")
-    n = len(nodes)
-    adj = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = nodes[i].dot(nodes[j])
-            if p not in (0, 1):
-                raise ConfigError(
-                    f"roots {nodes[i]!r}, {nodes[j]!r} pair to {p}, not 0 or 1")
-            if p == 1:
-                adj[i].add(j)
-                adj[j].add(i)
+    for a, b in itertools.combinations(nodes, 2):
+        if a.dot(b) not in (0, 1):
+            raise ConfigError(f"roots {a!r}, {b!r} pair to {a.dot(b)}, not 0 or 1")
     comps = []
-    seen = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        comp = set()
-        stack = [i]
-        seen.add(i)
-        while stack:
-            x = stack.pop()
-            comp.add(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    names = []
-    for comp in comps:
-        m = len(comp)
-        degs = sorted(len(adj[x] & comp) for x in comp)
-        if m == 1:
-            names.append(("A", 1))
-            continue
-        if degs[-1] > 3 or degs.count(3) > 1 or degs.count(0) > 0:
-            raise ConfigError("component is not an A/D/E diagram")
-        if degs[-1] <= 2:
-            if degs.count(1) != 2:
-                raise ConfigError("component contains a cycle")
-            names.append(("A", m))
-            continue
-        branch = next(x for x in comp if len(adj[x] & comp) == 3)
-        legs = []
-        for s in adj[branch] & comp:
-            length, prev, cur = 1, branch, s
-            while True:
-                nxt = (adj[cur] & comp) - {prev}
-                if not nxt:
-                    break
-                if len(nxt) > 1:
-                    raise ConfigError("component is not an A/D/E diagram")
-                prev, cur = cur, nxt.pop()
-                length += 1
-            legs.append(length)
-        legs.sort()
-        if legs == [1, 1, m - 3]:
-            names.append(("D", m))
-        elif legs == [1, 2, 2] and m == 6:
-            names.append(("E", 6))
-        else:
-            raise ConfigError(f"component with legs {legs} is not an A/D/E diagram")
-    names.sort()
-    parts = []
-    for key, grp in itertools.groupby(names):
-        cnt = len(list(grp))
-        parts.append((str(cnt) if cnt > 1 else "") + f"{key[0]}{key[1]}")
-    return "".join(parts)
+    for a in nodes:
+        linked = [comp for comp in comps if any(a.dot(b) for b in comp)]
+        comps = [comp for comp in comps if comp not in linked]
+        comps.append([a, *itertools.chain(*linked)])
+    counts = collections.Counter(sorted(_diagram(comp) for comp in comps))
+    return "".join(f"{n if n > 1 else ''}{kind}{m}" for (kind, m), n in counts.items())
 
 
 def _sets_weyl_equivalent(a, b) -> bool:

@@ -96,11 +96,6 @@ def _exponents(t: int):
     return expo
 
 
-def monomials(t: int) -> tuple:
-    """Exponent triples (a, b, c) with a+b+c = t, highest x-power first."""
-    return tuple(zip(*_exponents(t).tolist()))
-
-
 def _det3(p, q, r) -> int:
     return (p[0] * (q[1] * r[2] - q[2] * r[1])
             - p[1] * (q[0] * r[2] - q[2] * r[0])
@@ -204,7 +199,7 @@ def conditions_matrix(points, mults, t: int, p: int | None = None):
 
     One row per derivative of order below m_i at p_i, differentiated in the
     two coordinates away from a nonzero coordinate of the point; columns
-    follow :func:`monomials`.  Row count is sum of m_i*(m_i+1)/2.  Rows are
+    follow :func:`_exponents`.  Row count is sum of m_i*(m_i+1)/2.  Rows are
     1-D arrays of int64 residues mod p, or of Python ints when p is None.
     """
     points, mults = _checked(points, mults, t)

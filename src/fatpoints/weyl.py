@@ -70,13 +70,14 @@ def orbit(seed: DivisorClass) -> OrbitSet:
     return OrbitSet(seed=seed, elements=frozenset(seen))
 
 
+@functools.lru_cache(maxsize=1)
 def all_roots() -> tuple:
     """All 72 classes with C^2 = -2 and C.K = 0, lexicographically sorted.
 
     The 36 positive roots (nonnegative combinations of the simple roots)
     are the fifteen Ei - Ej with i < j, the twenty E0 - Ei - Ej - Ek and
     2E0 - E1 - ... - E6; the other 36 are their negatives.  Equals the
-    reflection orbit of any simple root.
+    reflection orbit of any simple root.  Cached.
     """
     idx = range(1, 7)
     pos = [E[i] - E[j] for i, j in itertools.combinations(idx, 2)]
@@ -85,11 +86,12 @@ def all_roots() -> tuple:
     return tuple(sorted(pos + [-c for c in pos]))
 
 
+@functools.lru_cache(maxsize=1)
 def exceptional_classes() -> tuple:
     """All 27 classes with C^2 = -1 and C.K = -1, lexicographically sorted.
 
     These are the six basis classes Ei, the fifteen E0-Ei-Ej, and the six
-    2E0 minus five distinct Ei.
+    2E0 minus five distinct Ei.  Cached.
     """
     idx = range(1, 7)
     out = list(E[1:])

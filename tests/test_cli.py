@@ -179,6 +179,8 @@ def test_validation_errors(capsys, tmp_path):
     (("neg",), None, "Is a directory"),  # None: --config names a directory
     pytest.param(("neg",), "[" * 200_000, "nested too deeply",  # a str is the raw text
                  id="nested-200000-deep"),
+    (("neg",), {"kind": "nodal", "roots": [[0, 1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0, 0],
+                                        [0, -1, 0, 1, 0, 0, 0]]}, "A/D/E"),  # a triangle
 ])
 def test_malformed_input_one_line_error(capsys, tmp_path, argv, config, message):
     path = tmp_path / "cfg.json"

@@ -1,16 +1,18 @@
+import collections
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fatpoints.config import (ConfigError, DistinctSpec,
+from fatpoints.config import (ConfigError, DistinctSpec, NegSet,
                               PointConfiguration, anticanonical_nef,
                               dynkin_catalog, dynkin_classify,
                               match_catalog_type, neg_from_distinct,
                               neg_from_nodal)
-from fatpoints.lattice import E, DivisorClass
-from fatpoints.weyl import exceptional_classes, reflect
+from fatpoints.lattice import E, K, DivisorClass, through
+from fatpoints.weyl import all_roots, exceptional_classes, reflect
 
 from conftest import distinct_case
 
@@ -214,3 +216,155 @@ def test_configuration_json(tmp_path, case_iv):
         PointConfiguration.from_dict({"kind": "dynkin", "type": "B2"})
     with pytest.raises(ConfigError):
         PointConfiguration.from_dict({"kind": "wat"})
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the earlier enumerations, kept here as references
+
+
+def _reference_neg_from_distinct(spec):
+    """NEG listed by hand: the Ei, the listed lines, the lines through
+    uncovered pairs, and the conics through 5-subsets with no collinear
+    triple (or the conic through all six)."""
+    idx = range(1, 7)
+    classes = list(E[1:])
+    covered_pairs = set()
+    for s in spec.collinear:
+        classes.append(through(1, s))
+        covered_pairs.update(frozenset(p) for p in itertools.combinations(sorted(s), 2))
+    classes += (through(1, p) for p in itertools.combinations(idx, 2)
+                if frozenset(p) not in covered_pairs)
+    if spec.six_on_conic:
+        classes.append(through(2, idx))
+    else:
+        classes += (through(2, t) for t in itertools.combinations(idx, 5)
+                    if not any(len(s & frozenset(t)) >= 3 for s in spec.collinear))
+    return NegSet(tuple(classes))
+
+
+def _all_distinct_specs():
+    """Every valid DistinctSpec: each family of 3- and 4-point subsets
+    meeting pairwise in at most one point, and the six-on-a-conic spec."""
+    subsets = [c for k in (3, 4) for c in itertools.combinations(range(1, 7), k)]
+
+    def families(start, family):
+        yield DistinctSpec(collinear=family)
+        for i in range(start, len(subsets)):
+            if all(len(set(subsets[i]) & set(s)) <= 1 for s in family):
+                yield from families(i + 1, family + (subsets[i],))
+
+    return [*families(0, ()), DistinctSpec(six_on_conic=True)]
+
+
+def test_neg_from_distinct_matches_enumeration():
+    specs = _all_distinct_specs()
+    assert len(specs) == 347
+    for spec in specs:
+        assert neg_from_distinct(spec) == _reference_neg_from_distinct(spec), spec
+
+
+def _reference_dynkin_classify(nodal):
+    """Name a root set by walking vertex degrees and leg lengths."""
+    nodes = tuple(sorted(set(nodal)))
+    for c in nodes:
+        if c.dot(c) != -2:
+            raise ConfigError("not a nodal root")
+    n = len(nodes)
+    adj = {i: set() for i in range(n)}
+    for i, j in itertools.combinations(range(n), 2):
+        p = nodes[i].dot(nodes[j])
+        if p not in (0, 1):
+            raise ConfigError("pairing not 0 or 1")
+        if p == 1:
+            adj[i].add(j)
+            adj[j].add(i)
+    comps, seen = [], set()
+    for i in range(n):
+        if i in seen:
+            continue
+        comp, stack = set(), [i]
+        seen.add(i)
+        while stack:
+            x = stack.pop()
+            comp.add(x)
+            for y in adj[x] - seen:
+                seen.add(y)
+                stack.append(y)
+        comps.append(comp)
+    names = []
+    for comp in comps:
+        m = len(comp)
+        degs = sorted(len(adj[x] & comp) for x in comp)
+        if m == 1:
+            names.append(("A", 1))
+            continue
+        if degs[-1] > 3 or degs.count(3) > 1 or degs.count(0) > 0:
+            raise ConfigError("not an A/D/E diagram")
+        if degs[-1] <= 2:
+            if degs.count(1) != 2:
+                raise ConfigError("cycle")
+            names.append(("A", m))
+            continue
+        branch = next(x for x in comp if len(adj[x] & comp) == 3)
+        legs = []
+        for s in adj[branch] & comp:
+            length, prev, cur = 1, branch, s
+            while True:
+                nxt = (adj[cur] & comp) - {prev}
+                if not nxt:
+                    break
+                if len(nxt) > 1:
+                    raise ConfigError("not an A/D/E diagram")
+                prev, cur = cur, nxt.pop()
+                length += 1
+            legs.append(length)
+        legs.sort()
+        if legs == [1, 1, m - 3]:
+            names.append(("D", m))
+        elif legs == [1, 2, 2] and m == 6:
+            names.append(("E", 6))
+        else:
+            raise ConfigError("not an A/D/E diagram")
+    names.sort()
+    parts = []
+    for key, grp in itertools.groupby(names):
+        cnt = len(list(grp))
+        parts.append((str(cnt) if cnt > 1 else "") + f"{key[0]}{key[1]}")
+    return "".join(parts)
+
+
+def _square_minus_two():
+    """The classes of square -2 with degree 0..2 and entries -2..2."""
+    grid = itertools.product(range(3), *[range(-2, 3)] * 6)
+    return [c for c in map(DivisorClass, grid) if c.dot(c) == -2]
+
+
+def _classify_or_reject(classify, roots):
+    try:
+        return classify(roots)
+    except ConfigError:
+        return None
+
+
+def test_dynkin_classify_matches_leg_walk():
+    # Random greedy sets of classes meeting pairwise 0 or 1: the 72 roots
+    # of E6 and 24 classes of square -2 that are not orthogonal to K.
+    rng = random.Random(20_241_019)
+    extras = [c for c in _square_minus_two() if K.dot(c) != 0]
+    pool = list(all_roots()) + rng.sample(extras, 24)
+    ok = [[a.dot(b) in (0, 1) for b in pool] for a in pool]
+    seen = collections.defaultdict(set)
+    for _ in range(8_000):
+        size, picked = rng.randint(1, 7), []
+        for i in rng.choices(range(len(pool)), k=40):
+            if len(picked) < size and i not in picked and all(ok[i][j] for j in picked):
+                picked.append(i)
+        roots = [pool[i] for i in picked]
+        want = _classify_or_reject(_reference_dynkin_classify, roots)
+        assert _classify_or_reject(dynkin_classify, roots) == want, roots
+        seen[len(roots)].add(want)
+    # The lattice has signature (1, 6), so a negative definite span has rank
+    # at most 6: every set of 7 is rejected, and no set of 1 or 2 is.
+    assert all(None in seen[m] and len(seen[m]) > 1 for m in range(3, 7))
+    assert None not in seen[1] | seen[2] and seen[7] == {None}
+    assert {"D4", "D5", "E6"} <= set().union(*seen.values())
