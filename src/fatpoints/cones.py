@@ -92,19 +92,16 @@ def is_nef(f: DivisorClass, neg: NegSet) -> bool:
 class Reduction:
     """Outcome of fixed-part extraction.
 
-    When ``effective`` the original class equals ``nef_part`` plus the sum
-    of ``fixed_part`` (a multiset of negative curves with multiplicities);
-    otherwise some intermediate class had negative degree or met a nef
+    The original class is ``nef_part`` plus the sum of ``trace``, whose
+    entries are the multiples n*C of negative curves subtracted in each
+    step, in order; when ``effective`` that sum is the fixed part.
+    Otherwise some intermediate class had negative degree or met a nef
     class negatively, there are no sections, and ``nef_part`` is that
-    class (not nef in general).  In
-    both cases the original class is ``nef_part`` plus the sum of
-    ``trace``, whose entries are the multiples n*C subtracted in each
-    step, in order.
+    class (not nef in general).
     """
 
     effective: bool
     nef_part: DivisorClass
-    fixed_part: tuple  # ((DivisorClass, multiplicity), ...)
     trace: tuple  # n*C subtracted per step, in order
 
 
@@ -115,9 +112,9 @@ def reduce(f: DivisorClass, neg: NegSet) -> Reduction:
     the running class F is subtracted n = ceil(-F.C / -C^2) times in one
     step; each copy would still meet F negatively, so the per-copy loop
     reaches the same result.  The next scan starts after C; a full pass
-    without a hit ends the loop.  The nef part and fixed multiset do not
-    depend on the scan order; tests assert this against an in-test
-    reference that takes an explicit order.
+    without a hit ends the loop.  The nef part and the multiset of curves
+    subtracted do not depend on the scan order; tests assert this against
+    an in-test reference that takes an explicit order.
 
     Termination: the weight W = (19; 6, 5, 4, 3, 2, 1) pairs to at least 1
     with every shape NEG takes in the catalog and distinct-point
@@ -133,11 +130,7 @@ def reduce(f: DivisorClass, neg: NegSet) -> Reduction:
     """
     classes = neg.classes
     effective, cur, _, steps = _strip(f, [f.dot(c) for c in classes], neg)
-    counts: dict = {}
-    for j, n in steps:
-        counts[classes[j]] = counts.get(classes[j], 0) + n
     return Reduction(effective=effective, nef_part=DivisorClass(cur) if steps else f,
-                     fixed_part=tuple(sorted(counts.items())),
                      trace=tuple(classes[j] if n == 1 else n * classes[j]
                                  for j, n in steps))
 
@@ -347,16 +340,17 @@ def pack_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _pare(classes) -> tuple:
-    """Drop classes that are sums of two others, repeating until stable.
+    """Drop the classes that are sums of two members of the set.
 
-    Each pass tests sums against the set entering that pass and removes all
-    hits at once.  Members are sorted, so degrees ascend and a row is only
-    paired with the members from itself up to the largest degree a sum can
-    still have.  Members are packed into sorted int64 keys (``pack_keys``);
-    a block of rows, about ``PARE_CHUNK`` sums, is added to its columns in
-    one step and each sum is looked up by binary search in the keys.  The
-    only caller passes orbit-union classes, whose entries lie in 0..9; a
-    set with an entry outside ``PACK_ENTRY_BOUND`` raises ``ValueError``.
+    One pass suffices: a sum of two survivors is a sum of two members of
+    the whole set, so the pass has dropped it already.  Members are sorted,
+    so degrees ascend and a row is only paired with the members from itself
+    up to the largest degree a sum can still have.  Members are packed into
+    sorted int64 keys (``pack_keys``); a block of rows, about ``PARE_CHUNK``
+    sums, is added to its columns in one step and each sum is looked up by
+    binary search in the keys.  The only caller passes orbit-union classes,
+    whose entries lie in 0..9; a set with an entry outside
+    ``PACK_ENTRY_BOUND`` raises ``ValueError``.
     """
     members = sorted(set(classes))
     rows = np.array(members).reshape(-1, 7)
@@ -364,27 +358,22 @@ def _pare(classes) -> tuple:
         raise ValueError("classes have entries outside the packing range")
     keys = pack_keys(rows)
     deg = rows[:, 0]
-    alive = np.arange(len(members))
-    zero = pack_keys(np.zeros(7, dtype=np.int64))
-    while True:
-        n = len(keys)
-        top = deg[-1] if n else 0
-        shifted = keys - zero
-        hit = np.zeros(n, dtype=bool)
-        i = 0
-        while i < n:
-            stop = np.searchsorted(deg, top - deg[i], side="right")
-            if stop <= i:
-                break
-            end = min(n, i + max(1, PARE_CHUNK // (stop - i)))
-            sums = keys[i:end, None] + shifted[None, i:stop]
-            pos = np.searchsorted(keys, sums)
-            np.minimum(pos, n - 1, out=pos)
-            hit[pos[keys[pos] == sums]] = True
-            i = end
-        if not hit.any():
-            return tuple(members[k] for k in alive.tolist())
-        keys, deg, alive = keys[~hit], deg[~hit], alive[~hit]
+    n = len(keys)
+    top = deg[-1] if n else 0
+    shifted = keys - pack_keys(np.zeros(7, dtype=np.int64))
+    hit = np.zeros(n, dtype=bool)
+    i = 0
+    while i < n:
+        stop = np.searchsorted(deg, top - deg[i], side="right")
+        if stop <= i:
+            break
+        end = min(n, i + max(1, PARE_CHUNK // (stop - i)))
+        sums = keys[i:end, None] + shifted[None, i:stop]
+        pos = np.searchsorted(keys, sums)
+        np.minimum(pos, n - 1, out=pos)
+        hit[pos[keys[pos] == sums]] = True
+        i = end
+    return tuple(itertools.compress(members, (~hit).tolist()))
 
 
 def nef_generators(neg: NegSet) -> GeneratorSet:

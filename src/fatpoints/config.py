@@ -7,6 +7,10 @@ when some points are infinitely near.  Either description names the
 curves of square <= -2 in NEG(X), the classes of reduced irreducible curves
 of negative self-intersection on the blow-up.  One rule adds the rest: an
 exceptional class is a curve exactly when it meets all those nonnegatively.
+
+Explicit nodal roots are validated and their Dynkin type is named; nothing
+else can fail, as every valid root set lies in the Weyl orbit of the
+catalog set of its type (``dynkin_catalog``).
 """
 
 from __future__ import annotations
@@ -203,7 +207,12 @@ _CATALOG = {
 
 
 def dynkin_catalog() -> dict:
-    """Canonical nodal-root sets for the 20 realizable diagram types."""
+    """Canonical nodal-root sets for the 20 realizable diagram types.
+
+    These are all the root-subsystem types of E6 (Harbourne, Trans. AMS
+    349, 1997): a root set that ``dynkin_classify`` accepts lies in the
+    Weyl orbit of one of them.
+    """
     return dict(_CATALOG)
 
 
@@ -255,49 +264,6 @@ def dynkin_classify(nodal) -> str:
     return "".join(f"{n if n > 1 else ''}{kind}{m}" for (kind, m), n in counts.items())
 
 
-def _sets_weyl_equivalent(a, b) -> bool:
-    """Whether two root sets lie in one orbit of the simultaneous W-action.
-
-    The orbit of a set has at most |W(E6)| = 51840 members, so the search
-    always ends.
-    """
-    start = tuple(sorted(a))
-    goal = tuple(sorted(b))
-    if start == goal:
-        return True
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for i in range(6):
-                new = tuple(sorted(weyl.reflect(c, i) for c in state))
-                if new == goal:
-                    return True
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    return False
-
-
-def match_catalog_type(nodal) -> str:
-    """Classify an explicit nodal-root list and confirm it is realizable.
-
-    The diagram name must appear in the catalog and the list must be
-    equivalent to the catalog's canonical set under the reflection group;
-    anything else is rejected rather than guessed.
-    """
-    name = dynkin_classify(nodal)
-    if name not in _CATALOG:
-        raise ConfigError(f"diagram type {name} is not realizable by six points")
-    if not _sets_weyl_equivalent(nodal, _CATALOG[name]):
-        raise ConfigError(
-            f"nodal set classifies as {name} but is not equivalent to its "
-            "canonical configuration")
-    return name
-
-
 # ---------------------------------------------------------------------------
 # Top-level configuration objects
 
@@ -342,8 +308,13 @@ class PointConfiguration:
 
     @classmethod
     def from_nodal(cls, roots) -> "PointConfiguration":
+        """Distinct roots, named by ``dynkin_classify``; ``neg_from_nodal``
+        rejects a class with K.c != 0 and ``NegSet`` one of negative degree.
+        Nothing else can fail (``dynkin_catalog``)."""
         roots = tuple(roots)
-        name = match_catalog_type(roots) if roots else None
+        if len(set(roots)) != len(roots):
+            raise ConfigError("nodal roots must be distinct")
+        name = dynkin_classify(roots) if roots else None
         return cls(kind="nodal", neg=neg_from_nodal(roots), type_name=name)
 
     @classmethod

@@ -62,7 +62,6 @@ import bisect
 import functools
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -78,8 +77,6 @@ ECHELON_CACHE_SIZE = 6
 
 #: Degrees of conditions built past each request; see the module docstring.
 LOOKAHEAD = 4
-
-_GENERAL_SEED = 20_240_613
 
 
 @functools.lru_cache(maxsize=32)
@@ -136,13 +133,8 @@ def fixture_points(case: str) -> tuple:
     elif case == "conic":
         pts = [(1, t, t * t) for t in range(6)]
     elif case == "general":
-        rng = random.Random(_GENERAL_SEED)
-        while True:
-            pts = [(1, rng.randrange(-9, 10), rng.randrange(-9, 10))
-                   for _ in range(6)]
-            if len(set(pts)) == 6 and not _collinear_triples(pts) \
-                    and not _on_common_conic(pts):
-                break
+        pts = [(1, -7, -4), (1, -3, 9), (1, -3, 3),
+               (1, 7, -5), (1, -7, 7), (1, -2, -2)]
     else:
         raise ValueError(f"unknown fixture case {case!r}")
     spec = FIXTURE_SPECS[case]

@@ -181,6 +181,7 @@ def test_validation_errors(capsys, tmp_path):
                  id="nested-200000-deep"),
     (("neg",), {"kind": "nodal", "roots": [[0, 1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0, 0],
                                         [0, -1, 0, 1, 0, 0, 0]]}, "A/D/E"),  # a triangle
+    (("neg",), {"kind": "nodal", "roots": [[0, 1, 1, 0, 0, 0, 0]]}, "nodal root"),  # E1+E2
 ])
 def test_malformed_input_one_line_error(capsys, tmp_path, argv, config, message):
     path = tmp_path / "cfg.json"

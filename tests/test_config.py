@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 from fatpoints.config import (ConfigError, DistinctSpec, NegSet,
                               PointConfiguration, anticanonical_nef,
                               dynkin_catalog, dynkin_classify,
-                              match_catalog_type, neg_from_distinct,
-                              neg_from_nodal)
+                              neg_from_distinct, neg_from_nodal)
 from fatpoints.lattice import E, K, DivisorClass, through
 from fatpoints.weyl import all_roots, exceptional_classes, reflect
 
@@ -152,18 +151,63 @@ def test_anticanonical_nef(case_iv, general):
     assert not anticanonical_nef(four)
 
 
-def test_match_catalog_type_weyl_equivalence():
-    # reflect the canonical 4A1 roots and confirm recognition still works
-    roots = dynkin_catalog()["4A1"]
-    moved = tuple(reflect(reflect(c, 0), 3) for c in roots)
-    assert match_catalog_type(moved) == "4A1"
+def _sets_weyl_equivalent(a, b) -> bool:
+    """Reference: whether two root sets lie in one orbit of the simultaneous
+    W-action, by breadth-first search over the orbit of a (at most
+    |W(E6)| = 51840 sets)."""
+    start = tuple(sorted(a))
+    goal = tuple(sorted(b))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        if goal in frontier:
+            return True
+        nxt = []
+        for state in frontier:
+            for i in range(6):
+                new = tuple(sorted(reflect(c, i) for c in state))
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return False
 
 
-def test_catalog_sets_single_orbit():
-    # each catalog entry is recovered from any reflection image of itself
-    for name, roots in dynkin_catalog().items():
-        moved = tuple(reflect(c, 2) for c in roots)
-        assert match_catalog_type(moved) == name
+def test_weyl_moved_catalog_sets_keep_their_type():
+    # a root set moved by a Weyl word keeps its type; from_nodal names it,
+    # unless a moved root has negative degree, which NegSet rejects
+    rng = random.Random(19)
+    outcomes = set()
+    for name, roots in sorted(dynkin_catalog().items()):
+        moved = roots
+        for i in (rng.randrange(6) for _ in range(12)):
+            moved = tuple(reflect(c, i) for c in moved)
+        assert dynkin_classify(moved) == name
+        assert _sets_weyl_equivalent(moved, roots), name
+        loads = min(c.degree for c in moved) >= 0
+        outcomes.add(loads)
+        if loads:
+            assert PointConfiguration.from_nodal(moved).type_name == name
+        else:
+            with pytest.raises(ConfigError, match="degree"):
+                PointConfiguration.from_nodal(moved)
+    assert outcomes == {True, False}
+    catalog = dynkin_catalog()
+    assert not _sets_weyl_equivalent(catalog["2A1"], catalog["A2"])
+
+
+def test_from_nodal_rejects_what_is_not_a_root_set():
+    # E1+E2 has square -2 but K.(E1+E2) = -2: a valid A1 diagram, not a root
+    e12 = E[1] + E[2]
+    assert e12.dot(e12) == -2 and K.dot(e12) != 0
+    assert dynkin_classify((e12,)) == "A1"
+    with pytest.raises(ConfigError, match="nodal root"):
+        PointConfiguration.from_nodal((e12,))
+    with pytest.raises(ConfigError, match="nodal root"):
+        PointConfiguration.from_nodal((E[3] - E[4], e12))
+    with pytest.raises(ConfigError, match="distinct"):
+        PointConfiguration.from_nodal((E[1] - E[2], E[1] - E[2]))
+    assert PointConfiguration.from_nodal(()).type_name is None
 
 
 def _valid_collinear_families():
