@@ -173,6 +173,34 @@ def _sets_weyl_equivalent(a, b) -> bool:
     return False
 
 
+def _assert_recognized(moved, roots, name):
+    """The moved set keeps the catalog type: dynkin_classify names it, it lies
+    in the orbit of the catalog set, and from_nodal names it unless a moved
+    root has negative degree, which NegSet rejects."""
+    assert dynkin_classify(moved) == name
+    assert _sets_weyl_equivalent(moved, roots), name
+    if min(c.degree for c in moved) >= 0:
+        assert PointConfiguration.from_nodal(moved).type_name == name
+    else:
+        with pytest.raises(ConfigError, match="degree"):
+            PointConfiguration.from_nodal(moved)
+
+
+def test_match_catalog_type_weyl_equivalence():
+    # reflect the canonical 4A1 roots and confirm recognition still works
+    roots = dynkin_catalog()["4A1"]
+    moved = tuple(reflect(reflect(c, 0), 3) for c in roots)
+    assert moved != roots
+    _assert_recognized(moved, roots, "4A1")
+
+
+def test_catalog_sets_single_orbit():
+    # each catalog entry is recovered from a reflection image of itself
+    for name, roots in dynkin_catalog().items():
+        moved = tuple(reflect(c, 2) for c in roots)
+        _assert_recognized(moved, roots, name)
+
+
 def test_weyl_moved_catalog_sets_keep_their_type():
     # a root set moved by a Weyl word keeps its type; from_nodal names it,
     # unless a moved root has negative degree, which NegSet rejects
