@@ -29,6 +29,11 @@ class ConfigError(ValueError):
     """A point-configuration description violates its invariants."""
 
 
+def _row(c: DivisorClass) -> list:
+    """``c`` as errors show it: the display row a config file gives."""
+    return list(c.display_row())
+
+
 # ---------------------------------------------------------------------------
 # NEG sets
 
@@ -50,12 +55,12 @@ class NegSet:
         object.__setattr__(self, "classes", tuple(sorted(set(self.classes))))
         for c in self.classes:
             if c.dot(c) >= 0:
-                raise ConfigError(f"{c!r} has nonnegative self-intersection")
+                raise ConfigError(f"{_row(c)} has nonnegative self-intersection")
             if not 0 <= c.degree <= 2:
-                raise ConfigError(f"{c!r} has degree outside 0..2")
+                raise ConfigError(f"{_row(c)} has degree outside 0..2")
         for a, b in itertools.combinations(self.classes, 2):
             if a.dot(b) < 0:
-                raise ConfigError(f"distinct members {a!r}, {b!r} meet negatively")
+                raise ConfigError(f"distinct members {_row(a)}, {_row(b)} meet negatively")
 
     def __hash__(self):
         return hash(self.classes)
@@ -100,10 +105,10 @@ def neg_from_nodal(nodal) -> NegSet:
     nodal = tuple(sorted(set(nodal)))
     for c in nodal:
         if c.dot(c) != -2 or K.dot(c) != 0:
-            raise ConfigError(f"{c!r} is not a nodal root")
+            raise ConfigError(f"{_row(c)} is not a nodal root")
     for a, b in itertools.combinations(nodal, 2):
         if a.dot(b) < 0:
-            raise ConfigError(f"nodal roots {a!r}, {b!r} meet negatively")
+            raise ConfigError(f"nodal roots {_row(a)}, {_row(b)} meet negatively")
     return _with_exceptional(nodal)
 
 
@@ -251,10 +256,10 @@ def dynkin_classify(nodal) -> str:
     nodes = tuple(sorted(set(nodal)))
     for c in nodes:
         if c.dot(c) != -2:
-            raise ConfigError(f"{c!r} is not a nodal root (square != -2)")
+            raise ConfigError(f"{_row(c)} is not a nodal root (square != -2)")
     for a, b in itertools.combinations(nodes, 2):
         if a.dot(b) not in (0, 1):
-            raise ConfigError(f"roots {a!r}, {b!r} pair to {a.dot(b)}, not 0 or 1")
+            raise ConfigError(f"roots {_row(a)}, {_row(b)} pair to {a.dot(b)}, not 0 or 1")
     comps = []
     for a in nodes:
         linked = [comp for comp in comps if any(a.dot(b) for b in comp)]

@@ -8,11 +8,12 @@ point) are the rows.  The multiplication maps are read off explicit
 monomial bases, so their kernel and cokernel dimensions come straight from
 matrix ranks, with no cone geometry anywhere.
 
-The conditions matrix is gathered with numpy, all points at once, from
-small tables: the exponents of the degree-t monomials, and the derivatives
-of the powers of each coordinate (a falling factorial times a power).  The
-tables are exact Python ints; a mod-p matrix is gathered from their
-residues in int64, an exact one stays in Python ints or Fractions
+The conditions are built a degree at a time by the Leibniz rule: times
+a coordinate X, the derivative d_u^du d_v^dv (X g) is X d_u^du d_v^dv g
+plus du d_u^(du-1) d_v^dv g when X is u (dv d_u^du d_v^(dv-1) g when X is
+v), so the column of a monomial times X comes from its own column and its
+rows one derivative lower (:class:`_Conditions`).  Mod p the entries are
+int64 residues; an exact matrix holds Python ints or Fractions
 (``dtype=object``).
 
 One elimination kernel, :func:`_rref`, brings a matrix to reduced row
@@ -32,8 +33,9 @@ rank C_t is the number of pivots below N_t, and the basis of the ideal
 I_t is read off the same echelon form.  :class:`_Echelon` keeps it up to
 the highest degree T asked, with the row transform U carried as extra
 columns; a request above T appends U times the new columns and resumes at
-column N_T, so each column is eliminated once.  The conditions themselves
-are built ``LOOKAHEAD`` degrees ahead, as callers walk up the degrees.
+column N_T, so each column is eliminated once.  As x is 1 at every point,
+the new columns of degree k+1 are those of degree k times y, then the last
+times z: the state keeps only its latest degree block of conditions.
 
 Multiplication.  Times x, column j of degree t stays column j; times y
 and z, the last t+1 columns (the monomials without x) move to the new
@@ -41,8 +43,12 @@ columns N_t..N_{t+1}-1, unshifted and shifted by one.  A form of degree
 t+1 that vanishes on the new columns is x times a form of degree t, which
 lies in I_t because x vanishes at no point of the chart; so x*I_t is the
 part of the image that vanishes there, and the image of I_t times the
-linear forms has rank dim I_t plus that of y*B and z*B on the new columns,
-for B a basis of I_t: a 2 dim I_t x (t+2) matrix.
+linear forms has rank dim I_t plus that of y*T and z*T, for T the
+restriction of I_t to x = 0.  For the same reason T has v = dim I_t -
+dim I_{t-1} rows, one per free column of degree t, and is the identity
+on those columns F.  Clearing F from z*T by y*T leaves
+Z = z*T - (z*T)[:, F] y*T, zero on F, so the rank is v plus that of Z
+outside F: a v x (t+2-v) elimination, run on whichever side is shorter.
 
 Ranks are computed modulo two independent primes above 10^6 and fall back
 to exact rational elimination if the primes disagree or one divides some
@@ -52,8 +58,8 @@ the degree, which stay nonzero for primes this large.
 :func:`_echelon` keeps the states of the last ``ECHELON_CACHE_SIZE`` keys
 (points, mults, p), enough for a scheme walked up the degrees (two states,
 three on the exact route).  A state with R conditions at degree T holds
-R x (N_T + R) entries and the R x N_{T+LOOKAHEAD} conditions: about 3.7 MB
-of int64 for multiplicities 20, 0, ..., 0 at degree 41.
+R x (N_T + R) entries and an R x (T+1) block: about 1.9 MB of int64 for
+multiplicities 20, 0, ..., 0 at degree 41.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -74,24 +79,6 @@ FIXTURE_CASES = tuple(FIXTURE_SPECS)
 
 #: Echelon states kept by ``_echelon``; see the module docstring.
 ECHELON_CACHE_SIZE = 6
-
-#: Degrees of conditions built past each request; see the module docstring.
-LOOKAHEAD = 4
-
-
-@functools.lru_cache(maxsize=32)
-def _exponents(t: int):
-    """Exponents (a, b, c) of the degree-t monomials as a 3 x n array.
-
-    Column s(s+1)/2 + c holds x^(t-s) y^(s-c) z^c: highest x-power first,
-    then highest y-power.  Cached, read-only.
-    """
-    s = np.repeat(np.arange(t + 1), np.arange(1, t + 2))
-    c = np.arange(s.size) - s * (s + 1) // 2
-    expo = np.stack((t - s, s - c, c))
-    expo.flags.writeable = False
-    return expo
-
 
 def _det3(p, q, r) -> int:
     return (p[0] * (q[1] * r[2] - q[2] * r[1])
@@ -166,61 +153,83 @@ def _checked(points, mults, t: int):
 # Conditions matrix
 
 
-def _derivative_table(values, m: int, t: int, p: int | None):
-    """[i, d, e] -> the d-th derivative of X^e at X = values[i], for d < m
-    and e <= t: e!/(e-d)! * values[i]^(e-d), zero for d > e.
+class _Conditions:
+    """How to build the vanishing conditions of a scheme a degree at a time,
+    one column per monomial, by the Leibniz rule.
 
-    The falling factorials and powers are exact (Python ints, Fractions at
-    rational values); mod p the table is their residues multiplied in int64.
+    One row per (point, du, dv) with du + dv < m, point by point, du-major:
+    the derivative d_u^du d_v^dv at the point, taken in the two coordinates
+    u, v other than w, the first nonzero coordinate of the point.  Mod p
+    the entries are int64 residues; when p is None they are the exact
+    values (Python ints, or Fractions at rational points).
     """
-    falling = [[math.perm(e, d) for e in range(t + 1)] for d in range(m)]
-    if p is None:
-        falling = np.array(falling, dtype=object)
-        powers = np.array([[x ** k for k in range(t + 1)] for x in values], dtype=object)
-    else:
-        falling = np.array([[v % p for v in row] for row in falling], dtype=np.int64)
-        powers = np.array([[pow(x, k, p) for k in range(t + 1)] for x in values],
-                          dtype=np.int64)
-    e = np.arange(t + 1)
-    table = falling * powers[:, np.maximum(e - np.arange(m)[:, None], 0)]
-    return table if p is None else table % p
+
+    def __init__(self, points, mults, p: int | None):
+        self.p = p
+        dtype = object if p is None else np.int64
+        orders = np.arange(max(mults, default=0))
+        place = np.add.outer(orders, orders) < np.array(mults)[:, None, None]
+        owner, du, dv = np.nonzero(place)
+        self.count = count = len(owner)
+        rows = np.zeros(place.shape, dtype=np.intp)
+        rows[owner, du, dv] = np.arange(count)
+        # the rows of (du - 1, dv) and (du, dv - 1), read only where du, dv > 0
+        down_u, down_v = rows[owner, du - 1, dv], rows[owner, du, dv - 1]
+        self.origin = np.zeros((count, 1), dtype=dtype)
+        self.origin[du + dv == 0] = 1
+        uv = []
+        for point, m in zip(points, mults):
+            w = next(ax for ax in range(3) if point[ax] != 0) if m else 0
+            uv.append([ax for ax in range(3) if ax != w])
+        u, v = np.array(uv, dtype=np.intp).reshape(-1, 2)[owner].T
+        at = np.array([point if p is None else [x % p for x in point] for point in points],
+                      dtype=dtype).reshape(-1, 3)[owner]
+        # [axis, row]: the coefficient of the derivative one order lower in u
+        # (in v) of the product with that axis, du (dv) where u (v) is the axis
+        lower_u, lower_v = np.zeros((2, 3, count), dtype=dtype)
+        lower_u[u, np.arange(count)] = du
+        lower_v[v, np.arange(count)] = dv
+        self.terms = []
+        for ax in range(3):
+            self.terms.append((at[:, ax, None], [(lower[ax, :, None], down) for lower, down in
+                                                 ((lower_u, down_u), (lower_v, down_v))
+                                                 if lower[ax].any()]))
+
+    def times(self, ax: int, cols):
+        """The columns of the monomials ``cols`` stands for, times coordinate
+        ``ax``: d(X g) = X dg + du d_u^(du-1) d_v^dv g + dv d_u^du d_v^(dv-1) g
+        with the last two terms only where u, v is ``ax``."""
+        at, lower = self.terms[ax]
+        out = at * cols
+        for coef, rows in lower:
+            out += coef * cols[rows]
+        return out if self.p is None else out % self.p
+
+    def up(self, block):
+        """The columns of the degree-(k+1) monomials without x, from those
+        of degree k (``block``, z-power ascending): y times each, then z
+        times the last."""
+        return np.concatenate((self.times(1, block), self.times(2, block[:, -1:])), axis=1)
 
 
 def conditions_matrix(points, mults, t: int, p: int | None = None):
     """Vanishing conditions for the fat point scheme in degree t.
 
     One row per derivative of order below m_i at p_i, differentiated in the
-    two coordinates away from a nonzero coordinate of the point; columns
-    follow :func:`_exponents`.  Row count is sum of m_i*(m_i+1)/2.  Rows are
-    1-D arrays of int64 residues mod p, or of Python ints when p is None.
+    two coordinates away from a nonzero coordinate of the point.  Column
+    s(s+1)/2 + c holds x^(t-s) y^(s-c) z^c: highest x-power first, then
+    highest y-power.  Degree k+1 is [x C_k | the last k+1 columns of C_k
+    times y | its last column times z].  Row count is sum of m_i*(m_i+1)/2.
+    Rows are 1-D arrays of int64 residues mod p, or of exact values when p
+    is None.
     """
     points, mults = _checked(points, mults, t)
-    live = [(point, m) for point, m in zip(points, mults) if m > 0]
-    if not live:
-        return []
-    values = sorted({x for point, _ in live for x in point})
-    table = _derivative_table(values, max(m for _, m in live), t, p)
-    # per point: the index in ``values`` and the axis of the coordinates
-    # (u, v, w), w the first nonzero one, which is not differentiated
-    index, axis = [], []
-    for point, _ in live:
-        w = next(ax for ax in range(3) if point[ax] != 0)
-        uvw = [ax for ax in range(3) if ax != w] + [w]
-        index.append([values.index(point[ax]) for ax in uvw])
-        axis.append(uvw)
-    index, axis = np.array(index), np.array(axis)
-    # one row per (point, du, dv) with du + dv < m, du-major
-    orders = np.arange(table.shape[1])
-    row_point, du, dv = np.nonzero(np.add.outer(orders, orders)
-                                   < np.array([m for _, m in live])[:, None, None])
-    expo = _exponents(t)[axis[row_point]]  # [row, u/v/w, column]
-    index = index[row_point][:, :, None]
-    block = (table[index[:, 0], du[:, None], expo[:, 0]]
-             * table[index[:, 1], dv[:, None], expo[:, 1]])
-    if p is not None:
-        block %= p
-    block *= table[index[:, 2], 0, expo[:, 2]]
-    return list(block if p is None else block % p)
+    conditions = _Conditions(points, mults, p)
+    c = conditions.origin
+    for k in range(t):
+        c = np.concatenate((conditions.times(0, c), conditions.up(c[:, -(k + 1):])),
+                           axis=1)
+    return list(c)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +293,6 @@ def _rref(a, p: int | None, start: int = 0, stop: int | None = None,
     return pivots
 
 
-def _kernel_basis(pivots, reduced, ncols: int, p: int | None):
-    """Right-kernel basis from an RREF, one vector per free column."""
-    free = np.ones(ncols, dtype=bool)
-    free[pivots] = False
-    basis = np.zeros((ncols - len(pivots), ncols), dtype=reduced.dtype)
-    basis[np.arange(len(basis)), np.flatnonzero(free)] = 1
-    basis[:, pivots] = -reduced[:, free].T
-    return basis if p is None else basis % p
-
-
 def _rank_exact(rows) -> int:
     ncols = len(rows[0]) if len(rows) else 0
     return len(_rref(_matrix(rows, ncols, None), None))
@@ -323,33 +322,37 @@ class _Echelon:
     echelon form up to degree ``degree``, over F_p or over Q when p is
     None; see the module docstring.
 
-    ``a`` is [the reduced columns of C_degree | the row transform U], and
-    ``pivots`` lists the pivot column of each leading row.
+    ``a`` is [the reduced columns of C_degree | the row transform U],
+    ``pivots`` lists the pivot column of each leading row, and ``block``
+    holds the conditions of the degree-``degree`` monomials without x, the
+    last columns of C_degree before elimination.  Once every row has a
+    pivot, no column adds rank and ``a`` stops growing.
     """
 
     def __init__(self, chart, mults, p: int | None):
-        self.chart, self.mults, self.p = chart, mults, p
+        self.p = p
+        self.conditions = _Conditions(chart, mults, p)
         self.degree = -1
         self.pivots = []
-        nrows = sum(m * (m + 1) // 2 for m in mults)
-        self.a = np.identity(nrows, dtype=object if p is None else np.int64)
-        self.columns = np.zeros((nrows, 0), dtype=self.a.dtype)
+        self.block = None
+        self.a = np.identity(self.conditions.count, dtype=object if p is None else np.int64)
 
     def grow(self, t: int) -> None:
         """Extend the echelon form to the columns of degree t."""
         if t <= self.degree:
             return
-        old, new = _ncols(self.degree), _ncols(t)
-        if new > self.columns.shape[1]:
-            built = t + LOOKAHEAD
-            rows = conditions_matrix(self.chart, self.mults, built, self.p)
-            self.columns = _matrix(rows, _ncols(built), self.p)
-        u = self.a[:, old:]
-        cols = u @ self.columns[:, old:new]
-        if self.p is not None:
-            cols %= self.p  # each entry is a sum of R products below p^2
-        self.a = np.hstack((self.a[:, :old], cols, u))
-        _rref(self.a, self.p, old, new, self.pivots)
+        blocks = []
+        for k in range(self.degree + 1, t + 1):
+            self.block = self.conditions.origin if k == 0 else self.conditions.up(self.block)
+            blocks.append(self.block)
+        if len(self.pivots) < len(self.a):
+            old, new = _ncols(self.degree), _ncols(t)
+            u = self.a[:, old:]
+            cols = u @ np.concatenate(blocks, axis=1)
+            if self.p is not None:
+                cols %= self.p  # each entry is a sum of R products below p^2
+            self.a = np.concatenate((self.a[:, :old], cols, u), axis=1)
+            _rref(self.a, self.p, old, new, self.pivots)
         self.degree = t
 
     def rank(self, t: int) -> int:
@@ -361,12 +364,30 @@ class _Echelon:
         """(ker, cok) of I_t x (linear forms) -> I_{t+1}; see the module
         docstring."""
         self.grow(t + 1)
-        n, r = _ncols(t), self.rank(t)
+        low, n = _ncols(t - 1), _ncols(t)
+        first, r = self.rank(t - 1), self.rank(t)
         dim, dim_up = n - r, _ncols(t + 1) - self.rank(t + 1)
-        top = _kernel_basis(self.pivots[:r], self.a[:r, :n], n, self.p)[:, _ncols(t - 1):]
-        pad = np.zeros((dim, 1), dtype=top.dtype)
-        image = np.vstack((np.hstack((top, pad)), np.hstack((pad, top))))
-        rank = dim + len(_rref(image, self.p))
+        # positions in y*T (0..t+1): the free columns F of degree t, and the
+        # rest, its pivot columns and position t+1
+        bound = np.array(self.pivots[first:r], dtype=np.intp) - low
+        is_free = np.ones(t + 2, dtype=bool)
+        is_free[bound] = False
+        is_free[t + 1] = False
+        free, rest = np.flatnonzero(is_free), np.flatnonzero(~is_free)
+        rank = dim + len(free)
+        if len(free):
+            yt = np.zeros((len(free), t + 2), dtype=self.a.dtype)
+            yt[np.arange(len(free)), free] = 1
+            if len(bound):  # else ``a`` may have stopped growing before degree t
+                yt[:, bound] = -self.a[first:r, low + free].T
+            # z*T is y*T moved one position right; position -1 (t+1) of y*T
+            # is zero, so column j - 1 of yt is column j of z*T
+            cleared = yt[:, rest - 1] - yt[:, free - 1] @ yt[:, rest]
+            if self.p is not None:
+                cleared %= self.p
+            if len(free) < len(rest):
+                cleared = np.ascontiguousarray(cleared.T)
+            rank += len(_rref(cleared, self.p))
         return 3 * dim - rank, dim_up - rank
 
 

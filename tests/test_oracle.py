@@ -15,9 +15,30 @@ from conftest import distinct_case
 from test_cones import h1
 
 
+def _exponents(t):
+    """Exponents (a, b, c) of the degree-t monomials as a 3 x n array.
+
+    Column s(s+1)/2 + c holds x^(t-s) y^(s-c) z^c: highest x-power first,
+    then highest y-power.
+    """
+    s = np.repeat(np.arange(t + 1), np.arange(1, t + 2))
+    c = np.arange(s.size) - s * (s + 1) // 2
+    return np.stack((t - s, s - c, c))
+
+
 def monomials(t):
     """Exponent triples (a, b, c) of the degree-t monomials in column order."""
-    return tuple(zip(*oracle._exponents(t).tolist()))
+    return tuple(zip(*_exponents(t).tolist()))
+
+
+def _kernel_basis(pivots, reduced, ncols, p):
+    """Right-kernel basis from an RREF, one vector per free column."""
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    basis = np.zeros((ncols - len(pivots), ncols), dtype=reduced.dtype)
+    basis[np.arange(len(basis)), np.flatnonzero(free)] = 1
+    basis[:, pivots] = -reduced[:, free].T
+    return basis if p is None else basis % p
 
 
 def test_monomials():
@@ -88,8 +109,8 @@ def test_nullspace_consistency():
     p = oracle.PRIMES[0]
     rows_p = oracle.conditions_matrix(pts, (2, 1, 1, 0, 0, 0), 3, p)
     rows_q = oracle.conditions_matrix(pts, (2, 1, 1, 0, 0, 0), 3, None)
-    dim_p = len(oracle._kernel_basis(*_fresh_rref(rows_p, 10, p), 10, p))
-    dim_exact = len(oracle._kernel_basis(*_fresh_rref(rows_q, 10, None), 10, None))
+    dim_p = len(_kernel_basis(*_fresh_rref(rows_p, 10, p), 10, p))
+    dim_exact = len(_kernel_basis(*_fresh_rref(rows_q, 10, None), 10, None))
     assert dim_p == dim_exact
 
 
@@ -229,12 +250,12 @@ def test_nullspace_annihilates_and_counts(case, mults, t):
     for p in oracle.PRIMES:
         rows = oracle.conditions_matrix(pts, mults, t, p)
         pivots, reduced = _fresh_rref(rows, ncols, p)
-        basis = oracle._kernel_basis(pivots, reduced, ncols, p)
+        basis = _kernel_basis(pivots, reduced, ncols, p)
         assert len(basis) == ncols - len(pivots)
         if len(rows) and len(basis):
             assert not ((np.array(rows) @ basis.T) % p).any()
     exact = oracle.conditions_matrix(pts, mults, t, None)
-    basis = oracle._kernel_basis(*_fresh_rref(exact, ncols, None), ncols, None)
+    basis = _kernel_basis(*_fresh_rref(exact, ncols, None), ncols, None)
     assert len(basis) == ncols - oracle._rank_exact(exact)
     if len(exact) and len(basis):
         assert not (np.array(exact, dtype=object).reshape(-1, ncols) @ basis.T).any()
@@ -295,7 +316,7 @@ def _reference_basis(points, mults, t, p):
     """(rank, basis of the ideal in degree t), eliminating the degree-t
     conditions matrix at the given points from scratch."""
     pivots, reduced = _fresh_rref(oracle.conditions_matrix(points, mults, t, p), _ncols(t), p)
-    return len(pivots), oracle._kernel_basis(pivots, reduced, _ncols(t), p)
+    return len(pivots), _kernel_basis(pivots, reduced, _ncols(t), p)
 
 
 def _times_coordinates(basis, t):
@@ -303,7 +324,7 @@ def _times_coordinates(basis, t):
     monomial in column j of degree t, with s = b + c, moves to column j,
     j + s + 1, j + s + 2."""
     j = np.arange(_ncols(t))
-    s = oracle._exponents(t)[1:].sum(axis=0)
+    s = _exponents(t)[1:].sum(axis=0)
     out = np.zeros((3 * len(basis), _ncols(t + 1)), dtype=basis.dtype)
     for ax, shift in enumerate((j, j + s + 1, j + s + 2)):
         out[ax::3, shift] = basis
@@ -403,21 +424,110 @@ def test_walk_eliminates_each_column_once(monkeypatch):
     m = (2, 2, 6, 2, 2, 2)
     oracle._echelon.cache_clear()
     extension, other = collections.Counter(), collections.Counter()
+    widths = []
     kernel = oracle._rref
 
     def spy(a, p, start=0, stop=None, pivots=None):
         steps = (a.shape[1] if stop is None else stop) - start
         (other if pivots is None else extension)[p] += steps
+        if pivots is None:
+            widths.append(steps)
         return kernel(a, p, start, stop, pivots)
 
     monkeypatch.setattr(oracle, "_rref", spy)
     for t in range(13):
         oracle.ideal_dim(pts, m, t)
+        widths.clear()
         oracle.mu_rank_direct(pts, m, t)
+        # the cleared block is v x (t+2-v), ranked on its shorter side
+        v = oracle.ideal_dim(pts, m, t) - (oracle.ideal_dim(pts, m, t - 1) if t else 0)
+        assert all(w <= min(v, t + 2 - v) for w in widths), (t, v, widths)
     assert set(extension) == set(oracle.PRIMES)
     assert all(steps <= _ncols(13) for steps in extension.values()), extension
     # each multiplication rank reads the t + 2 new columns
     assert all(steps <= sum(t + 2 for t in range(13)) for steps in other.values()), other
+
+
+def _chart_points(points, p):
+    """The points moved to the chart of ``oracle._chart``: (1, p1/X, p2/X)
+    mod p, or as Fractions when p is None."""
+    _, xs = oracle._chart(points)
+    if p is None:
+        return tuple((1, Fraction(b, x), Fraction(c, x)) for (_, b, c), x in zip(points, xs))
+    return tuple((1, b * pow(x, -1, p) % p, c * pow(x, -1, p) % p)
+                 for (_, b, c), x in zip(points, xs))
+
+
+def _check_blocks(case, mults, t, p):
+    """The blocks an echelon state builds degree by degree, side by side,
+    against the chart's conditions matrix."""
+    chart, mults = _chart_points(oracle.fixture_points(case), p), tuple(mults)
+    state = oracle._Echelon(chart, mults, p)
+    blocks = []
+    for k in range(t + 1):
+        state.grow(k)
+        assert state.block.shape == (len(state.a), k + 1)
+        blocks.append(state.block)
+    rows = oracle.conditions_matrix(chart, mults, t, p)
+    assert np.hstack(blocks).tolist() == [row.tolist() for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(oracle.FIXTURE_CASES),
+       mults=st.lists(st.integers(0, 7), min_size=6, max_size=6),
+       t=st.integers(0, 16),
+       p=st.sampled_from(oracle.PRIMES))
+def test_echelon_blocks_match_conditions_matrix(case, mults, t, p):
+    _check_blocks(case, mults, t, p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=st.sampled_from(oracle.FIXTURE_CASES),
+       mults=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+       t=st.integers(0, 9))
+def test_exact_echelon_blocks_match_conditions_matrix(case, mults, t):
+    # each grow eliminates over Q, so the exact states stay small
+    _check_blocks(case, mults, t, None)
+
+
+@pytest.mark.parametrize("case, mults, t, dim, mu", [
+    ("conic", (6, 1, 4, 0, 2, 0), 7, 4, (3, 2)),
+    ("ii", (0, 3, 0, 6, 3, 3), 8, 6, (5, 3)),
+    ("iv", (2, 2, 2, 2, 2, 2), 5, 3, (3, 4)),
+])
+def test_rank_deficient_cleared_block(case, mults, t, dim, mu):
+    # values of the route that ranked the whole image of a basis of I_t;
+    # here the cleared block Z has rank below its shorter side and the
+    # cokernel is nonzero
+    pts = oracle.fixture_points(case)
+    oracle._echelon.cache_clear()
+    assert oracle.ideal_dim(pts, mults, t) == dim
+    assert oracle.mu_rank_direct(pts, mults, t) == mu
+    v = dim - oracle.ideal_dim(pts, mults, t - 1)
+    rank_z = 3 * dim - mu[0] - dim - v
+    assert 0 < rank_z < min(v, t + 2 - v)
+    for p in oracle.PRIMES + (None,):
+        assert oracle._echelon(pts, mults, p).mu(t) == mu, p
+
+
+def test_mu_without_new_forms_ranks_no_block(monkeypatch):
+    # below the initial degree I_t = 0, so v = 0: the image is empty and
+    # no cleared block is eliminated
+    pts = oracle.fixture_points("iv")
+    m = (2, 2, 6, 2, 2, 2)
+    oracle._echelon.cache_clear()
+    assert oracle.ideal_dim(pts, m, 5) == 0 < oracle.ideal_dim(pts, m, 6)
+    blocks = []
+    kernel = oracle._rref
+
+    def spy(a, p, start=0, stop=None, pivots=None):
+        if pivots is None:
+            blocks.append(a.shape)
+        return kernel(a, p, start, stop, pivots)
+
+    monkeypatch.setattr(oracle, "_rref", spy)
+    assert oracle.mu_rank_direct(pts, m, 5) == (0, oracle.ideal_dim(pts, m, 6))
+    assert not blocks
 
 
 @pytest.mark.parametrize("points, mults, t, message", [
