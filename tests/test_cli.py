@@ -182,6 +182,11 @@ def test_validation_errors(capsys, tmp_path):
     (("neg",), {"kind": "nodal", "roots": [[0, 1, -1, 0, 0, 0, 0], [0, 0, 1, -1, 0, 0, 0],
                                         [0, -1, 0, 1, 0, 0, 0]]}, "A/D/E"),  # a triangle
     (("neg",), {"kind": "nodal", "roots": [[0, 1, 1, 0, 0, 0, 0]]}, "nodal root"),  # E1+E2
+    # a class is shown as the file gave it, not with the Ei signs flipped
+    (("neg",), {"kind": "nodal", "roots": [[0, 1, 1, 0, 0, 0, 0]]},
+     "[0, 1, 1, 0, 0, 0, 0] is not a nodal root"),
+    (("neg",), {"kind": "nodal", "roots": [[-1, 1, 1, 1, 0, 0, 0]]},
+     "[-1, 1, 1, 1, 0, 0, 0] has degree outside 0..2"),
 ])
 def test_malformed_input_one_line_error(capsys, tmp_path, argv, config, message):
     path = tmp_path / "cfg.json"
@@ -196,20 +201,6 @@ def test_malformed_input_one_line_error(capsys, tmp_path, argv, config, message)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
-
-
-@pytest.mark.parametrize("roots, message", [
-    ([[0, 1, 1, 0, 0, 0, 0]], "[0, 1, 1, 0, 0, 0, 0] is not a nodal root"),  # E1+E2
-    ([[-1, 1, 1, 1, 0, 0, 0]], "[-1, 1, 1, 1, 0, 0, 0] has degree outside 0..2"),
-])
-def test_nodal_config_error_shows_the_input_row(capsys, tmp_path, roots, message):
-    # the class is shown as the file gave it, not with the Ei signs flipped
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"kind": "nodal", "roots": roots}))
-    code, out, err = run(capsys, "neg", "--config", str(path))
-    assert code == 1
-    assert out == ""
-    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
