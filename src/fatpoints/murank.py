@@ -15,10 +15,16 @@ certifies injectivity.
 Classes where neither fires are organised into a chain of levels, each
 built as one sorted integer array: the nef-cone generators that fail the
 criteria (level 1), then sums of a failing class with a level-1 class that
-fail again, and so on.  Once the levels repeat along rays F + i*C (searched
-for on packed keys), every ray tail is certified in closed form, either by
-induction along a rational curve (surjectivity persists) or by a pairing
-argument forcing q = l = 0 forever (injectivity persists).
+fail again, and so on.  Most sums are never reduced: if A is nef with
+q, l > 0 and q* = l* = 0 for its pivot j, and C is a level-1 class of
+genus 0, then S = A + C with the same pivot and (S - D).C >= -1 for
+D = Ej, E0 - Ej has h1(S - D) <= h1(A - D) = 0 and h0(S - D) >=
+h0(A - D) > 0, by restriction to a smooth rational member of |C|
+(Harbourne, Trans. AMS 349, 1997); see :func:`s_chain`.  Once the levels
+repeat along rays F + i*C (searched for on packed keys), every ray tail is
+certified in closed form, either by induction along a rational curve
+(surjectivity persists) or by a pairing argument forcing q = l = 0 forever
+(injectivity persists).
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ import numpy as np
 
 from . import weyl
 from .config import _CONIC6, NegSet, anticanonical_nef
-from .cones import (chi_rows, gamma, h0, h0_rows, int_rows, is_nef, nef_generators,
-                    nef_rows, orbit_rows, pack_keys, packable, reduce)
+from .cones import (_FORM, chi_rows, gamma, h0, h0_rows, int_rows, is_nef,
+                    nef_generators, nef_rows, orbit_rows, pack_keys, packable, reduce)
 from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus
 
 
@@ -131,8 +137,7 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
     """``deficient`` for every row of an n x 7 array, decided for all rows at once.
 
     The one kernel of the q/l bounds; :func:`ql_bounds` reads the cache it
-    fills.  The pivot of a row is the first usable index carrying its
-    largest multiplicity.  Nef rows (``cones.nef_rows``) take h0 = chi(F)
+    fills.  The pivot of a row is the one :func:`_pivots` gives.  Nef rows (``cones.nef_rows``) take h0 = chi(F)
     and h0(F + E0) = chi(F) + deg F + 2 by Riemann-Roch, so only f - Ej and
     f - (E0 - Ej) are reduced; other rows (from :func:`ql_bounds`) take two
     more ``h0_rows`` calls.  The ``MuBounds`` of every row (``cache_all``)
@@ -142,8 +147,7 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
     """
     f = int_rows(f)
     n = len(f)
-    usable = np.array(plane_point_indices(neg))
-    pivot = usable[f[:, usable].argmax(1)]
+    pivot = _pivots(f, neg)
     fq, fl = f.copy(), f.copy()  # f - Ej and f - (E0 - Ej), Ej stored as -1 at j
     fq[np.arange(n), pivot] += 1
     fl[np.arange(n), pivot] -= 1
@@ -174,6 +178,13 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
         if is_nef_row:
             certs.setdefault(c, _rules(conic, b))
     return mask
+
+
+def _pivots(f: np.ndarray, neg: NegSet) -> np.ndarray:
+    """The pivot of each row: the first usable index carrying its largest
+    multiplicity."""
+    usable = np.array(plane_point_indices(neg))
+    return usable[f[:, usable].argmax(1)]
 
 
 def on_conic(neg: NegSet) -> bool:
@@ -227,16 +238,21 @@ def _rational_curve_candidates(neg: NegSet) -> tuple:
     irreducible rational curves (base point free, with irreducible general
     member).
     """
-    cache = neg._cache.get("rc_cands")
-    if cache is not None:
-        return cache
-    cands = list(neg.classes)
-    pool = set(nef_generators(neg).pared).union(  # pared: nef by construction
-        _nef_orbit(E0, neg), _nef_orbit(E0 - E[1], neg))
-    cands += [c for c in sorted(pool) if c != ZERO and arithmetic_genus(c) == 0]
-    out = tuple(dict.fromkeys(cands))
-    neg._cache["rc_cands"] = out
-    return out
+    return _rational_curves(neg)[0]
+
+
+def _rational_curves(neg: NegSet) -> tuple:
+    """:func:`_rational_curve_candidates` and the same classes as an int64
+    array, cached together."""
+    got = neg._cache.get("rc_cands")
+    if got is None:
+        cands = list(neg.classes)
+        pool = set(nef_generators(neg).pared).union(  # pared: nef by construction
+            _nef_orbit(E0, neg), _nef_orbit(E0 - E[1], neg))
+        cands += [c for c in sorted(pool) if c != ZERO and arithmetic_genus(c) == 0]
+        out = tuple(dict.fromkeys(cands))
+        got = neg._cache["rc_cands"] = out, np.array(out, dtype=np.int64).reshape(-1, 7)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +320,16 @@ def _known(f, neg) -> Certificate | None:
 
 def _search(f, neg) -> Certificate:
     """Induction along a rational curve c whose complement f - c is known
-    surjective (nef if certificates are cached for it), then injectivity
-    transfer (:func:`_kernel_transfer`)."""
+    surjective, then injectivity transfer (:func:`_kernel_transfer`).  One
+    ``nef_rows`` product decides which complements are nef, and the
+    candidates are tried in their order."""
     if not anticanonical_nef(neg):
         return Certificate(Status.INCONCLUSIVE, "no generator set available")
-    known_nef = neg._cache["cert"]
-    for c in _rational_curve_candidates(neg):
+    cands, rows = _rational_curves(neg)
+    nef = nef_rows(int_rows([f]) - rows, neg)
+    for c in itertools.compress(cands, nef.tolist()):
         fp = f - c
-        if (fp.degree < 0 or (fp not in known_nef and not is_nef(fp, neg))
-                or not step_allows(c, f, neg)):
-            continue
-        if certified(_known(fp, neg), Status.SURJECTIVE, fp, neg):
+        if step_allows(c, f, neg) and certified(_known(fp, neg), Status.SURJECTIVE, fp, neg):
             return Certificate(
                 Status.SURJECTIVE,
                 f"rational-curve-step:{' '.join(map(str, c.display_row()))}")
@@ -363,31 +378,111 @@ class SChain:
         return self.levels[i - 1]
 
 
+@dataclass(frozen=True)
+class _Built:
+    """What :func:`s_chain` keeps of the level it has just built.
+
+    ``row`` maps each pre-dedupe sum, row a*n1 + c for the level-(i-1)
+    member a and the level-1 class c, to its candidate (a distinct sum);
+    ``pivot`` and ``good`` give each candidate's pivot and whether it is
+    non-deficient, by test or by :func:`_proven`.  The members of the level
+    are the candidates that are not good, in candidate order.
+    """
+
+    row: np.ndarray
+    pivot: np.ndarray
+    good: np.ndarray
+
+
+def _proven(prev: _Built, members: np.ndarray, s1: np.ndarray, rational: np.ndarray,
+            row: np.ndarray, pivot: np.ndarray) -> np.ndarray:
+    """Candidates of the next level that h1 persistence proves non-deficient.
+
+    Each pre-dedupe row a*n1 + c of ``prev`` that made a member F with s1[c]
+    rational writes F = A' + C for C = s1[c]; then for every level-1 class
+    c0 the candidate S = F + s1[c0] (row f*n1 + c0 of this level, for the
+    member index f of F) is A + C with A = A' + s1[c0], the candidate of
+    ``prev`` at row a*n1 + c0.  S is proven when A is good with the pivot j
+    of S and (S - D).C >= -1 for D = Ej and E0 - Ej (see :func:`s_chain`).
+    S.C is F.C plus s1[c0].C, read off the pairings of the members and of
+    s1 with s1; in the stored convention (S - Ej).C = S.C - C[j] and
+    (S - (E0 - Ej)).C = S.C - C[0] + C[j].
+    """
+    n1 = len(s1)
+    good = np.zeros(len(pivot), dtype=bool)
+    r = np.flatnonzero(~prev.good[prev.row])  # the rows that made a member
+    r = r[rational[r % n1]]
+    if not len(r):
+        return good
+    a, c = np.divmod(r, n1)
+    f = (np.cumsum(~prev.good) - 1)[prev.row[r]]  # member index of F
+    form = s1 * _FORM
+    sc = (members[f] * form[c]).sum(1)[:, None] + (s1 @ form[c].T).T  # S.C
+    cols = np.arange(n1)
+    cand_a = prev.row[a[:, None] * n1 + cols]
+    cand_s = row[f[:, None] * n1 + cols]
+    j = pivot[cand_s]
+    cj = s1[c[:, None], j]
+    ok = (prev.good[cand_a] & (prev.pivot[cand_a] == j)
+          & (sc - cj >= -1) & (sc - s1[c, :1] + cj >= -1))
+    good[cand_s[ok]] = True
+    return good
+
+
 def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     """Build the deficiency levels up to the given depth.
 
     Each level is one int64 array: level 1 is gamma masked by
     :func:`deficient`, level i+1 the distinct sums of a level-i and a
-    level-1 class, masked the same way by ``cones.h0_rows`` on the whole
-    level.  One ``np.lexsort`` over the columns, dropping each row equal to
-    its predecessor, dedupes the sums in ascending order at any depth
-    (level i has entries up to 9i, past the reach of packed keys).  Gamma
-    and the level members, which :func:`verify_stabilization` certifies,
-    leave their bounds in the :func:`ql_bounds` cache; other sums do not.
+    level-1 class that are deficient.  One ``np.lexsort`` over the columns,
+    dropping each row equal to its predecessor, dedupes the sums in
+    ascending order at any depth (level i has entries up to 9i, past the
+    reach of packed keys).  Gamma and the level members, which
+    :func:`verify_stabilization` certifies, leave their bounds in the
+    :func:`ql_bounds` cache; other sums do not.
+
+    From level 3 on most sums are proven non-deficient without reducing
+    anything, by h1 persistence along a rational level-1 class.  Lemma:
+    let A be nef and non-deficient with pivot j, so h0(A - D) > 0 and
+    h1(A - D) = 0 for D in {Ej, E0 - Ej}; let C be a level-1 class with
+    C^2 + K.C = -2, and let S = A + C have pivot j and (S - D).C >= -1 for
+    both D.  Then S is non-deficient.  Proof: C lies in gamma, so it is
+    nef, and it has genus 0, so |C| has a smooth rational member
+    (Harbourne, *Anticanonical rational surfaces*, Trans. AMS 349, 1997,
+    the fact behind :func:`_rational_curve_candidates`).  From
+    0 -> O(A - D) -> O(S - D) -> O_C(S - D) -> 0 and H1(P1, O(e)) = 0 for
+    e >= -1, h1(S - D) <= h1(A - D) = 0 and h0(S - D) >= h0(A - D) > 0.
+    A sum F + s1[c0] of a member F = A' + C built at the last level is
+    A + C for the last level's candidate A = A' + s1[c0], so the proof is
+    dense gathers over the last level's pre-dedupe index (:func:`_proven`);
+    only the rest go through :func:`_deficient_rows`.  Level 2 is tested
+    whole.  No member is proven, so the levels and the bounds cache are
+    those of testing every sum.
     """
     if not anticanonical_nef(neg):
         raise ValueError("chain construction requires a nef anticanonical class")
     gam = gamma(neg)
     g = np.array(gam, dtype=np.int64).reshape(-1, 7)
     s1 = g[_deficient_rows(g, neg, cache_all=True)]
+    rational = (s1 * (s1 - MINUS_K)) @ _FORM == -2  # C^2 + K.C
     levels = [s1]
+    prev = None
     for _ in range(2, depth + 1):
         sums = (levels[-1][:, None] + s1[None]).reshape(-1, 7)
-        sums = sums[np.lexsort(sums.T[::-1])]
+        order = np.lexsort(sums.T[::-1])
+        sums = sums[order]
         fresh = np.ones(len(sums), dtype=bool)
         fresh[1:] = (sums[1:] != sums[:-1]).any(1)
+        row = np.empty(len(sums), dtype=np.intp)
+        row[order] = np.cumsum(fresh) - 1
         sums = sums[fresh]
-        levels.append(sums[_deficient_rows(sums, neg)])
+        pivot = _pivots(sums, neg)
+        good = (np.zeros(len(sums), dtype=bool) if prev is None
+                else _proven(prev, levels[-1], s1, rational, row, pivot))
+        test = np.flatnonzero(~good)
+        good[test[~_deficient_rows(sums[test], neg)]] = True
+        levels.append(sums[~good])
+        prev = _Built(row=row, pivot=pivot, good=good)
     return SChain(levels=tuple(tuple(DivisorClass(r) for r in lv.tolist())
                               for lv in levels),
                   gamma=gam, depth=depth)

@@ -8,13 +8,18 @@ point) are the rows.  The multiplication maps are read off explicit
 monomial bases, so their kernel and cokernel dimensions come straight from
 matrix ranks, with no cone geometry anywhere.
 
-The conditions are built a degree at a time by the Leibniz rule: times
-a coordinate X, the derivative d_u^du d_v^dv (X g) is X d_u^du d_v^dv g
-plus du d_u^(du-1) d_v^dv g when X is u (dv d_u^du d_v^(dv-1) g when X is
-v), so the column of a monomial times X comes from its own column and its
-rows one derivative lower (:class:`_Conditions`).  Mod p the entries are
-int64 residues; an exact matrix holds Python ints or Fractions
-(``dtype=object``).
+The derivatives are Hasse derivatives, D_u^(du) D_v^(dv) = d_u^du d_v^dv /
+(du! dv!), which take a monomial u^a v^b to C(a, du) C(b, dv) u^(a-du)
+v^(b-dv).  They define the fat point in every characteristic; in
+characteristic p the ordinary derivatives of order p and above vanish
+identically.  The
+conditions are built a degree at a time by the Leibniz rule: times a
+coordinate X, D_u^(du) D_v^(dv) (X g) is X D_u^(du) D_v^(dv) g plus
+D_u^(du-1) D_v^(dv) g when X is u and du > 0 (D_u^(du) D_v^(dv-1) g when X
+is v and dv > 0), so the column of a monomial times X comes from its own
+column and its rows one derivative lower (:class:`_Conditions`).  Mod p
+the entries are int64 residues; an exact matrix holds Python ints or
+Fractions (``dtype=object``).
 
 One elimination kernel, :func:`_rref`, brings a matrix to reduced row
 echelon form over F_p, or over the rationals when ``p`` is None, and can
@@ -52,8 +57,7 @@ outside F: a v x (t+2-v) elimination, run on whichever side is shorter.
 
 Ranks are computed modulo two independent primes above 10^6 and fall back
 to exact rational elimination if the primes disagree or one divides some
-X.  Derivative coefficients are falling factorials of exponents bounded by
-the degree, which stay nonzero for primes this large.
+X.
 
 :func:`_echelon` keeps the states of the last ``ECHELON_CACHE_SIZE`` keys
 (points, mults, p), enough for a scheme walked up the degrees (two states,
@@ -158,10 +162,10 @@ class _Conditions:
     one column per monomial, by the Leibniz rule.
 
     One row per (point, du, dv) with du + dv < m, point by point, du-major:
-    the derivative d_u^du d_v^dv at the point, taken in the two coordinates
-    u, v other than w, the first nonzero coordinate of the point.  Mod p
-    the entries are int64 residues; when p is None they are the exact
-    values (Python ints, or Fractions at rational points).
+    the Hasse derivative D_u^(du) D_v^(dv) at the point, taken in the two
+    coordinates u, v other than w, the first nonzero coordinate of the
+    point.  Mod p the entries are int64 residues; when p is None they are
+    the exact values (Python ints, or Fractions at rational points).
     """
 
     def __init__(self, points, mults, p: int | None):
@@ -185,10 +189,11 @@ class _Conditions:
         at = np.array([point if p is None else [x % p for x in point] for point in points],
                       dtype=dtype).reshape(-1, 3)[owner]
         # [axis, row]: the coefficient of the derivative one order lower in u
-        # (in v) of the product with that axis, du (dv) where u (v) is the axis
+        # (in v) of the product with that axis, 1 where u (v) is the axis and
+        # du > 0 (dv > 0)
         lower_u, lower_v = np.zeros((2, 3, count), dtype=dtype)
-        lower_u[u, np.arange(count)] = du
-        lower_v[v, np.arange(count)] = dv
+        lower_u[u, np.arange(count)] = np.minimum(du, 1)
+        lower_v[v, np.arange(count)] = np.minimum(dv, 1)
         self.terms = []
         for ax in range(3):
             self.terms.append((at[:, ax, None], [(lower[ax, :, None], down) for lower, down in
@@ -197,8 +202,8 @@ class _Conditions:
 
     def times(self, ax: int, cols):
         """The columns of the monomials ``cols`` stands for, times coordinate
-        ``ax``: d(X g) = X dg + du d_u^(du-1) d_v^dv g + dv d_u^du d_v^(dv-1) g
-        with the last two terms only where u, v is ``ax``."""
+        ``ax``: D(X g) = X Dg + D_u^(du-1) D_v^(dv) g + D_u^(du) D_v^(dv-1) g
+        with the last two terms only where u, v is ``ax`` and du, dv > 0."""
         at, lower = self.terms[ax]
         out = at * cols
         for coef, rows in lower:
@@ -215,7 +220,7 @@ class _Conditions:
 def conditions_matrix(points, mults, t: int, p: int | None = None):
     """Vanishing conditions for the fat point scheme in degree t.
 
-    One row per derivative of order below m_i at p_i, differentiated in the
+    One row per Hasse derivative of order below m_i at p_i, taken in the
     two coordinates away from a nonzero coordinate of the point.  Column
     s(s+1)/2 + c holds x^(t-s) y^(s-c) z^c: highest x-power first, then
     highest y-power.  Degree k+1 is [x C_k | the last k+1 columns of C_k

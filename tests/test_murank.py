@@ -11,7 +11,7 @@ from fatpoints.cones import (INT64_ENTRY_BOUND, PACK_ENTRY_BOUND, gamma, h0, is_
 from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfiguration,
                               anticanonical_nef, dynkin_catalog, neg_from_distinct,
                               neg_from_nodal)
-from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi
+from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, arithmetic_genus, chi
 from fatpoints import murank
 from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _canonical_problem,
                               _deficient_rows, _direct, _find_stabilization,
@@ -550,6 +550,131 @@ def test_find_stabilization_does_no_class_arithmetic(monkeypatch, sweep_chains):
     for name in ("__add__", "__mul__", "__rmul__"):
         monkeypatch.setattr(DivisorClass, name, refuse)
     assert [_find_stabilization(chain) for chain in sweep_chains] == want
+
+
+def every_sum_levels(neg, depth):
+    """Reference chain: the level loop that tests every distinct sum with
+    ``_deficient_rows``, as ``s_chain`` ran before it proved sums by h1
+    persistence."""
+    g = np.array(gamma(neg), dtype=np.int64).reshape(-1, 7)
+    s1 = g[_deficient_rows(g, neg, cache_all=True)]
+    levels = [s1]
+    for _ in range(2, depth + 1):
+        sums = (levels[-1][:, None] + s1[None]).reshape(-1, 7)
+        sums = sums[np.lexsort(sums.T[::-1])]
+        fresh_row = np.ones(len(sums), dtype=bool)
+        fresh_row[1:] = (sums[1:] != sums[:-1]).any(1)
+        sums = sums[fresh_row]
+        levels.append(sums[_deficient_rows(sums, neg)])
+    return tuple(tuple(DivisorClass(r) for r in lv.tolist()) for lv in levels)
+
+
+def every_marking_problem(name):
+    """NEG of the named type under each of its markings, duplicates kept."""
+    neg = neg_from_nodal(dynkin_catalog()[name])
+    return [change_of_marking(neg, h) for h in e0_classes(neg)]
+
+
+def test_s_chain_matches_every_sum_loop_in_every_marking():
+    """Pruned levels equal the test-every-sum levels at depth 6 on the six
+    distinct fixtures and on all 20 types in every marking (296 problems,
+    relabelled copies included, since the pivot's tie-break follows the
+    labels).  Budget: about 12 s on a 2-core Xeon VM."""
+    negs = [distinct_case(c).neg for c in ("i", "ii", "iii", "iv", "general", "conic")]
+    for name in sorted(dynkin_catalog()):
+        negs += every_marking_problem(name)
+    assert len(negs) == 302
+    for neg in negs:
+        neg = fresh(neg)
+        got = s_chain(neg, 6).levels
+        assert got == every_sum_levels(neg, 6), neg.nodal
+
+
+def pruned_candidates(neg, depth, monkeypatch):
+    """(candidates, proven) of each level >= 2: the distinct sums
+    ``s_chain`` built, and those it never passed to ``_deficient_rows``."""
+    tested = []
+    real = murank._deficient_rows
+
+    def recording(f, neg, cache_all=False):
+        tested.append(f)
+        return real(f, neg, cache_all)
+
+    monkeypatch.setattr(murank, "_deficient_rows", recording)
+    chain = s_chain(neg, depth)
+    monkeypatch.setattr(murank, "_deficient_rows", real)
+    assert len(tested) == depth  # gamma, then one call per level
+    candidates, proven = [], []
+    for i in range(2, depth + 1):
+        cands = {a + b for a in chain.level(i - 1) for b in chain.level(1)}
+        seen = {DivisorClass(r) for r in tested[i - 1].tolist()}
+        assert seen <= cands
+        candidates.append(cands)
+        proven.append(cands - seen)
+    return chain, candidates, proven
+
+
+def test_pruned_candidates_are_not_deficient(monkeypatch, case_iv, a1_vertical_neg):
+    """Every sum S the h1-persistence lemma proves is non-deficient by the
+    scalar ``ql_bounds`` on a fresh NegSet, and meets the lemma's
+    hypotheses: S = A + C for a genus-0 level-1 class C and a non-deficient
+    candidate A of the level below with the pivot j of S, and
+    (S - D).C >= -1 for D = Ej, E0 - Ej.  At depth 5 on case iv, A1
+    (vertical), the one E6 marking (one level-1 class, so nothing to prove)
+    and a D5 marking.  Level 2 is tested whole."""
+    def good(b):
+        return b.q > 0 and b.l > 0 and b.q_star == b.l_star == 0
+
+    total = 0
+    d5 = max(every_marking_problem("D5"), key=lambda neg: len(s_chain(neg, 2).level(1)))
+    for neg in (case_iv.neg, a1_vertical_neg, every_marking_problem("E6")[0], d5):
+        chain, candidates, proven = pruned_candidates(fresh(neg), 5, monkeypatch)
+        assert not proven[0]
+        ref = fresh(neg)
+        rational = [c for c in chain.level(1) if arithmetic_genus(c) == 0]
+        for below, level in zip(candidates, proven[1:]):
+            for f in level:
+                b = ql_bounds(f, ref)
+                assert good(b), (neg.nodal, f)
+                j = b.index
+                assert any(f - c in below and good(ql_bounds(f - c, ref))
+                           and ql_bounds(f - c, ref).index == j
+                           and (f - E[j]).dot(c) >= -1 and (f - E0 + E[j]).dot(c) >= -1
+                           for c in rational), (neg.nodal, f)
+        total += sum(map(len, proven))
+    assert total > 10000
+
+
+@pytest.mark.parametrize("change, proven", [
+    ({}, True),
+    ({"c1": (0, 0, 1, 0, 0, 0, 0)}, True),  # (S - (E0 - Ej)).C = -1 exactly
+    ({"c1": (0, 0, 1, 0, 0, 0, 0), "j": 2}, True),  # (S - Ej).C = -1 exactly
+    ({"a_good": False}, False),
+    ({"a_pivot": 2}, False),
+    ({"rational": False}, False),
+    ({"c1": (0, 0, 2, 0, 0, 0, 0)}, False),  # (S - (E0 - Ej)).C = -2
+    ({"c1": (0, 0, 2, 0, 0, 0, 0), "j": 2}, False),  # (S - Ej).C = -2
+])
+def test_proven_needs_every_hypothesis(change, proven):
+    """``_proven`` on a hand-built state: the last level has the candidates
+    F = A' + C (a member) and A = A' + C1 (good), and the next level's
+    candidate S = F + C1 = A + C is proven only when A is good with the
+    pivot j of S, C is rational and (S - D).C >= -1 for D = Ej, E0 - Ej.
+    The rows need not be nef: the arithmetic alone is under test."""
+    arg = {"c1": (1, 0, 0, 1, 0, 0, 0), "j": 1, "a_good": True, "a_pivot": None,
+           "rational": True, **change}
+    s1 = np.array([(1, 0, 1, 0, 0, 0, 0), arg["c1"]])
+    last = np.array([1, 1, 0, 0, 0, 0, 0]) + s1  # rows A' + s1[c]: F, A
+    good = np.array([False, arg["a_good"]])
+    j = arg["j"]
+    prev = murank._Built(row=np.array([0, 1]), pivot=np.array([j, arg["a_pivot"] or j]),
+                         good=good)
+    sums = [tuple(m + c0) for m in last[~good] for c0 in s1]
+    cands = sorted(set(sums))
+    got = murank._proven(prev, last[~good], s1, np.array([arg["rational"], True]),
+                         row=np.array([cands.index(x) for x in sums]),
+                         pivot=np.full(len(cands), j))
+    assert np.flatnonzero(got).tolist() == [cands.index(tuple(last[0] + s1[1]))] * proven
 
 
 def test_deep_levels_match_unique_reference():

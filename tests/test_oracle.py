@@ -1,4 +1,5 @@
 import collections
+import math
 import random
 from fractions import Fraction
 
@@ -184,12 +185,9 @@ def _fresh_rref(rows, ncols, p):
 
 
 def _reference_conditions(points, mults, t, p):
-    """The per-entry loop the numpy conditions matrix replaced."""
-    def falling(n, k):
-        out = 1
-        for i in range(k):
-            out *= n - i
-        return out
+    """The per-entry loop the numpy conditions matrix replaced: the Hasse
+    derivative D_u^(du) D_v^(dv) of u^eu v^ev is C(eu, du) C(ev, dv)
+    u^(eu-du) v^(ev-dv)."""
 
     rows = []
     for point, m in zip(points, mults):
@@ -208,7 +206,7 @@ def _reference_conditions(points, mults, t, p):
                     new = list(expo)
                     new[u_ax] -= du
                     new[v_ax] -= dv
-                    val = falling(eu, du) * falling(ev, dv)
+                    val = math.comb(eu, du) * math.comb(ev, dv)
                     for ax in range(3):
                         val *= point[ax] ** new[ax]
                     row.append(val % p if p is not None else val)
@@ -262,8 +260,9 @@ def test_nullspace_annihilates_and_counts(case, mults, t):
 
 
 def test_two_prime_disagreement_falls_back_to_exact(monkeypatch):
-    # mod 3 the factorials of derivative orders >= 3 vanish, so the ranks
-    # over 3 and over a large prime disagree and the exact route decides
+    # points 2 and 3 of the general fixture meet mod 3, so at (4, 4, 1, 1,
+    # 0, 0) the ranks over 3 and over a large prime disagree and the exact
+    # route decides
     pts = oracle.fixture_points("general")
     cases = [((4, 3, 0, 0, 0, 0), t) for t in range(3, 7)] + \
             [((4, 4, 1, 1, 0, 0), t) for t in range(4, 8)]
@@ -283,6 +282,21 @@ def test_two_prime_disagreement_falls_back_to_exact(monkeypatch):
            for m, t in cases]
     assert got == want
     assert exact_calls
+
+
+def test_conic_fixture_over_f7_matches_pipeline():
+    """Hasse derivatives are the conditions in characteristic 7 too: the six
+    conic points (1, t, t^2) stay distinct and conconic mod 7, so past
+    multiplicity 7, where ordinary derivatives of order 7 vanish, the
+    dimensions over F_7 are the pipeline's."""
+    pts = oracle.fixture_points("conic")
+    neg = distinct_case("conic").neg
+    for mults in ((8, 0, 0, 0, 0, 0), (9, 3, 2, 0, 1, 0), (8, 8, 1, 0, 0, 0),
+                  (7, 4, 4, 3, 2, 1)):
+        state = oracle._echelon(pts, mults, 7)
+        prof = hilbert(FatPointScheme(neg=neg, multiplicities=mults))
+        for t in range(prof.sigma + 2):
+            assert oracle._ncols(t) - state.rank(t) == prof(t), (mults, t)
 
 
 def test_basis_cache_keeps_point_sets_apart():
