@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. the oracle's matrices at large multiplicities
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,15 +16,18 @@ they are dot products once, and a step of n copies of C_j lowers them by n
 times row j of the NEG Gram table, so a step costs one Gram-row update.
 
 ``h0_rows`` reduces a whole array of classes at once: each round pairs
-every unfinished row with the NEG Gram block in one matrix product, retires
-the nef rows (``nef_rows``) with h0 = chi and subtracts from each other row
-the forced multiple of every NEG class it meets negatively, exact since
-distinct irreducible curves meet nonnegatively and finite since
-``reduce``'s weight drops every round.  Rows are int64 while every entry is
-below ``INT64_ENTRY_BOUND`` in absolute value, so that every pairing and
-the self-intersection of every nef row fit; otherwise the same loop runs on
-``dtype=object`` arrays of Python ints.  The scalar ``reduce`` and ``h0``
-stay for single classes, where a numpy call costs more.
+every unfinished row with the NEG Gram block in one matrix product and
+subtracts from each row the forced multiple of every NEG class it meets
+negatively, exact since distinct irreducible curves meet nonnegatively and
+finite since ``reduce``'s weight drops every round.  A row that meets none
+(``nef_rows``) retires and takes h0 = chi, from one ``chi_rows`` call at
+the end; the unfinished rows are copied out only in a round where some row
+retires.  Every row evolves on its own, so a stack of arrays takes the
+rounds of its slowest part, not their sum.  Rows are int64 while every
+entry is below ``INT64_ENTRY_BOUND`` in absolute value, so that every
+pairing and the self-intersection of every nef row fit; otherwise the same
+loop runs on ``dtype=object`` arrays of Python ints.  The scalar ``reduce``
+and ``h0`` stay for single classes, where a numpy call costs more.
 
 When -K is nef, the nef cone is generated as a semigroup by the nef
 members of the union of seven fixed reflection orbits (1279 classes in
@@ -266,40 +269,44 @@ def h0_rows(f, neg: NegSet) -> np.ndarray:
     """``h0`` of every row of an n x 7 integer array, in one batched reduction.
 
     Each round pairs the unfinished rows with every NEG class at once; the
-    rows that meet none negatively retire (one ``chi_rows`` call per round),
-    and each other row subtracts ceil(-F.C / -C^2) copies of every C it
-    meets negatively.  Two distinct irreducible curves meet nonnegatively,
-    so every copy taken in a round is still forced: a round is a run of
-    ``reduce`` steps, h0 is unchanged for an effective row and stays 0 for
-    an ineffective one, and entries stay within the row's initial ones
-    while its degree is >= 0 (a round that ends below degree 0 may
-    overshoot, in int64 by less than 2**38).  ``reduce``'s weight
-    W = (19; 6, 5, 4, 3, 2, 1) drops by at least 1 per round, and after k
-    rounds a row has subtracted at least what ``reduce`` takes in k steps,
-    so a call ends within its rows' longest ``reduce`` trace plus one
-    round.  A row retires with h0 = 0 once its degree is negative or,
+    rows that meet none negatively retire, their chi taken by one
+    ``chi_rows`` call when the loop ends, and each other row subtracts
+    ceil(-F.C / -C^2) copies of every C it meets negatively.  Two distinct
+    irreducible curves meet nonnegatively, so every copy taken in a round
+    is still forced: a round is a run of ``reduce`` steps, h0 is unchanged
+    for an effective row and stays 0 for an ineffective one, and entries
+    stay within the row's initial ones while its degree is >= 0 (a round
+    that ends below degree 0 may overshoot, in int64 by less than 2**38).
+    ``reduce``'s weight W = (19; 6, 5, 4, 3, 2, 1) drops by at least 1 per
+    round, and after k rounds a row has subtracted at least what ``reduce``
+    takes in k steps, so a call ends within its rows' longest ``reduce``
+    trace plus one round.  A row retires with h0 = 0 once its degree is negative or,
     checked every ``WITNESS_STEPS`` rounds, it has a nef witness, and with
-    h0 = chi once it is nef, the values the scalar ``h0`` gives.
+    h0 = chi once it is nef, the values the scalar ``h0`` gives.  A row's
+    result and the round it retires in do not depend on the other rows.
     """
     cur = int_rows(f)
     out = np.zeros(len(cur), dtype=cur.dtype)
     curves, gram, minus_sq = _neg_blocks(neg, cur.dtype)
     idx = np.flatnonzero(cur[:, 0] >= 0)
     cur = cur[idx]
+    nef_idx, nef_cur = [], []
     rounds = 0
     while len(idx):
         met = cur @ gram
         hit = np.minimum(met, 0, out=met).any(1)
-        out[idx[~hit]] = chi_rows(cur[~hit])
-        met = met[hit]  # the full pairings go before the rows are copied
-        idx, cur = idx[hit], cur[hit]
         met //= minus_sq
-        cur += met @ curves
-        keep = cur[:, 0] >= 0
+        cur += met @ curves  # a nef row meets nothing negatively: it adds 0
+        keep = hit & (cur[:, 0] >= 0)
         rounds += 1
         if rounds % WITNESS_STEPS == 0:
             keep &= ~_nef_witness(cur, neg)
-        idx, cur = idx[keep], cur[keep]
+        if not keep.all():
+            nef_idx.append(idx[~hit])
+            nef_cur.append(cur[~hit])
+            idx, cur = idx[keep], cur[keep]
+    if nef_idx:
+        out[np.concatenate(nef_idx)] = chi_rows(np.concatenate(nef_cur))
     return out
 
 

@@ -137,31 +137,36 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
     """``deficient`` for every row of an n x 7 array, decided for all rows at once.
 
     The one kernel of the q/l bounds; :func:`ql_bounds` reads the cache it
-    fills.  The pivot of a row is the one :func:`_pivots` gives.  Nef rows (``cones.nef_rows``) take h0 = chi(F)
-    and h0(F + E0) = chi(F) + deg F + 2 by Riemann-Roch, so only f - Ej and
-    f - (E0 - Ej) are reduced; other rows (from :func:`ql_bounds`) take two
-    more ``h0_rows`` calls.  The ``MuBounds`` of every row (``cache_all``)
-    or of the deficient rows go into the cache, with the certificate
-    (:func:`_rules`) of each such nef row.  Raises ``ValueError`` on an
-    ineffective row, ``ArithmeticError`` on h1 < 0.
+    fills.  The pivot of a row is the one :func:`_pivots` gives.  Nef rows
+    (``cones.nef_rows``) take h0 = chi(F) and h0(F + E0) = chi(F) + deg F + 2
+    by Riemann-Roch; other rows (from :func:`ql_bounds`) are reduced.  f - Ej,
+    f - (E0 - Ej) and those rows' F and F + E0 go through one ``h0_rows``
+    call, whose rounds are those of its slowest row, and the chi of the two
+    twists through one ``chi_rows`` call.  The ``MuBounds`` of every row
+    (``cache_all``) or of the deficient rows go into the cache, with the
+    certificate (:func:`_rules`) of each such nef row.  Raises ``ValueError``
+    on an ineffective row, else ``ArithmeticError`` on h1 < 0.
     """
     f = int_rows(f)
     n = len(f)
     pivot = _pivots(f, neg)
-    fq, fl = f.copy(), f.copy()  # f - Ej and f - (E0 - Ej), Ej stored as -1 at j
-    fq[np.arange(n), pivot] += 1
-    fl[np.arange(n), pivot] -= 1
-    fl[:, 0] -= 1
     nef = nef_rows(f, neg)
+    other = f[~nef]
+    # f - Ej and f - (E0 - Ej) (Ej is stored as -1 at j), then other and other + E0
+    twists = np.concatenate((f, f, other, other + E0))
+    twists[np.arange(n), pivot] += 1
+    twists[np.arange(n, 2 * n), pivot] -= 1
+    twists[n:2 * n, 0] -= 1
+    q, l, h_other, h_next_other = np.split(h0_rows(twists, neg),
+                                           [n, 2 * n, 2 * n + len(other)])
+    chi_q, chi_l = np.split(chi_rows(twists[:2 * n]), 2)
     h = chi_rows(f)
     h_next = h + f[:, 0] + 2
-    if not nef.all():
-        h[~nef], h_next[~nef] = (h0_rows(f[~nef] + d, neg) for d in (ZERO, E0))
+    h[~nef], h_next[~nef] = h_other, h_next_other
     if (h == 0).any():
         raise ValueError(f"{DivisorClass(f[(h == 0).argmax()].tolist())!r} is not effective")
-    q, l = h0_rows(fq, neg), h0_rows(fl, neg)
-    q_star = q - chi_rows(fq)
-    l_star = l - chi_rows(fl)
+    q_star = q - chi_q
+    l_star = l - chi_l
     bad = (q_star < 0) | (l_star < 0)
     if bad.any():
         raise ArithmeticError(

@@ -40,7 +40,9 @@ the highest degree T asked, with the row transform U carried as extra
 columns; a request above T appends U times the new columns and resumes at
 column N_T, so each column is eliminated once.  As x is 1 at every point,
 the new columns of degree k+1 are those of degree k times y, then the last
-times z: the state keeps only its latest degree block of conditions.
+times z: the state keeps only its latest degree block of conditions.  It
+grows a degree at a time and stops once every row has a pivot, since no
+later column adds rank, so a request far above that degree builds nothing.
 
 Multiplication.  Times x, column j of degree t stays column j; times y
 and z, the last t+1 columns (the monomials without x) move to the new
@@ -157,6 +159,39 @@ def _checked(points, mults, t: int):
 # Conditions matrix
 
 
+@functools.lru_cache(maxsize=ECHELON_CACHE_SIZE)
+def _layout(mults, axes, dtype) -> tuple:
+    """The rows of :class:`_Conditions` for multiplicities ``mults`` and the
+    axis w of each point, with coefficients in ``dtype``; cached, since the
+    two primes of a scheme share all of it but the residues of the points.
+
+    Returns the point of each row, the rows of order 0, and per axis the
+    (coefficient, rows) pairs of the derivatives one order lower in u and
+    in v of the product with that axis: the coefficient is 1 where u (v) is
+    the axis and du > 0 (dv > 0), the rows are those of (du - 1, dv) and
+    (du, dv - 1).
+    """
+    orders = np.arange(max(mults, default=0))
+    place = np.add.outer(orders, orders) < np.array(mults)[:, None, None]
+    owner, du, dv = np.nonzero(place)
+    count = len(owner)
+    rows = np.zeros(place.shape, dtype=np.intp)
+    rows[owner, du, dv] = np.arange(count)
+    # the rows of (du - 1, dv) and (du, dv - 1), read only where du, dv > 0
+    down_u, down_v = rows[owner, du - 1, dv], rows[owner, du, dv - 1]
+    u, v = np.array([[ax for ax in range(3) if ax != w] for w in axes],
+                    dtype=np.intp).reshape(-1, 2)[owner].T
+    lower_u, lower_v = np.zeros((2, 3, count), dtype=dtype)
+    lower_u[u, np.arange(count)] = np.minimum(du, 1)
+    lower_v[v, np.arange(count)] = np.minimum(dv, 1)
+    for a in (owner, lower_u, lower_v, down_u, down_v):
+        a.flags.writeable = False
+    lower = tuple([(low[ax, :, None], down) for low, down in
+                   ((lower_u, down_u), (lower_v, down_v)) if low[ax].any()]
+                  for ax in range(3))
+    return owner, np.flatnonzero(du + dv == 0), lower
+
+
 class _Conditions:
     """How to build the vanishing conditions of a scheme a degree at a time,
     one column per monomial, by the Leibniz rule.
@@ -165,40 +200,22 @@ class _Conditions:
     the Hasse derivative D_u^(du) D_v^(dv) at the point, taken in the two
     coordinates u, v other than w, the first nonzero coordinate of the
     point.  Mod p the entries are int64 residues; when p is None they are
-    the exact values (Python ints, or Fractions at rational points).
+    the exact values (Python ints, or Fractions at rational points).  The
+    layout of the rows comes from :func:`_layout`.
     """
 
     def __init__(self, points, mults, p: int | None):
         self.p = p
         dtype = object if p is None else np.int64
-        orders = np.arange(max(mults, default=0))
-        place = np.add.outer(orders, orders) < np.array(mults)[:, None, None]
-        owner, du, dv = np.nonzero(place)
-        self.count = count = len(owner)
-        rows = np.zeros(place.shape, dtype=np.intp)
-        rows[owner, du, dv] = np.arange(count)
-        # the rows of (du - 1, dv) and (du, dv - 1), read only where du, dv > 0
-        down_u, down_v = rows[owner, du - 1, dv], rows[owner, du, dv - 1]
-        self.origin = np.zeros((count, 1), dtype=dtype)
-        self.origin[du + dv == 0] = 1
-        uv = []
-        for point, m in zip(points, mults):
-            w = next(ax for ax in range(3) if point[ax] != 0) if m else 0
-            uv.append([ax for ax in range(3) if ax != w])
-        u, v = np.array(uv, dtype=np.intp).reshape(-1, 2)[owner].T
+        axes = tuple(next(ax for ax in range(3) if point[ax] != 0) if m else 0
+                     for point, m in zip(points, mults))
+        owner, order0, lower = _layout(tuple(mults), axes, dtype)
+        self.count = len(owner)
+        self.origin = np.zeros((self.count, 1), dtype=dtype)
+        self.origin[order0] = 1
         at = np.array([point if p is None else [x % p for x in point] for point in points],
                       dtype=dtype).reshape(-1, 3)[owner]
-        # [axis, row]: the coefficient of the derivative one order lower in u
-        # (in v) of the product with that axis, 1 where u (v) is the axis and
-        # du > 0 (dv > 0)
-        lower_u, lower_v = np.zeros((2, 3, count), dtype=dtype)
-        lower_u[u, np.arange(count)] = np.minimum(du, 1)
-        lower_v[v, np.arange(count)] = np.minimum(dv, 1)
-        self.terms = []
-        for ax in range(3):
-            self.terms.append((at[:, ax, None], [(lower[ax, :, None], down) for lower, down in
-                                                 ((lower_u, down_u), (lower_v, down_v))
-                                                 if lower[ax].any()]))
+        self.terms = [(at[:, ax, None], lower[ax]) for ax in range(3)]
 
     def times(self, ax: int, cols):
         """The columns of the monomials ``cols`` stands for, times coordinate
@@ -331,7 +348,8 @@ class _Echelon:
     ``pivots`` lists the pivot column of each leading row, and ``block``
     holds the conditions of the degree-``degree`` monomials without x, the
     last columns of C_degree before elimination.  Once every row has a
-    pivot, no column adds rank and ``a`` stops growing.
+    pivot, no column adds rank: ``a`` and ``block`` stop growing while
+    ``degree`` still follows the requests.
     """
 
     def __init__(self, chart, mults, p: int | None):
@@ -343,22 +361,20 @@ class _Echelon:
         self.a = np.identity(self.conditions.count, dtype=object if p is None else np.int64)
 
     def grow(self, t: int) -> None:
-        """Extend the echelon form to the columns of degree t."""
-        if t <= self.degree:
-            return
-        blocks = []
-        for k in range(self.degree + 1, t + 1):
+        """Extend the echelon form to the columns of degree t, a degree at a
+        time until every row has a pivot."""
+        while self.degree < t and len(self.pivots) < len(self.a):
+            k = self.degree + 1
             self.block = self.conditions.origin if k == 0 else self.conditions.up(self.block)
-            blocks.append(self.block)
-        if len(self.pivots) < len(self.a):
-            old, new = _ncols(self.degree), _ncols(t)
+            old, new = _ncols(k - 1), _ncols(k)
             u = self.a[:, old:]
-            cols = u @ np.concatenate(blocks, axis=1)
+            cols = u @ self.block
             if self.p is not None:
                 cols %= self.p  # each entry is a sum of R products below p^2
             self.a = np.concatenate((self.a[:, :old], cols, u), axis=1)
             _rref(self.a, self.p, old, new, self.pivots)
-        self.degree = t
+            self.degree = k
+        self.degree = max(self.degree, t)
 
     def rank(self, t: int) -> int:
         """Rank of C_t: the pivots below column N_t."""

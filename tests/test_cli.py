@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fatpoints import oracle
 from fatpoints.cli import main
 
 
@@ -155,6 +156,23 @@ def test_validation_errors(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "neg", "--config", str(missing))
     assert code == 1
+
+
+@pytest.mark.parametrize("message, want", [
+    ("Unable to allocate 1.82 TiB for an array with shape (500500, 500500) and data type int64",
+     "error: out of memory: Unable to allocate 1.82 TiB for an array with shape"),
+    ("", "error: out of memory\n"),
+])
+def test_memory_error_prints_one_line(capsys, monkeypatch, message, want):
+    # raised by a stand-in: tier-1 allocates nothing large
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(oracle, "ideal_dim", exhausted)
+    code, out, err = run(capsys, "oracle", "--case", "iv", "--mult", "1000,0,0,0,0,0",
+                         "--deg", "0")
+    assert code == 1 and out == ""
+    assert err.startswith(want) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, config, message", [

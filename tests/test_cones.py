@@ -270,7 +270,7 @@ def cyclic_scan_h0_rows(f, neg):
     """Reference ``h0_rows`` that takes, per round, only the step ``reduce``
     would take next: ceil(-F.C / -C^2) copies of the first negatively met C
     at or after the class following the row's previous hit, cyclically.
-    Looks ``chi_rows`` up on the module, so a test can count its rounds."""
+    Looks ``_neg_blocks`` up on the module, so a test can count its rounds."""
     cur = int_rows(f)
     out = np.zeros(len(cur), dtype=cur.dtype)
     curves, gram, minus_sq = cones._neg_blocks(neg, cur.dtype)
@@ -316,18 +316,68 @@ def test_h0_rows_int64_at_the_entry_bound(equivalence_negs, name, rows, jitter):
     assert got.tolist() == [h0(f, neg) for f in classes]
 
 
-def test_h0_rows_rounds_bounded_by_scalar_trace(monkeypatch, case_iv):
+@pytest.fixture
+def rounds(monkeypatch):
+    """A one-element list counting reduction rounds: the products of rows
+    with the NEG Gram block, which ``h0_rows`` and ``cyclic_scan_h0_rows``
+    take once per round.  The nef witness's products are not counted."""
+    count = [0]
+    real_blocks, real_witness = cones._neg_blocks, cones._nef_witness
+
+    class CountedGram(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            count[0] += ufunc is np.matmul
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    def counted_blocks(neg, dtype):
+        curves, gram, minus_sq = real_blocks(neg, dtype)
+        return curves, gram.view(CountedGram), minus_sq
+
+    def uncounted_witness(cur, neg):
+        before = count[0]
+        out = real_witness(cur, neg)
+        count[0] = before
+        return out
+
+    monkeypatch.setattr(cones, "_neg_blocks", counted_blocks)
+    monkeypatch.setattr(cones, "_nef_witness", uncounted_witness)
+    return count
+
+
+def test_h0_rows_stack_matches_its_parts(rounds, equivalence_negs):
+    """Every row evolves on its own: ``h0_rows`` on a stack of parts gives
+    the parts' results side by side, in as many rounds as its slowest part,
+    also when a part walks down a pencil until the nef witness stops it."""
+    rng = random.Random(3)
+    w = PENCIL_WALK
+    cases = [(neg, []) for neg in equivalence_negs.values()]
+    cases.append((relabelled(WALK_NEGS[w["index"]], w["perm"]),
+                  [[[w["scale"] * x + w["jitter"] for x in w["coeffs"]]]]))
+    per_part = []
+    for neg, parts in cases:
+        parts += [[[rng.randint(-3, 60) for _ in range(7)] for _ in range(rng.randint(1, 6))]
+                  for _ in range(3)]
+        want, part_rounds = [], []
+        for part in parts:
+            rounds[0] = 0
+            want += h0_rows(part, neg).tolist()
+            part_rounds.append(rounds[0])
+        rounds[0] = 0
+        assert h0_rows(sum(parts, []), neg).tolist() == want
+        assert rounds[0] == max(part_rounds), part_rounds
+        per_part.append(part_rounds)
+    assert per_part[-1][0] >= WITNESS_STEPS  # the pencil part
+    # in most stacks the parts take different numbers of rounds
+    assert sum(len(set(r)) > 1 for r in per_part) > len(per_part) // 2
+
+
+def test_h0_rows_rounds_bounded_by_scalar_trace(monkeypatch, rounds, case_iv):
     """Subtracting every negatively met curve per round takes, per call, at
     most one round more than the longest ``reduce`` trace of its rows (the
     last round only sees the rows nef), and fewer rounds in all than the
-    one-curve cyclic scan.  Rounds are counted as ``chi_rows`` calls."""
-    count = [0]
-    real_chi_rows, real_h0_rows = cones.chi_rows, cones.h0_rows
-
-    def counting_chi_rows(f):
-        count[0] += 1
-        return real_chi_rows(f)
-
+    one-curve cyclic scan.  Rounds are counted by the ``rounds`` fixture."""
+    count = rounds
+    real_h0_rows = cones.h0_rows
     calls = []
 
     def recording_h0_rows(f, neg):
@@ -336,7 +386,6 @@ def test_h0_rows_rounds_bounded_by_scalar_trace(monkeypatch, case_iv):
         calls.append((int_rows(f).tolist(), neg, count[0] - before))
         return out
 
-    monkeypatch.setattr(cones, "chi_rows", counting_chi_rows)
     monkeypatch.setattr(murank, "h0_rows", recording_h0_rows)
     negs = [PointConfiguration.from_dynkin(name).neg for name in ("E6", "D5", "A5")]
     for neg in negs + [case_iv.neg]:

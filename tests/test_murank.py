@@ -1057,9 +1057,10 @@ def test_kernel_certificates_match_direct_rules(a1_vertical_neg):
     assert set(reasons) == {"conic-support", "qstar+lstar=0", "q=l=0", None}
 
 
-def test_s_chain_reduces_twice_per_level(monkeypatch, case_iv):
-    """Chain levels are nef, so each ``_deficient_rows`` call reduces only
-    f - Ej and f - (E0 - Ej): two ``h0_rows`` calls, none for f or f + E0."""
+def test_s_chain_reduces_once_per_level(monkeypatch, case_iv):
+    """Each ``_deficient_rows`` call reduces all its rows in one ``h0_rows``
+    call: on a chain level, which is nef, f - Ej and f - (E0 - Ej); on a
+    batch with a non-nef row, that row's f and f + E0 as well."""
     calls = Counter()
     real_h0_rows, real_deficient_rows = murank.h0_rows, murank._deficient_rows
 
@@ -1079,7 +1080,15 @@ def test_s_chain_reduces_twice_per_level(monkeypatch, case_iv):
         effective_roots(neg)  # the root table, one more h0_rows call, comes first
         calls.clear()
         s_chain(neg, 6)
-        assert calls == {"deficient": 6, "h0_rows": 12}, neg.nodal
+        assert calls == {"deficient": 6, "h0_rows": 6}, neg.nodal
+    neg = fresh(case_iv.neg)
+    effective_roots(neg)
+    c = min(neg.classes, key=lambda c: c.dot(c))
+    rows = [MINUS_K, MINUS_K + 2 * c]
+    assert [is_nef(f, neg) for f in rows] == [True, False]
+    calls.clear()
+    murank._deficient_rows(np.array(rows), neg, cache_all=True)
+    assert calls == {"deficient": 1, "h0_rows": 1}
 
 
 def test_verify_stabilization_checks_no_member_for_nef(monkeypatch, a1_vertical_neg):

@@ -431,6 +431,18 @@ def test_prime_dividing_a_chart_denominator_falls_back_to_exact(monkeypatch):
     assert exact_calls
 
 
+def test_ideal_dim_far_past_full_rank_builds_nothing_more():
+    # six simple points impose six conditions from degree 2 on; a state
+    # that kept building blocks would need 6 x N_t entries at t = 10**6
+    pts, m, t = oracle.fixture_points("iv"), (1,) * 6, 10 ** 6
+    oracle._echelon.cache_clear()
+    assert oracle.ideal_dim(pts, m, t) == _ncols(t) - 6
+    for p in oracle.PRIMES:
+        state = oracle._echelon(pts, m, p)
+        assert state.degree == t
+        assert state.block.shape == (6, 3) and state.a.shape == (6, _ncols(2) + 6)
+
+
 def test_walk_eliminates_each_column_once(monkeypatch):
     # walking t = 0..12 reads degrees up to 13; the per-degree route
     # eliminated sum N_t columns plus every image, this one N_13 per prime
@@ -473,15 +485,19 @@ def _chart_points(points, p):
 
 
 def _check_blocks(case, mults, t, p):
-    """The blocks an echelon state builds degree by degree, side by side,
-    against the chart's conditions matrix."""
+    """The blocks an echelon state's conditions build degree by degree with
+    ``up``, side by side, against the chart's conditions matrix; the state
+    itself stops building them once every row has a pivot."""
     chart, mults = _chart_points(oracle.fixture_points(case), p), tuple(mults)
     state = oracle._Echelon(chart, mults, p)
-    blocks = []
-    for k in range(t + 1):
+    blocks = [state.conditions.origin]
+    for k in range(1, t + 1):
+        blocks.append(state.conditions.up(blocks[-1]))
+    for k, block in enumerate(blocks):
+        assert block.shape == (len(state.a), k + 1)
         state.grow(k)
-        assert state.block.shape == (len(state.a), k + 1)
-        blocks.append(state.block)
+        if len(state.pivots) < len(state.a):
+            assert state.block.tolist() == block.tolist()
     rows = oracle.conditions_matrix(chart, mults, t, p)
     assert np.hstack(blocks).tolist() == [row.tolist() for row in rows]
 
