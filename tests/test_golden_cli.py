@@ -2,9 +2,9 @@
 
 ``golden_cli.json`` holds the exit code and the sha256 of stdout of
 ``verify`` and ``verify --json``, each with and without ``--all-e0``, on
-cases i-iv and the 20 catalog types, of ``nefgens`` and ``nefgens --raw``,
-text and ``--json``, on the six fixture cases, of three ``verify
---depth 13`` runs (levels past 6; on some A1 markings their entries leave
+the six fixture cases and the 20 catalog types, of ``nefgens`` and
+``nefgens --raw``, text and ``--json``, on the six fixture cases, of three
+``verify --depth 13`` runs (levels past 6; on some A1 markings their entries leave
 the int64 key packing range), and of ``hilbert`` and ``resolve``, text and
 ``--json``, at the large multiplicities ``LARGE_MULT`` on cases iv and
 general and the types E6, D5 and A5, and at ``ASCENDING_MULT`` on E6 and D4,
@@ -43,7 +43,7 @@ NOTE = ("exit code and sha256 of the stdout of `fatpoints <arguments> --config "
 def commands() -> list:
     """Keys '<configuration> <arguments>' of every pinned command."""
     out = []
-    for name in ("i", "ii", "iii", "iv") + tuple(sorted(dynkin_catalog())):
+    for name in tuple(FIXTURE_SPECS) + tuple(sorted(dynkin_catalog())):
         for marking in ("", " --all-e0"):
             for fmt in ("", " --json"):
                 out.append(f"{name} verify{marking}{fmt}")
