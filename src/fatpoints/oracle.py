@@ -160,35 +160,30 @@ def _checked(points, mults, t: int):
 
 
 @functools.lru_cache(maxsize=ECHELON_CACHE_SIZE)
-def _layout(mults, axes, dtype) -> tuple:
+def _layout(mults, axes) -> tuple:
     """The rows of :class:`_Conditions` for multiplicities ``mults`` and the
-    axis w of each point, with coefficients in ``dtype``; cached, since the
-    two primes of a scheme share all of it but the residues of the points.
+    axis w of each point; cached, since the two primes of a scheme and its
+    exact route share all of it but the coordinates of the points.
 
     Returns the point of each row, the rows of order 0, and per axis the
-    (coefficient, rows) pairs of the derivatives one order lower in u and
-    in v of the product with that axis: the coefficient is 1 where u (v) is
-    the axis and du > 0 (dv > 0), the rows are those of (du - 1, dv) and
-    (du, dv - 1).
+    (rows, lower rows) pairs of the product with that axis: the rows where
+    u (v) is the axis and du > 0 (dv > 0), and the rows of (du - 1, dv)
+    ((du, dv - 1)) they add, each with coefficient 1.
     """
     orders = np.arange(max(mults, default=0))
     place = np.add.outer(orders, orders) < np.array(mults)[:, None, None]
     owner, du, dv = np.nonzero(place)
-    count = len(owner)
     rows = np.zeros(place.shape, dtype=np.intp)
-    rows[owner, du, dv] = np.arange(count)
-    # the rows of (du - 1, dv) and (du, dv - 1), read only where du, dv > 0
-    down_u, down_v = rows[owner, du - 1, dv], rows[owner, du, dv - 1]
+    rows[owner, du, dv] = np.arange(len(owner))
     u, v = np.array([[ax for ax in range(3) if ax != w] for w in axes],
                     dtype=np.intp).reshape(-1, 2)[owner].T
-    lower_u, lower_v = np.zeros((2, 3, count), dtype=dtype)
-    lower_u[u, np.arange(count)] = np.minimum(du, 1)
-    lower_v[v, np.arange(count)] = np.minimum(dv, 1)
-    for a in (owner, lower_u, lower_v, down_u, down_v):
+    # the rows of (du - 1, dv) and (du, dv - 1), read only where du, dv > 0
+    down_u, down_v = rows[owner, du - 1, dv], rows[owner, du, dv - 1]
+    lower = tuple([(np.flatnonzero(on), down[on]) for on, down in
+                   (((u == ax) & (du > 0), down_u), ((v == ax) & (dv > 0), down_v))
+                   if on.any()] for ax in range(3))
+    for a in (owner, *(x for pairs in lower for pair in pairs for x in pair)):
         a.flags.writeable = False
-    lower = tuple([(low[ax, :, None], down) for low, down in
-                   ((lower_u, down_u), (lower_v, down_v)) if low[ax].any()]
-                  for ax in range(3))
     return owner, np.flatnonzero(du + dv == 0), lower
 
 
@@ -209,7 +204,7 @@ class _Conditions:
         dtype = object if p is None else np.int64
         axes = tuple(next(ax for ax in range(3) if point[ax] != 0) if m else 0
                      for point, m in zip(points, mults))
-        owner, order0, lower = _layout(tuple(mults), axes, dtype)
+        owner, order0, lower = _layout(tuple(mults), axes)
         self.count = len(owner)
         self.origin = np.zeros((self.count, 1), dtype=dtype)
         self.origin[order0] = 1
@@ -223,8 +218,8 @@ class _Conditions:
         with the last two terms only where u, v is ``ax`` and du, dv > 0."""
         at, lower = self.terms[ax]
         out = at * cols
-        for coef, rows in lower:
-            out += coef * cols[rows]
+        for rows, down in lower:
+            out[rows] += cols[down]
         return out if self.p is None else out % self.p
 
     def up(self, block):
