@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weyl
-from .config import NegSet, anticanonical_nef
+from .config import NegSet, anticanonical_nef, per_surface
 from .lattice import MINUS_K, DivisorClass, chi
 
 #: Orbit seeds whose union of reflection orbits spans the nef-cone search
@@ -187,26 +187,22 @@ _FORM = np.array((1, -1, -1, -1, -1, -1, -1), dtype=np.int64)
 WITNESS_STEPS = 32
 
 
+@per_surface
 def _neg_blocks(neg: NegSet, dtype) -> tuple:
-    """NEG as rows, the block with F.C = (F @ block)[C], and -C^2; cached."""
-    got = neg._cache.get(("blocks", dtype))
-    if got is None:
-        curves = np.array(neg.classes, dtype=dtype).reshape(-1, 7)
-        got = neg._cache["blocks", dtype] = (curves, (curves * _FORM).T,
-                                             -(curves * curves) @ _FORM)
-        for a in got:
-            a.flags.writeable = False
+    """NEG as rows of ``dtype``, the block with F.C = (F @ block)[C], and -C^2."""
+    curves = np.array(neg.classes, dtype=dtype).reshape(-1, 7)
+    got = curves, (curves * _FORM).T, -(curves * curves) @ _FORM
+    for a in got:
+        a.flags.writeable = False
     return got
 
 
+@per_surface
 def _gram(neg: NegSet) -> list:
     """The NEG Gram table as lists of Python ints, row j the pairings of
-    C_j with the sorted NEG classes: one product of the int64 blocks; cached."""
-    got = neg._cache.get("gram")
-    if got is None:
-        curves, block, _ = _neg_blocks(neg, np.dtype(np.int64))
-        got = neg._cache["gram"] = (curves @ block).tolist()
-    return got
+    C_j with the sorted NEG classes: one product of the int64 blocks."""
+    curves, block, _ = _neg_blocks(neg, np.dtype(np.int64))
+    return (curves @ block).tolist()
 
 
 def nef_rows(f: np.ndarray, neg: NegSet) -> np.ndarray:
@@ -383,21 +379,14 @@ def _pare(classes) -> tuple:
     return tuple(itertools.compress(members, (~hit).tolist()))
 
 
+@per_surface
 def nef_generators(neg: NegSet) -> GeneratorSet:
-    """Generators of the nef cone semigroup; requires -K nef.
-
-    Cached on the NegSet, so a repeated call is one dict lookup.
-    """
-    cache = neg._cache.get("gens")
-    if cache is not None:
-        return cache
+    """Generators of the nef cone semigroup; requires -K nef."""
     if not anticanonical_nef(neg):
         raise ValueError("nef-cone generators require a nef anticanonical class")
     classes, rows = _sorted_union()
     raw = tuple(itertools.compress(classes, nef_rows(rows, neg).tolist()))
-    gens = GeneratorSet(raw=raw, pared=_pare(raw))
-    neg._cache["gens"] = gens
-    return gens
+    return GeneratorSet(raw=raw, pared=_pare(raw))
 
 
 def gamma(neg: NegSet) -> tuple:

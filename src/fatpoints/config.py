@@ -16,6 +16,7 @@ catalog set of its type (``dynkin_catalog``).
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -49,7 +50,7 @@ class NegSet:
 
     classes: tuple
 
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)  # per_surface
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(sorted(set(self.classes))))
@@ -82,6 +83,21 @@ class NegSet:
     @property
     def other(self) -> tuple:
         return tuple(c for c in self.classes if c.dot(c) <= -3)
+
+
+def per_surface(fn):
+    """Memoize fn(neg, *args) on the NegSet, keyed by fn, or by (fn, *args)
+    when there are arguments, so a hit is one dict lookup.  A call that
+    raises stores nothing; an equal but distinct NegSet starts empty."""
+    @functools.wraps(fn)
+    def memo(neg, *args):
+        key = (fn, *args) if args else fn
+        try:
+            return neg._cache[key]
+        except KeyError:
+            got = neg._cache[key] = fn(neg, *args)
+            return got
+    return memo
 
 
 def anticanonical_nef(neg: NegSet) -> bool:

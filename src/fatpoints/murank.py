@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from . import weyl
-from .config import _CONIC6, NegSet, anticanonical_nef
+from .config import _CONIC6, NegSet, anticanonical_nef, per_surface
 from .cones import (_FORM, chi_rows, gamma, h0, h0_rows, int_rows, is_nef,
                     nef_generators, nef_rows, orbit_rows, pack_keys, packable, reduce)
 from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus
@@ -68,23 +68,22 @@ class MuBounds:
     index: int
 
 
+@per_surface
 def effective_roots(neg: NegSet) -> frozenset:
     """The effective members of the 72 roots of ``weyl.all_roots``.
 
-    One ``h0_rows`` call decides all 72, cached on the NegSet.  h0 > 0 is
+    One ``h0_rows`` call decides all 72, once per NegSet.  h0 > 0 is
     the same test as ``reduce(r, neg).effective``: an effective class
     reduces to a nef part N with h0 = chi(N) = (N.N - K.N)/2 + 1, and a nef
     N meets itself and the effective -K (six points impose at most six
     conditions on the ten cubics) nonnegatively, so chi(N) >= 1.
     """
-    got = neg._cache.get("roots")
-    if got is None:
-        roots = weyl.all_roots()
-        effective = h0_rows(np.array(roots, dtype=np.int64), neg) > 0
-        got = neg._cache["roots"] = frozenset(itertools.compress(roots, effective.tolist()))
-    return got
+    roots = weyl.all_roots()
+    effective = h0_rows(np.array(roots, dtype=np.int64), neg) > 0
+    return frozenset(itertools.compress(roots, effective.tolist()))
 
 
+@per_surface
 def plane_point_indices(neg: NegSet) -> tuple:
     """Indices j whose point sits in the plane itself.
 
@@ -93,16 +92,19 @@ def plane_point_indices(neg: NegSet) -> tuple:
     kernel/cokernel machinery.  Each Ei - Ej is a root, looked up in
     :func:`effective_roots`.
     """
-    cache = neg._cache.get("plane_idx")
-    if cache is not None:
-        return cache
     roots = effective_roots(neg)
     out = tuple(j for j in range(1, 7)
                 if all(E[i] - E[j] not in roots for i in range(1, 7) if i != j))
     if not out:
         raise ValueError("no usable point index; malformed negative-curve set")
-    neg._cache["plane_idx"] = out
     return out
+
+
+@per_surface
+def _bounds_and_certs(neg: NegSet) -> tuple:
+    """The ``MuBounds`` and the certificates of classes, two dicts that
+    :func:`_deficient_rows` and :func:`certify` fill in place."""
+    return {}, {}
 
 
 def ql_bounds(f: DivisorClass, neg: NegSet) -> MuBounds:
@@ -110,15 +112,15 @@ def ql_bounds(f: DivisorClass, neg: NegSet) -> MuBounds:
 
     The pivot j is the least usable index (:func:`plane_point_indices`)
     with the largest multiplicity of f; for a nef class it lies in the
-    plane.  The bounds have one kernel: a class missing from the cache runs
+    plane.  The bounds have one kernel: a class missing from the table runs
     through :func:`_deficient_rows` as a one-row array, which raises
     ``ValueError`` if f is not effective.
     """
-    cache = neg._cache.setdefault("bounds", {})
-    got = cache.get(f)
+    bounds = _bounds_and_certs(neg)[0]
+    got = bounds.get(f)
     if got is None:
         _deficient_rows(np.array([f], dtype=object), neg, cache_all=True)
-        got = cache[f]
+        got = bounds[f]
     return got
 
 
@@ -136,14 +138,14 @@ def deficient(f: DivisorClass, neg: NegSet) -> bool:
 def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.ndarray:
     """``deficient`` for every row of an n x 7 array, decided for all rows at once.
 
-    The one kernel of the q/l bounds; :func:`ql_bounds` reads the cache it
+    The one kernel of the q/l bounds; :func:`ql_bounds` reads the tables it
     fills.  The pivot of a row is the one :func:`_pivots` gives.  Nef rows
     (``cones.nef_rows``) take h0 = chi(F) and h0(F + E0) = chi(F) + deg F + 2
     by Riemann-Roch; other rows (from :func:`ql_bounds`) are reduced.  f - Ej,
     f - (E0 - Ej) and those rows' F and F + E0 go through one ``h0_rows``
     call, whose rounds are those of its slowest row, and the chi of the two
     twists through one ``chi_rows`` call.  The ``MuBounds`` of every row
-    (``cache_all``) or of the deficient rows go into the cache, with the
+    (``cache_all``) or of the deficient rows go into the tables, with the
     certificate (:func:`_rules`) of each such nef row.  Raises ``ValueError``
     on an ineffective row, else ``ArithmeticError`` on h1 < 0.
     """
@@ -174,8 +176,7 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
     mask = (q == 0) | (l == 0) | (q_star > 0) | (l_star > 0)
     keep = slice(None) if cache_all else mask
     conic = on_conic(neg)
-    bounds = neg._cache.setdefault("bounds", {})
-    certs = neg._cache.setdefault("cert", {})
+    bounds, certs = _bounds_and_certs(neg)
     cols = (f, nef, q, l, q_star, l_star, h, h_next, pivot)
     for row, is_nef_row, *values in zip(*(x[keep].tolist() for x in cols)):
         c = DivisorClass(row)
@@ -235,6 +236,7 @@ def step_allows(c: DivisorClass, target: DivisorClass, neg: NegSet) -> bool:
     return c.dot(c) >= 0 and target.dot(c) >= _pairing_floor(c, neg)
 
 
+@per_surface
 def _rational_curve_candidates(neg: NegSet) -> tuple:
     """Classes of irreducible rational curves usable as induction steps.
 
@@ -243,21 +245,11 @@ def _rational_curve_candidates(neg: NegSet) -> tuple:
     irreducible rational curves (base point free, with irreducible general
     member).
     """
-    return _rational_curves(neg)[0]
-
-
-def _rational_curves(neg: NegSet) -> tuple:
-    """:func:`_rational_curve_candidates` and the same classes as an int64
-    array, cached together."""
-    got = neg._cache.get("rc_cands")
-    if got is None:
-        cands = list(neg.classes)
-        pool = set(nef_generators(neg).pared).union(  # pared: nef by construction
-            _nef_orbit(E0, neg), _nef_orbit(E0 - E[1], neg))
-        cands += [c for c in sorted(pool) if c != ZERO and arithmetic_genus(c) == 0]
-        out = tuple(dict.fromkeys(cands))
-        got = neg._cache["rc_cands"] = out, np.array(out, dtype=np.int64).reshape(-1, 7)
-    return got
+    cands = list(neg.classes)
+    pool = set(nef_generators(neg).pared).union(  # pared: nef by construction
+        _nef_orbit(E0, neg), _nef_orbit(E0 - E[1], neg))
+    cands += [c for c in sorted(pool) if c != ZERO and arithmetic_genus(c) == 0]
+    return tuple(dict.fromkeys(cands))
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +261,17 @@ def certify(f: DivisorClass, neg: NegSet) -> Certificate:
 
     Search order: the direct rules (:func:`_direct`), then the one-level
     search (:func:`_search`); anything else is inconclusive.  Every result
-    is cached on the NegSet, for nef classes only; the bounds kernel stores
+    is stored on the NegSet, for nef classes only; the bounds kernel stores
     direct-rule results there, None until the search decides the class.
     """
-    cache = neg._cache.setdefault("cert", {})
-    if f not in cache:
+    certs = _bounds_and_certs(neg)[1]
+    if f not in certs:
         if not is_nef(f, neg):
             raise ValueError(f"{f!r} is not nef on this configuration")
-        cache[f] = _direct(f, neg)
-    if cache[f] is None:
-        cache[f] = _search(f, neg)
-    return cache[f]
+        certs[f] = _direct(f, neg)
+    if certs[f] is None:
+        certs[f] = _search(f, neg)
+    return certs[f]
 
 
 def certified(cert: Certificate | None, want: Status, f: DivisorClass, neg: NegSet) -> bool:
@@ -318,9 +310,9 @@ def _direct(f, neg) -> Certificate | None:
 
 
 def _known(f, neg) -> Certificate | None:
-    """What the search reads of a smaller class: its cached certificate, else
+    """What the search reads of a smaller class: its stored certificate, else
     the direct rules.  Nothing in the search calls :func:`certify`."""
-    return neg._cache["cert"].get(f) or _direct(f, neg)
+    return _bounds_and_certs(neg)[1].get(f) or _direct(f, neg)
 
 
 def _search(f, neg) -> Certificate:
@@ -330,8 +322,8 @@ def _search(f, neg) -> Certificate:
     candidates are tried in their order."""
     if not anticanonical_nef(neg):
         return Certificate(Status.INCONCLUSIVE, "no generator set available")
-    cands, rows = _rational_curves(neg)
-    nef = nef_rows(int_rows([f]) - rows, neg)
+    cands = _rational_curve_candidates(neg)
+    nef = nef_rows(int_rows([f]) - int_rows(cands), neg)
     for c in itertools.compress(cands, nef.tolist()):
         fp = f - c
         if step_allows(c, f, neg) and certified(_known(fp, neg), Status.SURJECTIVE, fp, neg):
@@ -444,7 +436,7 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     ascending order at any depth (level i has entries up to 9i, past the
     reach of packed keys).  Gamma and the level members, which
     :func:`verify_stabilization` certifies, leave their bounds in the
-    :func:`ql_bounds` cache; other sums do not.
+    tables of :func:`_bounds_and_certs`; other sums do not.
 
     From level 3 on most sums are proven non-deficient without reducing
     anything, by h1 persistence along a rational level-1 class.  Lemma:
@@ -461,7 +453,7 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     A + C for the last level's candidate A = A' + s1[c0], so the proof is
     dense gathers over the last level's pre-dedupe index (:func:`_proven`);
     only the rest go through :func:`_deficient_rows`.  Level 2 is tested
-    whole.  No member is proven, so the levels and the bounds cache are
+    whole.  No member is proven, so the levels and the bounds table are
     those of testing every sum.
     """
     if not anticanonical_nef(neg):
@@ -577,7 +569,7 @@ def _h1_persistence_tail(base, step, neg, computed: int):
     nondecreasing in the ray parameter, so checking the first needed member
     covers the whole tail, and every tail member is then surjective.  From
     i_stab on the stable pivot is the pivot of :func:`ql_bounds`, so the
-    starred counts come from the one bounds kernel (cached on the chain).
+    starred counts come from the one bounds kernel (stored by the chain).
     """
     if arithmetic_genus(step) != 0:
         return None

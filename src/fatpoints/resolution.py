@@ -14,8 +14,7 @@ Every invariant is read off one degree table (``_table``): two lists,
 the nef part N_t of F_t (None without sections) and its section count
 h0(F_t), for t = 0..T.  ``hilbert`` finds alpha and tau on the h0 list,
 with h1 = h0 - chi by Riemann-Roch; ``betti`` and ``mu_cokernel`` read the
-cokernels off both lists.  The NegSet keeps the table of the last scheme
-asked about, so ``hilbert`` followed by ``betti`` fills it once.
+cokernels off both lists.  The NegSet keeps one table (``_degree_slot``).
 
 The table is filled walking down the degrees.  It reduces F_T once at a
 top degree T, two past the least degree where F_t meets every NEG class
@@ -43,7 +42,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
-from .config import NegSet, anticanonical_nef
+from .config import NegSet, anticanonical_nef, per_surface
 from .cones import _strip, reduce
 from .lattice import DivisorClass, chi
 
@@ -135,19 +134,26 @@ class HilbertProfile:
         return got
 
 
+@per_surface
+def _degree_slot(neg: NegSet) -> list:
+    """[multiplicities, nef, h0] of the last scheme asked about on the NegSet,
+    so ``hilbert`` followed by ``betti`` fills the table once."""
+    return [None, [], []]
+
+
 def _table(z: FatPointScheme, t: int) -> tuple:
     """The lists (nef, h0) of the degree table of a normalized z (module
     doc), extended to cover degree t.
 
     ``nef[u]`` is the nef part ``reduce`` gives F_u, or None when F_u has no
-    sections; ``h0[u]`` is the section count of F_u.  One slot on the
-    NegSet, keyed by the multiplicities, holds the lists.
+    sections; ``h0[u]`` is the section count of F_u.  Another scheme's
+    multiplicities empty the NegSet's one slot.
     """
     neg = z.neg
-    key, nef, h0 = neg._cache.get("scan", (None, None, None))
-    if key != z.multiplicities:
-        nef, h0 = [], []
-        neg._cache["scan"] = (z.multiplicities, nef, h0)
+    slot = _degree_slot(neg)
+    if slot[0] != z.multiplicities:
+        slot[:] = z.multiplicities, [], []
+    _, nef, h0 = slot
     old = len(nef)
     if t < old:
         return nef, h0

@@ -3,13 +3,15 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fatpoints import cones, murank
 from fatpoints.config import (ConfigError, DistinctSpec, NegSet,
                               PointConfiguration, anticanonical_nef,
                               dynkin_catalog, dynkin_classify,
-                              neg_from_distinct, neg_from_nodal)
+                              neg_from_distinct, neg_from_nodal, per_surface)
 from fatpoints.lattice import E, K, DivisorClass, through
 from fatpoints.weyl import all_roots, exceptional_classes, reflect
 
@@ -440,3 +442,85 @@ def test_dynkin_classify_matches_leg_walk():
     assert all(None in seen[m] and len(seen[m]) > 1 for m in range(3, 7))
     assert None not in seen[1] | seen[2] and seen[7] == {None}
     assert {"D4", "D5", "E6"} <= set().union(*seen.values())
+
+
+# ---------------------------------------------------------------------------
+# Per-surface memo
+
+
+def test_per_surface_runs_once_per_negset_and_arguments(case_iv):
+    calls = []
+
+    @per_surface
+    def table(neg, *args):
+        calls.append(args)
+        return len(neg), args
+
+    @per_surface
+    def other_table(neg, *args):
+        calls.append(("other",) + args)
+        return args
+
+    neg = NegSet(case_iv.neg.classes)
+    for _ in range(3):
+        assert table(neg) == (13, ())
+        assert table(neg, 2) == (13, (2,))
+        assert table(neg, 2, "x") == (13, (2, "x"))
+        assert other_table(neg, 2) == (2,)
+    assert calls == [(), (2,), (2, "x"), ("other", 2)]
+    # an equal but distinct NegSet starts empty, and hashes and compares as before
+    fresh = NegSet(case_iv.neg.classes)
+    assert fresh == neg and hash(fresh) == hash(neg) == hash(neg.classes)
+    assert table(fresh, 2) == (13, (2,))
+    assert calls[-1] == (2,) and len(calls) == 5
+    assert table.__name__ == "table"
+
+
+def test_neg_blocks_keep_dtypes_apart(case_iv):
+    neg = NegSet(case_iv.neg.classes)
+    small = cones._neg_blocks(neg, np.dtype(np.int64))
+    big = cones._neg_blocks(neg, np.dtype(object))
+    assert [a.dtype for a in small] == [np.int64] * 3
+    assert [a.dtype for a in big] == [object] * 3
+    assert cones._neg_blocks(neg, np.dtype(np.int64)) is small
+    assert cones._neg_blocks(neg, np.dtype(object)) is big
+    assert all((a == b).all() and not a.flags.writeable and not b.flags.writeable
+               for a, b in zip(small, big))
+    assert cones._gram(neg) == (small[0] @ small[1]).tolist()
+
+
+def test_per_surface_stores_nothing_when_the_call_raises(monkeypatch):
+    # -K is not nef on four collinear points: no generator set, each call
+    # runs the check again
+    four = neg_from_distinct(DistinctSpec(collinear=((1, 2, 3, 4),)))
+    checks = []
+
+    def counted(neg):
+        checks.append(neg)
+        return anticanonical_nef(neg)
+
+    monkeypatch.setattr(cones, "anticanonical_nef", counted)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="nef anticanonical"):
+            cones.nef_generators(four)
+        assert len(checks) == n
+
+
+def test_plane_point_indices_retries_after_a_raise(case_iv, monkeypatch):
+    # with every root effective no index is usable; the raise leaves the
+    # NegSet without an entry, so the real root table answers afterwards
+    neg = NegSet(case_iv.neg.classes)
+    lookups = []
+
+    def every_root(neg):
+        lookups.append(neg)
+        return frozenset(all_roots())
+
+    monkeypatch.setattr(murank, "effective_roots", every_root)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="no usable point index"):
+            murank.plane_point_indices(neg)
+        assert len(lookups) == n
+    monkeypatch.undo()
+    assert murank.plane_point_indices(neg) == murank.plane_point_indices(case_iv.neg)
+    assert murank.plane_point_indices(neg) == tuple(range(1, 7))

@@ -13,8 +13,9 @@ from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfigur
                               neg_from_nodal)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, arithmetic_genus, chi
 from fatpoints import murank
-from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _canonical_problem,
-                              _deficient_rows, _direct, _find_stabilization,
+from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _bounds_and_certs,
+                              _canonical_problem, _deficient_rows, _direct,
+                              _find_stabilization,
                               _rational_curve_candidates,
                               _search, certified, certify, change_of_marking, deficient,
                               e0_classes, effective_roots, exceptional_configuration,
@@ -265,7 +266,7 @@ def test_good_part_sum_never_fires_on_random_sums():
 
 
 def reference_certify(f, neg, *, _depth=0):
-    cache = neg._cache.setdefault("cert", {})
+    cache = _bounds_and_certs(neg)[1]
     got = cache.get(f)
     if got is not None:
         return got
@@ -375,7 +376,7 @@ def test_certify_matches_depth_reference_on_the_sweep(monkeypatch):
                     == reference_surjective_certified(f, ref_neg))
             assert (certified(cert, Status.INJECTIVE, f, new_neg)
                     == reference_injective_certified(f, ref_neg))
-        rules.update(c.reason.split(":")[0] for c in new_neg._cache.get("cert", {}).values())
+        rules.update(c.reason.split(":")[0] for c in _bounds_and_certs(new_neg)[1].values())
     assert rules["rational-curve-step"] == 46 and rules["kernel-transfer"] == 4
 
 
@@ -983,7 +984,7 @@ def test_cached_bounds_after_s_chain_match_scalar():
     for name, make in fresh.items():
         neg = make()
         chain = s_chain(neg, 4)
-        cached = neg._cache["bounds"]
+        cached = _bounds_and_certs(neg)[0]
         members = {f for lv in chain.levels for f in lv}
         assert set(cached) == set(chain.gamma) | members, name
         other = make()
@@ -1047,7 +1048,7 @@ def test_kernel_certificates_match_direct_rules(a1_vertical_neg):
     reasons = Counter()
     for neg in kernel_problems(a1_vertical_neg):
         chain = s_chain(neg, 6)
-        certs = neg._cache["cert"]
+        certs = _bounds_and_certs(neg)[1]
         assert set(certs) == set(chain.gamma).union(*chain.levels), neg.nodal
         other = fresh(neg)
         for f, cert in certs.items():
@@ -1131,9 +1132,9 @@ def test_deficient_rows_on_mixed_nef_rows_matches_scalar_reference(data, name, s
     kernel, ref = fresh(neg), fresh(neg)
     mask = _deficient_rows(np.array(rows, dtype=object), kernel, cache_all=True)
     assert mask.tolist() == [scalar_deficient(f, ref) for f in rows]
-    certs = kernel._cache["cert"]
+    bounds, certs = _bounds_and_certs(kernel)
     for f, is_nef_row in zip(rows, nef):
-        assert kernel._cache["bounds"][f] == scalar_ql_bounds(f, ref)
+        assert bounds[f] == scalar_ql_bounds(f, ref)
         assert (f in certs) == is_nef_row
         if is_nef_row:
             assert certs[f] == _direct(f, ref)

@@ -433,7 +433,7 @@ def test_scan_cache_holds_one_table(monkeypatch):
     monkeypatch.setattr(resolution, "_strip", counted)
     hilbert(a)
     hilbert(b)
-    key, nef, h0 = neg._cache["scan"]
+    key, nef, h0 = resolution._degree_slot(neg)
     assert key == b.multiplicities and len(nef) == len(h0)
     calls[0] = 0
     betti(b)
