@@ -95,8 +95,9 @@ def per_surface(fn):
         try:
             return neg._cache[key]
         except KeyError:
-            got = neg._cache[key] = fn(neg, *args)
-            return got
+            pass  # fn runs outside the handler, so its errors are not chained to this one
+        got = neg._cache[key] = fn(neg, *args)
+        return got
     return memo
 
 

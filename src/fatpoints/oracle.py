@@ -214,12 +214,12 @@ class _Conditions:
 
     def times(self, ax: int, cols):
         """The columns of the monomials ``cols`` stands for, times coordinate
-        ``ax``: D(X g) = X Dg + D_u^(du-1) D_v^(dv) g + D_u^(du) D_v^(dv-1) g
-        with the last two terms only where u, v is ``ax`` and du, dv > 0."""
+        ``ax``: D(X g) = X Dg + D_u^(du-1) D_v^(dv) g + D_u^(du) D_v^(dv-1) g,
+        the last two rows of ``cols`` added only where u, v is ``ax`` and du, dv > 0."""
         at, lower = self.terms[ax]
         out = at * cols
-        for rows, down in lower:
-            out[rows] += cols[down]
+        for rows, down in lower:  # take: faster than fancy indexing here
+            out[rows] = out.take(rows, 0) + cols.take(down, 0)
         return out if self.p is None else out % self.p
 
     def up(self, block):
