@@ -153,19 +153,10 @@ def _cmd_verify(args) -> int:
     if args.depth < 1:
         raise ConfigError(f"--depth must be at least 1, got {args.depth}")
     cfg = PointConfiguration.load(args.config)
-    rows = []
-    all_ok = True
-    reports = []
-    if args.all_e0:
-        for rep in murank.verify_all_markings(cfg.neg, depth=args.depth):
-            reports.append(rep)
-            rows.extend(_marking_lines(rep))
-            all_ok &= rep.ok
-    else:
-        rep = murank.verify_configuration(cfg.neg, depth=args.depth)
-        reports.append(rep)
-        rows.extend(_marking_lines(rep))
-        all_ok = rep.ok
+    reports = (list(murank.verify_all_markings(cfg.neg, depth=args.depth)) if args.all_e0
+               else [murank.verify_configuration(cfg.neg, depth=args.depth)])
+    all_ok = all(rep.ok for rep in reports)
+    rows = [line for rep in reports for line in _marking_lines(rep)]
     rows.append("RESULT " + ("ok" if all_ok else "INCONCLUSIVE"))
     payload = {"command": "verify", "ok": all_ok,
                "markings": [{"marking": list(r.marking.display_row()),

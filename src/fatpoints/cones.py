@@ -342,6 +342,11 @@ def pack_keys(rows: np.ndarray) -> np.ndarray:
     return (rows.astype(np.int64) + 2 * PACK_ENTRY_BOUND) @ _PACK_WEIGHTS
 
 
+def unpack_keys(keys: np.ndarray) -> np.ndarray:
+    """The classes of ``pack_keys`` keys, along a new last axis of 7."""
+    return keys[..., None] // _PACK_WEIGHTS % (4 * PACK_ENTRY_BOUND) - 2 * PACK_ENTRY_BOUND
+
+
 def _pare(classes) -> tuple:
     """Drop the classes that are sums of two members of the set.
 

@@ -62,6 +62,14 @@ class NegSet:
         for a, b in itertools.combinations(self.classes, 2):
             if a.dot(b) < 0:
                 raise ConfigError(f"distinct members {_row(a)}, {_row(b)} meet negatively")
+        # Ei - Ej effective puts pj infinitely near pi, so arcs i -> j make no cycle
+        arcs = {(c.index(-1), c.index(1)) for c in self.classes
+                if c.degree == 0 and sorted(c) == [-1, 0, 0, 0, 0, 0, 1]}
+        for _ in range(6):  # drop the arcs out of points that no arc enters
+            arcs = {(i, j) for i, j in arcs if i in {b for _, b in arcs}}
+        if arcs:
+            raise ConfigError("members Ei - Ej form a directed cycle among points "
+                              f"{sorted({i for i, _ in arcs})}")
 
     def __hash__(self):
         return hash(self.classes)

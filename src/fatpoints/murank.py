@@ -31,15 +31,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import weyl
 from .config import _CONIC6, NegSet, anticanonical_nef, per_surface
-from .cones import (_FORM, chi_rows, gamma, h0, h0_rows, int_rows, is_nef,
-                    nef_generators, nef_rows, orbit_rows, pack_keys, packable, reduce)
+from .cones import (_FORM, _neg_blocks, chi_rows, gamma, h0, h0_rows, int_rows, is_nef,
+                    nef_generators, nef_rows, orbit_rows, pack_keys, packable, reduce,
+                    unpack_keys)
 from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus
 
 
@@ -723,46 +724,59 @@ def _nef_orbit(seed: DivisorClass, neg: NegSet) -> tuple:
 
 def e0_classes(neg: NegSet) -> tuple:
     """Nef members of the orbit of E0: the possible plane markings."""
-    return _nef_orbit(E0, neg)
+    return _markings(neg)[0]
+
+
+@per_surface
+def _markings(neg: NegSet) -> tuple:
+    """The nef E0-orbit classes h and their n x 7 x 7 marking matrices M.
+
+    M has rows h, E1'', ..., E6'': the exceptional classes orthogonal to h
+    (one product with the 27), least first unless a remaining one must
+    precede it, as b precedes a when the root b - a is effective (a 27 x 27
+    table, packed keys looked up in :func:`effective_roots`).  Every M must
+    keep the form, M F M^T = F for F = diag(1, -1, ..., -1), and 3h minus
+    the companions must be -K."""
+    classes = _nef_orbit(E0, neg)
+    h = np.array(classes, dtype=np.int64).reshape(-1, 7)
+    ex = np.array(weyl.exceptional_classes(), dtype=np.int64)  # sorted: index order is class order
+    ortho = (h * _FORM) @ ex.T == 0
+    if (ortho.sum(1) != 6).any():
+        raise ArithmeticError("a marking class has other than 6 companions")
+    comp = ortho.nonzero()[1].reshape(-1, 6)
+    keys = pack_keys(ex)
+    roots = pack_keys(np.array(list(effective_roots(neg)), dtype=np.int64).reshape(-1, 7))
+    precedes = np.isin(keys - keys[:, None] + pack_keys(0 * ex[0]), roots)  # [a, b]: b before a
+    must = precedes[comp[:, :, None], comp[:, None, :]]
+    left, at, order = np.ones(comp.shape, dtype=bool), np.arange(len(comp)), []
+    for _ in range(6):
+        free = left & ~(must & left[:, None, :]).any(2)
+        if not free.any(1).all():
+            raise ArithmeticError("effectiveness order has a cycle")
+        order.append(comp[at, free.argmax(1)])
+        left[at, free.argmax(1)] = False
+    mats = np.concatenate((h[:, None], ex[np.stack(order, 1)]), 1)
+    if not ((mats * _FORM) @ mats.transpose(0, 2, 1) == np.diag(_FORM)).all():
+        raise ArithmeticError("companion classes are not orthogonal")
+    if not (3 * h - mats[:, 1:].sum(1) == MINUS_K).all():
+        raise ArithmeticError("companion classes do not complete the marking")
+    mats.flags.writeable = False
+    return classes, mats
 
 
 def exceptional_configuration(h: DivisorClass, neg: NegSet) -> tuple:
-    """The marking (E0'', ..., E6'') attached to a nef degree-1 class.
-
-    The six companions are the exceptional classes orthogonal to h, ordered
-    so that an effective difference puts its minuend first, ties broken
-    lexicographically.  The difference b - a of two orthogonal exceptional
-    classes is a root, so its effectivity is looked up in
-    :func:`effective_roots`.
-    """
-    if h.dot(h) != 1 or MINUS_K.dot(h) != 3 or not is_nef(h, neg):
+    """The marking (E0'', ..., E6'') attached to a nef degree-1 class: the
+    row of h in :func:`_markings`.  The classes with h^2 = 1 and -K.h = 3
+    are the 72 of the orbit of E0, so any other h raises ``ValueError``."""
+    classes, mats = _markings(neg)
+    if h not in classes:
         raise ValueError(f"{h!r} is not a nef marking class")
-    cands = [c for c in weyl.exceptional_classes() if c.dot(h) == 0]
-    if len(cands) != 6:
-        raise ArithmeticError(f"marking {h!r} has {len(cands)} companions, not 6")
-    for a, b in itertools.combinations(cands, 2):
-        if a.dot(b) != 0:
-            raise ArithmeticError("companion classes are not orthogonal")
-    total = ZERO
-    for c in cands:
-        total = total + c
-    if 3 * h - total != MINUS_K:
-        raise ArithmeticError("companion classes do not complete the marking")
-    roots = effective_roots(neg)
-    remaining = sorted(cands)
-    ordered = []
-    while remaining:
-        # pick the lexicographically least class that no other must precede
-        choice = None
-        for a in remaining:
-            if all(b - a not in roots for b in remaining if b != a):
-                choice = a
-                break
-        if choice is None:
-            raise ArithmeticError("effectiveness order has a cycle")
-        ordered.append(choice)
-        remaining.remove(choice)
-    return (h,) + tuple(ordered)
+    return (h,) + tuple(map(DivisorClass, mats[classes.index(h), 1:].tolist()))
+
+
+def _transport(neg: NegSet, mats: np.ndarray) -> np.ndarray:
+    """NEG under each marking matrix, marking x class x 7: X -> (X.E0'', ..., X.E6'')."""
+    return np.einsum("jc,mkj->mck", _neg_blocks(neg, np.dtype(np.int64))[1], mats)
 
 
 def change_of_marking(neg: NegSet, h: DivisorClass) -> NegSet:
@@ -772,12 +786,10 @@ def change_of_marking(neg: NegSet, h: DivisorClass) -> NegSet:
     convention of the new marking.  A change of marking is an integral
     isometry of the lattice fixing K (Harbourne, Trans. AMS 349, 1997), so
     it carries NEG, every -3 line class included, onto NEG of the same
-    surface in the new coordinates.  The companion order reads the root
-    table of neg (:func:`effective_roots`), so no class is reduced.
+    surface in the new coordinates.  No class is reduced.
     """
-    marking = exceptional_configuration(h, neg)
-    return NegSet(tuple(DivisorClass(tuple(x.dot(m) for m in marking))
-                        for x in neg.classes))
+    marking = np.array(exceptional_configuration(h, neg), dtype=np.int64)
+    return NegSet(tuple(map(DivisorClass, _transport(neg, marking[None])[0].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -803,53 +815,59 @@ def verify_configuration(neg: NegSet, depth: int = 6) -> MarkingReport:
 
 
 @functools.lru_cache(maxsize=1)
-def _relabellings() -> np.ndarray:
-    """720 x 7 column orders of a class, one per relabelling of the points."""
-    perms = np.array(list(itertools.permutations(range(1, 7))))
-    return np.hstack((np.zeros((len(perms), 1), dtype=perms.dtype), perms))
+def _relabelling_weights() -> np.ndarray:
+    """7 x 720 weights W: row @ W + key(ZERO) is ``cones.pack_keys`` of the
+    row under each relabelling of the six points, as packing is linear."""
+    cols = np.array([(0,) + p for p in itertools.permutations(range(1, 7))])
+    eye = np.eye(7, dtype=np.int64)
+    return pack_keys(eye[:, cols]) - pack_keys(0 * eye[0])
+
+
+def _canonical_keys(rows: np.ndarray) -> list:
+    """:func:`_canonical_problem` of every set of an n x k x 7 stack of
+    distinct classes: one product with the relabelling weights packs each
+    class under each relabelling, then k min-reductions over the class
+    axis each take the least key left, keep the relabellings that reach
+    it and spend it.  The least keys unpack to the classes."""
+    if not packable(rows):
+        raise ValueError("classes have entries outside the packing range")
+    n, k, _ = rows.shape
+    keys = np.einsum("nkj,jp->nkp", rows, _relabelling_weights())
+    best, spent = np.empty((n, k), dtype=np.int64), np.iinfo(np.int64).max
+    for i in range(k):
+        least = keys.min(1)
+        best[:, i] = least.min(1)
+        keys[(keys == least[:, None]) | (least != best[:, i, None])[:, None]] = spent
+    best += pack_keys(np.zeros(7, dtype=np.int64))
+    return [tuple(map(tuple, s)) for s in unpack_keys(best).tolist()]
 
 
 def _canonical_problem(classes) -> tuple:
-    """NEG classes of square <= -2, up to relabelling of the six points.
+    """NEG classes of square <= -2, up to relabelling of the six points: the
+    least sorted tuple of relabelled classes (:func:`_canonical_keys`).
 
-    ``verify_all_markings`` passes the nodal roots and the -3 line classes
-    of a marked problem.  These determine the problem: the exceptional
-    members of NEG are exactly the exceptional classes that meet all of
-    them nonnegatively (tests check this on the fixture, catalog and
-    four-collinear configurations in every marking), and relabelling the
-    points permutes the exceptional classes and keeps the form.
-
-    The key is the least, over the 720 relabellings, of the sorted tuple
-    of relabelled classes.  One gather relabels every class under every
-    relabelling; the rows are packed into order-preserving keys
-    (``cones.pack_keys``), sorted within each relabelling, and
-    ``np.lexsort`` picks the least sorted key list.  The entries of these
-    classes lie in -2..2, so the packing guard never fires on a NegSet the
-    package builds.
-    """
-    if not classes:
-        return ()
-    rows = np.array(classes, dtype=np.int64)[:, _relabellings()]  # class x relabelling x 7
-    if not packable(rows):
-        raise ValueError("classes have entries outside the packing range")
-    keys = np.sort(pack_keys(rows), axis=0)
-    best = rows[:, np.lexsort(keys[::-1])[0]]
-    return tuple(map(tuple, best[np.argsort(pack_keys(best))].tolist()))
+    They determine a marked problem: the exceptional members of NEG are the
+    exceptional classes meeting all of them nonnegatively (tests check this
+    in every marking), and relabelling keeps the form.  Their entries lie
+    in -2..2, so the packing guard never fires on a package NegSet."""
+    return _canonical_keys(np.array(classes, dtype=np.int64).reshape(1, -1, 7))[0]
 
 
 def verify_all_markings(neg: NegSet, depth: int = 6, _cache: dict | None = None):
     """Verify one configuration under every marking; yields MarkingReports.
 
-    Each marking's problem is NEG transported by :func:`change_of_marking`.
-    Relabelling the six points does not change any of the checks, so
-    structurally identical marking problems are solved once.
+    NEG is moved under every marking matrix at once, and the marked
+    problems are keyed at once by their classes of square <= -2, the same
+    rows under every marking since an isometry keeps squares.  Relabelling
+    the six points changes none of the checks, so a key is solved once: a
+    marked ``NegSet`` is built and verified only for a key not yet cached.
     """
     solved = _cache if _cache is not None else {}
-    for h in e0_classes(neg):
-        problem = change_of_marking(neg, h)
-        key = _canonical_problem(problem.nodal + problem.other)
+    classes, mats = _markings(neg)
+    moved = _transport(neg, mats)
+    keys = _canonical_keys(moved[:, _neg_blocks(neg, np.dtype(np.int64))[2] >= 2])
+    for h, key, rows in zip(classes, keys, moved):
         if key not in solved:
+            problem = NegSet(tuple(map(DivisorClass, rows.tolist())))
             solved[key] = verify_configuration(problem, depth)
-        base = solved[key]
-        yield MarkingReport(marking=h, ok=base.ok, method=base.method,
-                            report=base.report)
+        yield replace(solved[key], marking=h)

@@ -116,6 +116,25 @@ def test_classify_rejects_cycles():
         dynkin_classify(triangle)
 
 
+@pytest.mark.parametrize("cycle", [(1, 2, 3, 4, 5, 6), (1, 2, 3)])
+def test_negset_rejects_a_cycle_of_infinitely_near_points(cycle):
+    """Ei - Ej effective puts pj infinitely near pi, so such members never
+    close a cycle; on a cycle the reduction would not end."""
+    arcs = tuple(E[i] - E[j] for i, j in zip(cycle, cycle[1:] + cycle[:1]))
+    with pytest.raises(ConfigError, match="directed cycle") as err:
+        NegSet(arcs)
+    assert "\n" not in str(err.value)
+    assert str(sorted(cycle)) in str(err.value)
+    NegSet(arcs[:-1])  # the path left by opening the cycle builds
+
+
+@given(perm=st.permutations(range(1, 7)))
+def test_every_catalog_type_builds_under_relabelling(perm):
+    for name, roots in dynkin_catalog().items():
+        moved = [DivisorClass((c[0],) + tuple(c[perm[i]] for i in range(6))) for c in roots]
+        assert len(neg_from_nodal(moved).nodal) == len(roots), name
+
+
 def test_classify_rejects_bad_pairing():
     # a root and its negative pair to +2
     with pytest.raises(ConfigError):

@@ -21,9 +21,9 @@ from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _bounds_and
                               e0_classes, effective_roots, exceptional_configuration,
                               on_conic, plane_point_indices, ql_bounds, s_chain, step_allows,
                               verify_all_markings, verify_configuration, verify_stabilization)
-from fatpoints.weyl import all_roots, exceptional_classes
+from fatpoints.weyl import all_roots, exceptional_classes, orbit
 
-from conftest import distinct_case
+from conftest import distinct_case, relabelled
 
 NINE_ROWS = [
     (1, -1, 0, 0, 0, 0, 0), (1, 0, -1, 0, 0, 0, 0), (1, 0, 0, -1, 0, 0, 0),
@@ -973,6 +973,148 @@ def test_canonical_problem_invariant_under_relabelling(marking_nodal_sets, data)
     relabelled = tuple(DivisorClass((c[0],) + tuple(c[perm[i]] for i in range(6)))
                        for c in nodal)
     assert _canonical_problem(relabelled) == _canonical_problem(nodal)
+
+
+def scalar_exceptional_configuration(h, neg):
+    """Reference marking: the scalar loop the marking table replaced, guards
+    included; companions ordered by the root table one pair at a time."""
+    if h.dot(h) != 1 or MINUS_K.dot(h) != 3 or not is_nef(h, neg):
+        raise ValueError(f"{h!r} is not a nef marking class")
+    cands = [c for c in exceptional_classes() if c.dot(h) == 0]
+    assert len(cands) == 6
+    assert all(a.dot(b) == 0 for a, b in itertools.combinations(cands, 2))
+    assert 3 * h - sum(cands, ZERO) == MINUS_K
+    roots = effective_roots(neg)
+    remaining = sorted(cands)
+    ordered = []
+    while remaining:
+        choice = next(a for a in remaining
+                      if all(b - a not in roots for b in remaining if b != a))
+        ordered.append(choice)
+        remaining.remove(choice)
+    return (h,) + tuple(ordered)
+
+
+class KeyRecorder(dict):
+    """A ``verify_all_markings`` cache that holds every key: it records the
+    key of each marking, in order, and hands back a stub report, so no
+    marked problem is built or verified."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def __contains__(self, key):
+        self.seen.append(key)
+        return True
+
+    def __getitem__(self, key):
+        return murank.MarkingReport(marking=ZERO, ok=True, method="stub", report=None)
+
+
+def batched_keys(neg):
+    """(marking, canonical key) of every marking, as ``verify_all_markings``
+    reads them."""
+    cache = KeyRecorder()
+    markings = [rep.marking for rep in verify_all_markings(neg, _cache=cache)]
+    return list(zip(markings, cache.seen))
+
+
+def check_marking_table(neg, against_loop=True):
+    """``_markings`` and the batched keys of neg against the scalar reference
+    (and, if asked, the 720-permutation loop); returns marking -> key."""
+    want = tuple(h for h in orbit(E0).sorted() if is_nef(h, neg))
+    classes, mats = murank._markings(neg)
+    assert classes == e0_classes(neg) == want
+    assert mats.shape == (len(want), 7, 7)
+    keys = batched_keys(neg)
+    assert [h for h, _ in keys] == list(want)
+    for (h, key), mat in zip(keys, mats):
+        marking = scalar_exceptional_configuration(h, neg)
+        assert tuple(map(tuple, mat.tolist())) == marking
+        assert exceptional_configuration(h, neg) == marking
+        problem = NegSet(tuple(DivisorClass(x.dot(m) for m in marking) for x in neg))
+        assert change_of_marking(neg, h) == problem
+        assert _canonical_problem(problem.nodal + problem.other) == key
+        if against_loop:
+            assert key == permutation_loop_canonical(problem.nodal + problem.other)
+    return dict(keys)
+
+
+#: The 20 catalog types and the six distinct fixtures.
+MARKING_BASES = ([(name, neg_from_nodal(r)) for name, r in sorted(dynkin_catalog().items())]
+                 + [(name, neg_from_distinct(s)) for name, s in sorted(FIXTURE_SPECS.items())])
+
+
+def test_marking_table_matches_scalar_reference():
+    """Every marking of the 20 types and six fixtures: the matrices equal the
+    scalar loop, the batched keys the 720-permutation loop."""
+    count = Counter()
+    for name, neg in MARKING_BASES:
+        count[name in dynkin_catalog()] += len(check_marking_table(neg))
+    assert (count[True], count[False]) == (296, 252)
+
+
+@settings(max_examples=25, deadline=None)
+@given(base=st.sampled_from(MARKING_BASES), perm=st.permutations(range(1, 7)))
+def test_marking_table_under_relabelling(base, perm):
+    """In a relabelled surface the table still equals the scalar reference,
+    and the marking relabelled from h keeps the key of h."""
+    name, neg = base
+    moved = relabelled(neg, perm)
+    keys = check_marking_table(moved, against_loop=False)
+    for h, key in batched_keys(neg):
+        assert keys[DivisorClass((h[0],) + tuple(h[perm[i]] for i in range(6)))] == key, name
+
+
+def test_marking_classes_are_the_orbit_of_e0():
+    """h^2 = 1 and -K.h = 3 force 1 <= a0 <= 5 (Cauchy-Schwarz) and so
+    |ai| <= 4: in that box they are exactly the 72 classes of orbit(E0)."""
+    tail = np.array(list(itertools.product(range(-4, 5), repeat=6)))
+    sums, squares = tail.sum(1), (tail * tail).sum(1)
+    found = set()
+    for a0 in range(-5, 6):
+        for row in tail[(a0 * a0 - squares == 1) & (3 * a0 - sums == 3)].tolist():
+            found.add(DivisorClass([a0] + row))
+    assert found == set(orbit(E0).elements)
+    assert len(found) == 72
+
+
+def test_marking_layer_builds_a_negset_per_new_problem(monkeypatch):
+    """Over the 20 types with one cache, 88 marked NegSets for 296 markings;
+    on general points (no class of square <= -2) 72 markings, one problem."""
+    built = []
+
+    def counting(classes):
+        built.append(classes)
+        return NegSet(classes)
+
+    negs = [neg_from_nodal(r) for _, r in sorted(dynkin_catalog().items())]
+    general = distinct_case("general").neg
+    monkeypatch.setattr(murank, "NegSet", counting)
+    cache = {}
+    pairs = sum(len(list(verify_all_markings(neg, _cache=cache))) for neg in negs)
+    assert (pairs, len(cache), len(built)) == (296, 88, 88)
+    solved = {}
+    reports = list(verify_all_markings(general, _cache=solved))
+    assert (len(reports), list(solved), len(built)) == (72, [()], 89)
+    assert all(r.ok for r in reports)
+
+
+def test_marking_layer_makes_no_scalar_nef_call(monkeypatch):
+    def scalar(*args):
+        raise AssertionError("the marking layer called the scalar is_nef")
+
+    monkeypatch.setattr("fatpoints.cones.is_nef", scalar)
+    monkeypatch.setattr("fatpoints.murank.is_nef", scalar)
+    pairs = 0
+    for _, neg in MARKING_BASES:
+        neg = NegSet(neg.classes)  # a fresh table
+        keys = batched_keys(neg)
+        for h, _key in keys:
+            change_of_marking(neg, h)
+        pairs += len(keys)
+    assert pairs == 296 + 252
 
 
 def test_cached_bounds_after_s_chain_match_scalar():
