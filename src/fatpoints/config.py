@@ -54,22 +54,25 @@ class NegSet:
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(sorted(set(self.classes))))
+        arcs = set()  # Ei - Ej effective puts pj infinitely near pi: arcs i -> j make no cycle
         for c in self.classes:
-            if c.dot(c) >= 0:
+            square = c.dot(c)
+            if square >= 0:
                 raise ConfigError(f"{_row(c)} has nonnegative self-intersection")
             if not 0 <= c.degree <= 2:
                 raise ConfigError(f"{_row(c)} has degree outside 0..2")
+            if square == -2 and c[0] == 0 and 1 in c and -1 in c:  # c is Ei - Ej
+                arcs.add((c.index(-1), c.index(1)))
         for a, b in itertools.combinations(self.classes, 2):
             if a.dot(b) < 0:
                 raise ConfigError(f"distinct members {_row(a)}, {_row(b)} meet negatively")
-        # Ei - Ej effective puts pj infinitely near pi, so arcs i -> j make no cycle
-        arcs = {(c.index(-1), c.index(1)) for c in self.classes
-                if c.degree == 0 and sorted(c) == [-1, 0, 0, 0, 0, 0, 1]}
-        for _ in range(6):  # drop the arcs out of points that no arc enters
-            arcs = {(i, j) for i, j in arcs if i in {b for _, b in arcs}}
-        if arcs:
-            raise ConfigError("members Ei - Ej form a directed cycle among points "
-                              f"{sorted({i for i, _ in arcs})}")
+        while arcs:  # drop the arcs out of points that no arc enters
+            heads = {j for _, j in arcs}
+            kept = {(i, j) for i, j in arcs if i in heads}
+            if kept == arcs:
+                raise ConfigError("members Ei - Ej form a directed cycle among points "
+                                  f"{sorted({i for i, _ in arcs})}")
+            arcs = kept
 
     def __hash__(self):
         return hash(self.classes)

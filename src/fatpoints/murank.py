@@ -753,8 +753,9 @@ def _markings(neg: NegSet) -> tuple:
         free = left & ~(must & left[:, None, :]).any(2)
         if not free.any(1).all():
             raise ArithmeticError("effectiveness order has a cycle")
-        order.append(comp[at, free.argmax(1)])
-        left[at, free.argmax(1)] = False
+        pick = free.argmax(1)  # the least free companion
+        order.append(comp[at, pick])
+        left[at, pick] = False
     mats = np.concatenate((h[:, None], ex[np.stack(order, 1)]), 1)
     if not ((mats * _FORM) @ mats.transpose(0, 2, 1) == np.diag(_FORM)).all():
         raise ArithmeticError("companion classes are not orthogonal")
