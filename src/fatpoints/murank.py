@@ -851,6 +851,8 @@ def _canonical_problem(classes) -> tuple:
     exceptional classes meeting all of them nonnegatively (tests check this
     in every marking), and relabelling keeps the form.  Their entries lie
     in -2..2, so the packing guard never fires on a package NegSet."""
+    if len(set(classes)) != len(classes):
+        raise ValueError("classes repeat; a canonical problem takes distinct NEG classes")
     return _canonical_keys(np.array(classes, dtype=np.int64).reshape(1, -1, 7))[0]
 
 

@@ -975,6 +975,12 @@ def test_canonical_problem_invariant_under_relabelling(marking_nodal_sets, data)
     assert _canonical_problem(relabelled) == _canonical_problem(nodal)
 
 
+def test_canonical_problem_rejects_repeated_classes():
+    # the min-reductions spend every copy of a key at once, so they need distinct classes
+    with pytest.raises(ValueError, match="repeat"):
+        _canonical_problem((E[1] - E[2], E[1] - E[2]))
+
+
 def scalar_exceptional_configuration(h, neg):
     """Reference marking: the scalar loop the marking table replaced, guards
     included; companions ordered by the root table one pair at a time."""
