@@ -88,10 +88,6 @@ class NegSet:
         return tuple(c for c in self.classes if c.dot(c) == -2)
 
     @property
-    def exceptional(self) -> tuple:
-        return tuple(c for c in self.classes if c.dot(c) == -1)
-
-    @property
     def other(self) -> tuple:
         return tuple(c for c in self.classes if c.dot(c) <= -3)
 
@@ -134,10 +130,7 @@ def neg_from_nodal(nodal) -> NegSet:
     for c in nodal:
         if c.dot(c) != -2 or K.dot(c) != 0:
             raise ConfigError(f"{_row(c)} is not a nodal root")
-    for a, b in itertools.combinations(nodal, 2):
-        if a.dot(b) < 0:
-            raise ConfigError(f"nodal roots {_row(a)}, {_row(b)} meet negatively")
-    return _with_exceptional(nodal)
+    return _with_exceptional(nodal)  # NegSet rejects roots that meet negatively
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +316,11 @@ class PointConfiguration:
 
     kind: str  # "distinct" | "dynkin" | "nodal"
     neg: NegSet
-    distinct: DistinctSpec | None = None
     type_name: str | None = None
 
     @classmethod
     def from_distinct(cls, spec: DistinctSpec) -> "PointConfiguration":
-        return cls(kind="distinct", neg=neg_from_distinct(spec), distinct=spec)
+        return cls(kind="distinct", neg=neg_from_distinct(spec))
 
     @classmethod
     def from_dynkin(cls, type_name: str) -> "PointConfiguration":

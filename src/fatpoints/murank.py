@@ -206,35 +206,22 @@ def on_conic(neg: NegSet) -> bool:
 # Rational-curve step
 
 
-def _pairing_floor(c: DivisorClass, neg: NegSet) -> int:
-    """min over usable j of max(C.Ej, C.(E0-Ej))."""
-    return min(max(c.dot(E[j]), c.dot(E0 - E[j]))
-               for j in plane_point_indices(neg))
-
-
-def _full_restriction(c: DivisorClass, neg: NegSet) -> bool:
-    """Lines restrict to a complete series on c (degree at most 2 only)."""
-    e = c.degree
-    if e > 2:
-        return False
-    return h0(E0 - c, neg) == 2 - e
-
-
 def step_allows(c: DivisorClass, target: DivisorClass, neg: NegSet) -> bool:
     """Surjectivity transfers from target-c to target across the curve c.
 
     c must be the class of an irreducible rational curve (callers pick c
     from NEG or from nef genus-0 classes).  For c of degree <= 2 the
-    restriction of the lines to c is a complete series, so nonnegative
-    pairing with the target suffices; for higher degree the stronger
-    pairing bound together with c^2 >= 0 is required, for some usable
-    auxiliary index.
+    restriction of the lines to c is a complete series (h0(E0 - c) =
+    2 - deg c), so nonnegative pairing with the target suffices; for higher
+    degree the stronger pairing bound, max(c.Ej, c.(E0 - Ej)) for some
+    usable auxiliary index j, together with c^2 >= 0 is required.
     """
     if arithmetic_genus(c) != 0:
         return False
     if c.degree <= 2:
-        return _full_restriction(c, neg) and target.dot(c) >= 0
-    return c.dot(c) >= 0 and target.dot(c) >= _pairing_floor(c, neg)
+        return h0(E0 - c, neg) == 2 - c.degree and target.dot(c) >= 0
+    return c.dot(c) >= 0 and target.dot(c) >= min(
+        max(c.dot(E[j]), c.dot(E0 - E[j])) for j in plane_point_indices(neg))
 
 
 @per_surface
@@ -343,17 +330,16 @@ def _kernel_transfer(f, neg):
     the restricted multiplication is injective in degree zero and any
     kernel element comes from f - c.  Stripping the fixed part of f - c
     preserves kernels, so injectivity of the residual nef part is enough.
+    f - c is effective: f = 0 is certified by q* = l* = 0, a direct rule, and
+    a nef f != 0 has f^2 >= 0, -K.f >= 1 (Hodge index) and f^2 - K.f even,
+    so h0(f) = chi(f) >= 2, and restricting to the smooth rational c with
+    f.c = 0 gives h0(f - c) >= h0(f) - 1 >= 1.
     """
     for c in _rational_curve_candidates(neg):
         if f.dot(c) != 0 or h0(E0 - c, neg) != 0:
             continue
-        red = reduce(f - c, neg)
-        if not red.effective:
-            return Certificate(
-                Status.INJECTIVE,
-                f"kernel-transfer:{' '.join(map(str, c.display_row()))} "
-                "(complement has no sections)")
-        if certified(_known(red.nef_part, neg), Status.INJECTIVE, red.nef_part, neg):
+        nef = reduce(f - c, neg).nef_part
+        if certified(_known(nef, neg), Status.INJECTIVE, nef, neg):
             return Certificate(
                 Status.INJECTIVE,
                 f"kernel-transfer:{' '.join(map(str, c.display_row()))}")
@@ -505,8 +491,9 @@ def _stable_pivot(base: DivisorClass, step: DivisorClass, neg: NegSet):
     """Eventual pivot index of base + i*step and the offset where it locks in.
 
     Only usable indices compete (see :func:`plane_point_indices`).  Returns
-    (index, i_stab) with the index the pivot for every i >= i_stab, or None
-    when no usable index stays maximal.
+    (index, i_stab >= 1), the index the pivot for every i >= i_stab: it is
+    the argmax a of (step, base multiplicity, -index), which a tie of step
+    multiplicities never unseats and a larger one overtakes from i_stab.
     """
     usable = [j - 1 for j in plane_point_indices(neg)]
     bm = base.multiplicities
@@ -514,16 +501,9 @@ def _stable_pivot(base: DivisorClass, step: DivisorClass, neg: NegSet):
     a = max(usable, key=lambda b: (sm[b], bm[b], -b))
     i_stab = 1
     for b in usable:
-        if b == a:
+        if b == a or sm[a] == sm[b]:
             continue
         strict = b < a  # lower indices must be beaten strictly
-        if sm[a] == sm[b]:
-            ok = bm[a] > bm[b] if strict else bm[a] >= bm[b]
-            if not ok:
-                return None
-            continue
-        if sm[a] < sm[b]:
-            return None
         gap = bm[b] - bm[a]
         d = sm[a] - sm[b]
         need = gap // d + 1 if strict else -((-gap) // d)
@@ -538,11 +518,7 @@ def _injective_tail(base, step, neg, computed: int):
     ineffective; with step.W <= 0 the pairing only decreases along the ray,
     so one check at the start degree covers every later one.
     """
-    sp = _stable_pivot(base, step, neg)
-    if sp is None:
-        return None
-    j, i_stab = sp
-    start = max(1, i_stab)
+    j, start = _stable_pivot(base, step, neg)
     if start > computed + 1:
         return None  # members below start would be uncovered
     witnesses = []
@@ -574,11 +550,8 @@ def _h1_persistence_tail(base, step, neg, computed: int):
     """
     if arithmetic_genus(step) != 0:
         return None
-    sp = _stable_pivot(base, step, neg)
-    if sp is None:
-        return None
-    j, i_stab = sp
-    for i0 in range(max(1, i_stab), computed + 1):
+    j, i_stab = _stable_pivot(base, step, neg)
+    for i0 in range(i_stab, computed + 1):
         b = ql_bounds(base + i0 * step, neg)
         if b.q_star != 0 or b.l_star != 0:
             continue
@@ -825,11 +798,16 @@ def _relabelling_weights() -> np.ndarray:
 
 
 def _canonical_keys(rows: np.ndarray) -> list:
-    """:func:`_canonical_problem` of every set of an n x k x 7 stack of
-    distinct classes: one product with the relabelling weights packs each
-    class under each relabelling, then k min-reductions over the class
-    axis each take the least key left, keep the relabellings that reach
-    it and spend it.  The least keys unpack to the classes."""
+    """Each set of an n x k x 7 stack of distinct classes up to relabelling
+    of the six points: the least sorted tuple of its relabelled classes.
+    On NEG classes of square <= -2 (entries in -2..2, always packable) the
+    key is a marked problem: the exceptional members of NEG are the
+    exceptional classes meeting them all nonnegatively (tests check this
+    in every marking), and relabelling keeps the form.  One product with
+    the relabelling weights packs each class under each relabelling, then
+    k min-reductions over the class axis each take the least key left,
+    keep the relabellings that reach it and spend it (with any copy).
+    The least keys unpack to the classes."""
     if not packable(rows):
         raise ValueError("classes have entries outside the packing range")
     n, k, _ = rows.shape
@@ -841,19 +819,6 @@ def _canonical_keys(rows: np.ndarray) -> list:
         keys[(keys == least[:, None]) | (least != best[:, i, None])[:, None]] = spent
     best += pack_keys(np.zeros(7, dtype=np.int64))
     return [tuple(map(tuple, s)) for s in unpack_keys(best).tolist()]
-
-
-def _canonical_problem(classes) -> tuple:
-    """NEG classes of square <= -2, up to relabelling of the six points: the
-    least sorted tuple of relabelled classes (:func:`_canonical_keys`).
-
-    They determine a marked problem: the exceptional members of NEG are the
-    exceptional classes meeting all of them nonnegatively (tests check this
-    in every marking), and relabelling keeps the form.  Their entries lie
-    in -2..2, so the packing guard never fires on a package NegSet."""
-    if len(set(classes)) != len(classes):
-        raise ValueError("classes repeat; a canonical problem takes distinct NEG classes")
-    return _canonical_keys(np.array(classes, dtype=np.int64).reshape(1, -1, 7))[0]
 
 
 def verify_all_markings(neg: NegSet, depth: int = 6, _cache: dict | None = None):

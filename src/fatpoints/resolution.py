@@ -19,8 +19,8 @@ cokernels off both lists.  The NegSet keeps one table (``_degree_slot``).
 The table is filled walking down the degrees.  It reduces F_T once at a
 top degree T, two past the least degree where F_t meets every NEG class
 nonnegatively, then gets degree t from N_{t+1} by reducing N_{t+1} - E0
-instead of F_t.  This is exact.  Fix(F + E0) <= Fix(F), because |E0| is
-base-point free.  Each ``reduce`` step subtracts only a forced component:
+instead of F_t; that first fill covers alpha and tau + 2 (``_alpha_tau``).
+This is exact.  Fix(F + E0) <= Fix(F), because |E0| is base-point free.  Each ``reduce`` step subtracts only a forced component:
 copies of an irreducible curve C with F.C < 0.  Those copies stay forced
 in F_t = F_{t+1} - E0, since E0.C >= 0.  Two distinct forced curves stay
 forced after either is subtracted, since they meet nonnegatively, so the
@@ -184,25 +184,24 @@ def _table(z: FatPointScheme, t: int) -> tuple:
 
 
 def _alpha_tau(z: FatPointScheme) -> tuple:
-    """alpha and tau of a normalized z, read off the degree table, which
-    then covers degree tau + 2 (the two degrees that confirm tau)."""
+    """alpha and tau of a normalized z, read off the first fill of the
+    degree table.  It tops out at t0 + 2, for t0 the least degree from
+    which F_t meets every NEG class nonnegatively (normalization covers
+    degree 0), so F_t0 .. F_top are nef, with h0 = chi and h1 = 0, and
+    chi(F_t0) >= 1 (a nef class meets itself and the effective -K
+    nonnegatively): alpha, tau <= t0, and the fill covers tau + 2."""
     # h1 = h0 - chi(F_t), and chi(F_t) = (t+1)(t+2)/2 - conditions by
     # Riemann-Roch (t >= 0, so that h2 vanishes)
     conditions = sum(m * (m + 1) // 2 for m in z.multiplicities)
-    hard_stop = 4 * (sum(z.multiplicities) + 3)
     _, h0 = _table(z, 0)
-    while True:
-        h1 = [v - (t + 1) * (t + 2) // 2 + conditions for t, v in enumerate(h0)]
-        alpha = next((t for t, v in enumerate(h0) if v), len(h0))
-        tau = next((t for t, v in enumerate(h1) if v <= 0), len(h1))
-        if max(alpha, tau + 2) < len(h0) or len(h0) > hard_stop + 3:
-            break
-        _, h0 = _table(z, len(h0))
+    h1 = [v - (t + 1) * (t + 2) // 2 + conditions for t, v in enumerate(h0)]
+    alpha = next((t for t, v in enumerate(h0) if v), len(h0))
+    tau = next((t for t, v in enumerate(h1) if v <= 0), len(h1))
     for t, v in enumerate(h1[:tau + 3]):
         if v < 0:
             raise ArithmeticError(
                 f"negative h1 in degree {t}; section count corrupted")
-    if max(alpha, tau) > hard_stop + 1:
+    if max(alpha, tau + 2) >= len(h0):
         raise ArithmeticError("Hilbert scan failed to stabilize")
     if h1[tau + 1] or h1[tau + 2]:
         raise ArithmeticError(

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fatpoints.cones import (INT64_ENTRY_BOUND, PACK_ENTRY_BOUND, gamma, h0, is_nef,
-                             nef_generators, reduce)
+from fatpoints.cones import (_FORM, INT64_ENTRY_BOUND, PACK_ENTRY_BOUND, gamma, h0,
+                             is_nef, nef_generators, reduce)
 from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfiguration,
                               anticanonical_nef, dynkin_catalog, neg_from_distinct,
                               neg_from_nodal)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, arithmetic_genus, chi
 from fatpoints import murank
 from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _bounds_and_certs,
-                              _canonical_problem, _deficient_rows, _direct,
-                              _find_stabilization,
+                              _canonical_keys, _deficient_rows, _direct,
+                              _find_stabilization, _pivots, _stable_pivot,
                               _rational_curve_candidates,
                               _search, certified, certify, change_of_marking, deficient,
                               e0_classes, effective_roots, exceptional_configuration,
@@ -396,6 +396,33 @@ def test_certify_matches_depth_reference_on_vertical_a1(a1_vertical_neg):
     assert cert == reference_certify(two_h, fresh(a1_vertical_neg))
 
 
+def test_kernel_transfer_complement_is_effective():
+    """The premise of ``_kernel_transfer``: for a nef f != 0 and a candidate
+    curve c with f.c = 0 and no line through it, f - c is effective.  Checked
+    for every nonzero sum of one or two pared generators and every such c,
+    on the 20 types, the fixtures with nef -K and the 88 marked problems;
+    the zero class never reaches the search, a direct rule certifies it."""
+    negs = [neg_from_nodal(r) for _, r in sorted(dynkin_catalog().items())]
+    negs += [distinct_case(c).neg for c in FIXTURE_SPECS]
+    negs += distinct_marking_problems(sorted(dynkin_catalog()))
+    pairs = 0
+    for neg in filter(anticanonical_nef, negs):
+        gens = np.array(nef_generators(neg).pared, dtype=np.int64).reshape(-1, 7)
+        i, j = np.triu_indices(len(gens))
+        sums = np.unique(np.concatenate((gens, gens[i] + gens[j])), axis=0)
+        sums = sums[(sums != 0).any(1)]
+        cands = [c for c in _rational_curve_candidates(neg) if h0(E0 - c, neg) == 0]
+        meet = (sums * _FORM) @ np.array(cands, dtype=np.int64).reshape(-1, 7).T == 0
+        for a, b in zip(*meet.nonzero()):
+            f = DivisorClass(sums[a].tolist())
+            assert reduce(f - cands[b], neg).effective, (neg.nodal, f, cands[b])
+            pairs += 1
+        cert = certify(ZERO, neg)
+        assert cert == _direct(ZERO, neg)
+        assert cert.reason == ("conic-support" if on_conic(neg) else "qstar+lstar=0")
+    assert pairs > 1000
+
+
 def test_s_chain_case_iv(case_iv):
     chain = s_chain(case_iv.neg)
     assert [len(l) for l in chain.levels] == [9, 9, 9, 9, 9, 9]
@@ -496,7 +523,7 @@ def distinct_marking_problems(names):
         neg = neg_from_nodal(dynkin_catalog()[name])
         for h in e0_classes(neg):
             problem = change_of_marking(neg, h)
-            problems.setdefault(_canonical_problem(problem.nodal + problem.other), problem)
+            problems.setdefault(canonical_key(problem.nodal + problem.other), problem)
     return list(problems.values())
 
 
@@ -932,6 +959,25 @@ def test_gamma_within_injectivity_theory(a1_vertical_neg):
                              a1_vertical_neg)
 
 
+@settings(max_examples=200, deadline=None)
+@given(base=st.lists(st.integers(-4, 12), min_size=6, max_size=6),
+       step=st.lists(st.integers(-2, 5), min_size=6, max_size=6))
+def test_stable_pivot_matches_brute_force(base, step):
+    """On every type and fixture, the index ``_stable_pivot`` returns is the
+    pivot (``_pivots``) of base + i*step for i = i_stab .. i_stab + 60, and
+    not that of the member just before when i_stab > 1."""
+    base, step = DivisorClass([5] + base), DivisorClass([1] + step)
+    offsets = np.arange(61)[:, None]
+    for name, neg in MARKING_BASES:
+        j, i_stab = _stable_pivot(base, step, neg)
+        assert i_stab >= 1
+        ray = np.array(base) + (i_stab + offsets) * np.array(step)
+        assert (_pivots(ray, neg) == j).all(), (name, base, step)
+        if i_stab > 1:
+            before = np.array([base + (i_stab - 1) * step])
+            assert _pivots(before, neg)[0] != j, (name, base, step)
+
+
 def permutation_loop_canonical(nodal):
     """Reference canonical form: the least sorted relabelling of 720."""
     best = None
@@ -954,15 +1000,20 @@ def marking_nodal_sets():
     return out
 
 
+def canonical_key(classes):
+    """``_canonical_keys`` of one set of distinct classes."""
+    return _canonical_keys(np.array(classes, dtype=np.int64).reshape(1, -1, 7))[0]
+
+
 def test_canonical_problem_matches_permutation_loop(marking_nodal_sets):
     keys = set()
     for name, nodal in marking_nodal_sets:
-        key = _canonical_problem(nodal)
+        key = canonical_key(nodal)
         assert key == permutation_loop_canonical(nodal), name
         assert all(type(x) is int for row in key for x in row)
         keys.add(key)
     assert len(keys) == 88
-    assert _canonical_problem(()) == permutation_loop_canonical(()) == ()
+    assert canonical_key(()) == permutation_loop_canonical(()) == ()
 
 
 @settings(max_examples=100, deadline=None)
@@ -972,13 +1023,7 @@ def test_canonical_problem_invariant_under_relabelling(marking_nodal_sets, data)
     perm = data.draw(st.permutations(range(1, 7)))
     relabelled = tuple(DivisorClass((c[0],) + tuple(c[perm[i]] for i in range(6)))
                        for c in nodal)
-    assert _canonical_problem(relabelled) == _canonical_problem(nodal)
-
-
-def test_canonical_problem_rejects_repeated_classes():
-    # the min-reductions spend every copy of a key at once, so they need distinct classes
-    with pytest.raises(ValueError, match="repeat"):
-        _canonical_problem((E[1] - E[2], E[1] - E[2]))
+    assert canonical_key(relabelled) == canonical_key(nodal)
 
 
 def scalar_exceptional_configuration(h, neg):
@@ -1041,7 +1086,7 @@ def check_marking_table(neg, against_loop=True):
         assert exceptional_configuration(h, neg) == marking
         problem = NegSet(tuple(DivisorClass(x.dot(m) for m in marking) for x in neg))
         assert change_of_marking(neg, h) == problem
-        assert _canonical_problem(problem.nodal + problem.other) == key
+        assert canonical_key(problem.nodal + problem.other) == key
         if against_loop:
             assert key == permutation_loop_canonical(problem.nodal + problem.other)
     return dict(keys)

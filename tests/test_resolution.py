@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatpoints import cones, oracle, resolution
-from fatpoints.cones import h0, reduce
-from fatpoints.config import NegSet, PointConfiguration
+from fatpoints.cones import h0, is_nef, reduce
+from fatpoints.config import DistinctSpec, NegSet, PointConfiguration, neg_from_distinct
 from fatpoints.lattice import E, E0, DivisorClass, chi
 from fatpoints.resolution import (BettiTable, FatPointScheme, HilbertProfile,
                                   UnsupportedConfigurationError, betti,
@@ -464,3 +464,23 @@ def test_hilbert_checks_the_table(monkeypatch):
         with pytest.raises(ArithmeticError, match=message):
             hilbert(FatPointScheme(neg=NegSet(neg.classes),
                                    multiplicities=(2, 2, 6, 2, 2, 2)))
+
+
+def test_first_fill_covers_alpha_and_tau():
+    # hilbert reads alpha and tau off the first fill of the degree table: it
+    # tops out at t0 + 2 for the least t0 >= 0 with F_t0 nef, where the
+    # class reduces to itself with h0 = chi >= 1, so alpha, tau <= t0
+    rng = random.Random(25)
+    negs = list(WALK_NEGS) + [neg_from_distinct(DistinctSpec(collinear=((1, 2, 3, 4),)))]
+    for neg in negs:
+        for top in (3, 3, 30, 30, 300, 300, 3000, 3000):
+            m = tuple(rng.randint(0, top) for _ in range(6))
+            z = proximity_normalize(FatPointScheme(neg=NegSet(neg.classes),
+                                                   multiplicities=m))
+            _, h0_list = resolution._table(z, 0)
+            t0 = len(h0_list) - 3
+            f = z.class_for_degree(t0)
+            assert is_nef(f, z.neg) and h0(f, z.neg) == chi(f) >= 1, m
+            assert t0 == 0 or not is_nef(z.class_for_degree(t0 - 1), z.neg), m
+            prof = hilbert(z)
+            assert max(prof.alpha, prof.tau + 2) < len(h0_list), m
