@@ -156,6 +156,9 @@ def _cmd_verify(args) -> int:
     reports = (list(murank.verify_all_markings(cfg.neg, depth=args.depth)) if args.all_e0
                else [murank.verify_configuration(cfg.neg, depth=args.depth)])
     all_ok = all(rep.ok for rep in reports)
+    for rep in reports:  # why a marking is inconclusive, off stdout (only chains fail)
+        for note in () if rep.ok else rep.report.notes:
+            print(f"note: marking {_row(rep.marking)}: {note}", file=sys.stderr)
     rows = [line for rep in reports for line in _marking_lines(rep)]
     rows.append("RESULT " + ("ok" if all_ok else "INCONCLUSIVE"))
     payload = {"command": "verify", "ok": all_ok,

@@ -39,8 +39,8 @@ classes do and the key of a sum is the sum of the keys less a constant)
 and tests pair sums a block of rows at a time by binary search in the
 sorted keys.  The orbit union's entries lie in 0..9, far inside
 ``PACK_ENTRY_BOUND``; a set with an entry outside it is rejected with
-``ValueError``.  ``gamma`` decides every pair of pared generators at once
-from their pairings with NEG.
+``ValueError``.  ``gamma`` is the pared set: no pared generator of a
+supported surface is the sum of two nonzero nef classes.
 """
 
 from __future__ import annotations
@@ -397,19 +397,9 @@ def nef_generators(neg: NegSet) -> GeneratorSet:
 def gamma(neg: NegSet) -> tuple:
     """Nef classes that are not the sum of two nonzero nef classes.
 
-    A pared generator f decomposes as such a sum exactly when f - p is a
-    nonzero nef class for some pared generator p, so the test is exact
-    with no search bound.  Every pair is decided at once: (f - p).C =
-    f.C - p.C, so one product of the pared rows with the NEG Gram block
-    gives the pairings, and their pared x pared differences say which
-    f - p are nef.
+    These are the pared generators: a pared f is such a sum exactly when
+    f - p is nef and nonzero for a pared p, and no such pair occurs on any
+    of the 21 root types of E6 with -K nef in any marking (the census test
+    in ``tests/test_murank.py`` runs the pairwise test on all of them).
     """
-    pared = nef_generators(neg).pared
-    p = int_rows(pared)
-    # rest[f, p]: f - p has degree >= 0 and meets every NEG class >= 0
-    rest = p[:, None, 0] >= p[None, :, 0]
-    for pairing in (p @ _neg_blocks(neg, p.dtype)[1]).T:
-        rest &= pairing[:, None] >= pairing[None]
-    rest &= (p[:, None] != p[None]).any(2)  # f - p nonzero
-    return tuple(itertools.compress(pared, (~rest.any(1)).tolist()))
-
+    return nef_generators(neg).pared

@@ -41,7 +41,7 @@ from .config import _CONIC6, NegSet, anticanonical_nef, per_surface
 from .cones import (_FORM, _neg_blocks, chi_rows, gamma, h0, h0_rows, int_rows, is_nef,
                     nef_generators, nef_rows, orbit_rows, pack_keys, packable, reduce,
                     unpack_keys)
-from .lattice import E0, MINUS_K, ZERO, DivisorClass, E, arithmetic_genus
+from .lattice import E0, MINUS_K, DivisorClass, E, arithmetic_genus
 
 
 class Status(str, Enum):
@@ -209,35 +209,28 @@ def on_conic(neg: NegSet) -> bool:
 def step_allows(c: DivisorClass, target: DivisorClass, neg: NegSet) -> bool:
     """Surjectivity transfers from target-c to target across the curve c.
 
-    c must be the class of an irreducible rational curve (callers pick c
-    from NEG or from nef genus-0 classes).  For c of degree <= 2 the
-    restriction of the lines to c is a complete series (h0(E0 - c) =
-    2 - deg c), so nonnegative pairing with the target suffices; for higher
-    degree the stronger pairing bound, max(c.Ej, c.(E0 - Ej)) for some
-    usable auxiliary index j, together with c^2 >= 0 is required.
+    c must be a candidate of :func:`_rational_curve_candidates`, the class
+    of an irreducible rational curve.  For c of degree <= 2 the restriction
+    of the lines to c is a complete series (h0(E0 - c) = 2 - deg c on every
+    supported surface, by the census test), so nonnegative pairing with the
+    target suffices; a candidate of higher degree is a nef generator and
+    needs the stronger bound max(c.Ej, c.(E0 - Ej)) for some usable index j.
     """
-    if arithmetic_genus(c) != 0:
-        return False
     if c.degree <= 2:
-        return h0(E0 - c, neg) == 2 - c.degree and target.dot(c) >= 0
-    return c.dot(c) >= 0 and target.dot(c) >= min(
+        return target.dot(c) >= 0
+    return target.dot(c) >= min(
         max(c.dot(E[j]), c.dot(E0 - E[j])) for j in plane_point_indices(neg))
 
 
 @per_surface
 def _rational_curve_candidates(neg: NegSet) -> tuple:
-    """Classes of irreducible rational curves usable as induction steps.
-
-    Negative curves are irreducible by definition of NEG; nef genus-0
-    classes among the generators and the two marking orbits are classes of
-    irreducible rational curves (base point free, with irreducible general
-    member).
-    """
-    cands = list(neg.classes)
-    pool = set(nef_generators(neg).pared).union(  # pared: nef by construction
-        _nef_orbit(E0, neg), _nef_orbit(E0 - E[1], neg))
-    cands += [c for c in sorted(pool) if c != ZERO and arithmetic_genus(c) == 0]
-    return tuple(dict.fromkeys(cands))
+    """Classes of irreducible rational curves usable as induction steps: NEG
+    (irreducible by definition), then the genus-0 pared generators (base
+    point free, with irreducible general member).  The nef classes of the
+    orbits of E0 and E0 - E1 are pared on every supported surface (the
+    census test in ``tests/test_murank.py``), so they add no candidate."""
+    return neg.classes + tuple(c for c in nef_generators(neg).pared
+                               if arithmetic_genus(c) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +409,10 @@ def _proven(prev: _Built, members: np.ndarray, s1: np.ndarray, rational: np.ndar
 def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     """Build the deficiency levels up to the given depth.
 
-    Each level is one int64 array: level 1 is gamma masked by
-    :func:`deficient`, level i+1 the distinct sums of a level-i and a
-    level-1 class that are deficient.  One ``np.lexsort`` over the columns,
-    dropping each row equal to its predecessor, dedupes the sums in
+    Each level is one int64 array: level 1 is gamma (the pared generators)
+    masked by :func:`deficient`, level i+1 the distinct sums of a level-i
+    and a level-1 class that are deficient.  One ``np.lexsort`` over the
+    columns, dropping each row equal to its predecessor, dedupes the sums in
     ascending order at any depth (level i has entries up to 9i, past the
     reach of packed keys).  Gamma and the level members, which
     :func:`verify_stabilization` certifies, leave their bounds in the
@@ -430,10 +423,10 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     let A be nef and non-deficient with pivot j, so h0(A - D) > 0 and
     h1(A - D) = 0 for D in {Ej, E0 - Ej}; let C be a level-1 class with
     C^2 + K.C = -2, and let S = A + C have pivot j and (S - D).C >= -1 for
-    both D.  Then S is non-deficient.  Proof: C lies in gamma, so it is
-    nef, and it has genus 0, so |C| has a smooth rational member
-    (Harbourne, *Anticanonical rational surfaces*, Trans. AMS 349, 1997,
-    the fact behind :func:`_rational_curve_candidates`).  From
+    both D.  Then S is non-deficient.  Proof: C is a pared generator of
+    genus 0, a candidate of :func:`_rational_curve_candidates`, so |C| has
+    a smooth rational member (Harbourne, *Anticanonical rational surfaces*,
+    Trans. AMS 349, 1997).  From
     0 -> O(A - D) -> O(S - D) -> O_C(S - D) -> 0 and H1(P1, O(e)) = 0 for
     e >= -1, h1(S - D) <= h1(A - D) = 0 and h0(S - D) >= h0(A - D) > 0.
     A sum F + s1[c0] of a member F = A' + C built at the last level is
@@ -482,7 +475,7 @@ class TailCertificate:
 
     base: DivisorClass
     step: DivisorClass
-    kind: str  # "surjective-induction" | "injective-bound"
+    kind: str  # "surjective-h1-persistence" | "surjective-induction" | "injective-bound"
     start: int
     detail: str
 
@@ -689,12 +682,6 @@ def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
 # Markings
 
 
-def _nef_orbit(seed: DivisorClass, neg: NegSet) -> tuple:
-    """Nef members of the orbit of seed, sorted: one ``nef_rows`` product."""
-    classes, rows = orbit_rows(seed)
-    return tuple(itertools.compress(classes, nef_rows(rows, neg).tolist()))
-
-
 def e0_classes(neg: NegSet) -> tuple:
     """Nef members of the orbit of E0: the possible plane markings."""
     return _markings(neg)[0]
@@ -710,8 +697,9 @@ def _markings(neg: NegSet) -> tuple:
     table, packed keys looked up in :func:`effective_roots`).  Every M must
     keep the form, M F M^T = F for F = diag(1, -1, ..., -1), and 3h minus
     the companions must be -K."""
-    classes = _nef_orbit(E0, neg)
-    h = np.array(classes, dtype=np.int64).reshape(-1, 7)
+    classes, rows = orbit_rows(E0)
+    nef = nef_rows(rows, neg)
+    classes, h = tuple(itertools.compress(classes, nef.tolist())), rows[nef]
     ex = np.array(weyl.exceptional_classes(), dtype=np.int64)  # sorted: index order is class order
     ortho = (h * _FORM) @ ex.T == 0
     if (ortho.sum(1) != 6).any():

@@ -99,6 +99,27 @@ def test_verify_ok(capsys, a1_cfg):
     assert out.strip().endswith("RESULT ok")
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_verify_prints_why_a_marking_is_inconclusive(capsys, tmp_path, fmt):
+    """Case i at depth 3 certifies every class yet exits 2: no stabilization
+    pair fits in three levels.  That note goes to stderr, one line, and
+    stdout is the report alone; an ok run writes nothing to stderr."""
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({"kind": "distinct", "collinear": [[1, 2, 3]]}))
+    code, out, err = run(capsys, "verify", "--config", str(path), "--depth", "3", *fmt)
+    assert code == 2
+    assert err == ("note: marking  1  0  0  0  0  0  0: "
+                   "no stabilization pair (j, k) found within the depth\n")
+    if fmt:
+        assert json.loads(out)["ok"] is False
+    else:
+        lines = out.splitlines()
+        assert lines[-1] == "RESULT INCONCLUSIVE"
+        assert not any("inconclusive" in line for line in lines)
+    code, _, err = run(capsys, "verify", "--config", str(path), *fmt)
+    assert code == 0 and err == ""
+
+
 def test_oracle_compare(capsys):
     code, out, _ = run(capsys, "oracle", "--case", "iv",
                        "--mult", "2,2,6,2,2,2", "--deg", "8", "--compare")

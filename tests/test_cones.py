@@ -572,8 +572,6 @@ def double_loop_gamma(neg):
 
 def test_gamma_matches_double_loop():
     for name, neg in catalog_and_fixture_negs().items():
-        if name == "conic":
-            continue  # -K is not nef there; no generator set
         assert gamma(neg) == double_loop_gamma(neg), name
 
 

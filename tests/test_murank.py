@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fatpoints.cones import (_FORM, INT64_ENTRY_BOUND, PACK_ENTRY_BOUND, gamma, h0,
-                             is_nef, nef_generators, reduce)
+                             int_rows, is_nef, nef_generators, nef_rows, orbit_rows, reduce)
 from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfiguration,
                               anticanonical_nef, dynkin_catalog, neg_from_distinct,
                               neg_from_nodal)
@@ -616,6 +616,115 @@ def test_s_chain_matches_every_sum_loop_in_every_marking():
         neg = fresh(neg)
         got = s_chain(neg, 6).levels
         assert got == every_sum_levels(neg, 6), neg.nodal
+
+
+def distinct_patterns():
+    """Every labelled pattern of six distinct points: each set of lines
+    through 3 or 4 of the points, any two sharing at most one point, and the
+    six on a conic."""
+    lines = [frozenset(s) for r in (3, 4) for s in itertools.combinations(range(1, 7), r)]
+    specs = [DistinctSpec(six_on_conic=True)]
+
+    def grow(chosen, start):
+        specs.append(DistinctSpec(collinear=tuple(chosen)))
+        for i in range(start, len(lines)):
+            if all(len(lines[i] & s) <= 1 for s in chosen):
+                grow(chosen + [lines[i]], i + 1)
+
+    grow([], 0)
+    return specs
+
+
+def census_negs():
+    """The labelled configurations with nef -K: every distinct-point pattern
+    that has one, then each catalog type as built and in every marking."""
+    negs = [neg for neg in map(neg_from_distinct, distinct_patterns())
+            if anticanonical_nef(neg)]
+    for name in sorted(dynkin_catalog()):
+        negs += [neg_from_nodal(dynkin_catalog()[name])] + every_marking_problem(name)
+    return negs
+
+
+def pairwise_gamma(neg):
+    """Reference gamma with the pairwise filter: drop each pared generator f
+    with f - p nonzero and nef for some pared generator p, every pair
+    decided at once from the pairings with NEG."""
+    pared = nef_generators(neg).pared
+    p = int_rows(pared)
+    meet = p @ (int_rows(neg.classes) * _FORM).T
+    rest = (p[:, None, 0] >= p[None, :, 0]) & (meet[:, None] >= meet[None]).all(2)
+    rest &= (p[:, None] != p[None]).any(2)  # f - p nonzero
+    return tuple(itertools.compress(pared, (~rest.any(1)).tolist()))
+
+
+def three_pool_candidates(neg):
+    """Reference ``_rational_curve_candidates``: NEG, then the genus-0 classes
+    of the union of the pared generators and the nef members of the orbits
+    of E0 and E0 - E1, sorted, without ZERO and without repeats."""
+    def nef_orbit(seed):
+        classes, rows = orbit_rows(seed)
+        return itertools.compress(classes, nef_rows(rows, neg).tolist())
+
+    pool = set(nef_generators(neg).pared).union(nef_orbit(E0), nef_orbit(E0 - E[1]))
+    cands = list(neg.classes)
+    cands += [c for c in sorted(pool) if c != ZERO and arithmetic_genus(c) == 0]
+    return tuple(dict.fromkeys(cands))
+
+
+def four_check_step_allows(c, target, neg):
+    """Reference ``step_allows``, which also checked that c has genus 0, that
+    h0(E0 - c) = 2 - deg c at degree <= 2, and that c^2 >= 0 above."""
+    if arithmetic_genus(c) != 0:
+        return False
+    if c.degree <= 2:
+        return h0(E0 - c, neg) == 2 - c.degree and target.dot(c) >= 0
+    return c.dot(c) >= 0 and target.dot(c) >= min(
+        max(c.dot(E[j]), c.dot(E0 - E[j])) for j in plane_point_indices(neg))
+
+
+def test_census_needs_no_candidate_filter():
+    """On every configuration with nef -K, ``gamma``, the candidate curves and
+    ``step_allows`` equal the filters they replaced (the references above):
+    the pairwise test removes no pared generator, the nef classes of the
+    orbits of E0 and E0 - E1 are pared already, and every candidate c of
+    degree <= 2 has h0(E0 - c) = 2 - deg c (one above is a nef generator).
+
+    Why this census covers every input: a configuration with nef -K is a
+    marking of one of 21 root types of E6, the 20 catalog types and general
+    points (Harbourne, Trans. AMS 349, 1997).  Its NEG is the catalog NEG of
+    its type moved by an element of W(E6), an isometry fixing K that takes
+    some nef class of the orbit of E0 to E0.  Nefness, paring, genus and the
+    two orbits are W(E6)-invariant, but h0(E0 - c), the degree and the
+    pairing bound read E0, which W(E6) moves, so the census takes every type
+    in every nef marking (``every_marking_problem``, 296 problems).  A
+    relabelling of the points fixes E0 and permutes E1, ..., E6, carrying
+    the candidates and the usable indices along, so one labelling per
+    marking is enough.  The census adds the 20 catalog labellings and the
+    272 labelled distinct-point patterns with nef -K (a line through 4
+    points makes -K not nef): 588 problems, 393 distinct NEG sets, each
+    checked once.  Both versions of ``step_allows`` read the target only
+    through t = target.c and hold exactly when t reaches a bound in
+    0..deg c (or never), so each candidate c is checked at one target per
+    value of t clipped to -1..deg c + 1, among the pared generators f and
+    the sums f + c.  About 4-5 s on a 2-core Intel Xeon VM.
+    """
+    negs = census_negs()
+    assert len(negs) == 588 and len(set(negs)) == 393
+    checked = 0
+    for neg in dict.fromkeys(negs):
+        assert gamma(neg) == pairwise_gamma(neg), neg.nodal
+        cands = _rational_curve_candidates(neg)
+        assert cands == three_pool_candidates(neg), neg.nodal
+        gens = nef_generators(neg).pared
+        rows = int_rows(gens)
+        for c, meet in zip(cands, ((rows * _FORM) @ int_rows(cands).T).T):
+            pairings = np.clip(np.concatenate((meet, meet + c.dot(c))), -1, c.degree + 1)
+            for i in np.unique(pairings, return_index=True)[1].tolist():
+                target = gens[i] if i < len(gens) else gens[i - len(gens)] + c
+                assert (step_allows(c, target, neg)
+                        == four_check_step_allows(c, target, neg)), (neg.nodal, c, target)
+                checked += 1
+    assert checked == 90843
 
 
 def pruned_candidates(neg, depth, monkeypatch):
