@@ -57,15 +57,20 @@ on those columns F.  Clearing F from z*T by y*T leaves
 Z = z*T - (z*T)[:, F] y*T, zero on F, so the rank is v plus that of Z
 outside F: a v x (t+2-v) elimination, run on whichever side is shorter.
 
-Ranks are computed modulo two independent primes above 10^6 and fall back
-to exact rational elimination if the primes disagree or one divides some
-X.
+Proofs.  If p divides no X, reduction mod p never raises a rank: rank_p
+C_t <= rank_Q C_t <= min(R, N_t), so the first prime's rank at min(R, N_t)
+is exact.  With dim I_t and dim I_{t+1} so proven, rank_p mu_t <= rank_Q
+mu_t: ker and cok mod p bound those over Q, and one at 0 is exact.  If
+rank C_{t-1} = R, h^1(I_Z(t-1)) = 0, so I_Z is t-regular (Eisenbud, The
+Geometry of Syzygies, ch. 4) and mu_t is onto in any field: (3 dim I_t -
+dim I_{t+1}, 0), not eliminated.  The other values rest on a vote: the
+second prime if it agrees, else exact elimination, as when p divides an X.
 
 :func:`_echelon` keeps the states of the last ``ECHELON_CACHE_SIZE`` keys
-(points, mults, p), enough for a scheme walked up the degrees (two states,
-three on the exact route).  A state with R conditions at degree T holds
-R x (N_T + R) entries and an R x (T+1) block: about 1.9 MB of int64 for
-multiplicities 20, 0, ..., 0 at degree 41.
+(points, mults, p), enough for a scheme walked up the degrees (one state,
+two once a value goes to the vote, three on the exact route).  A state
+with R conditions at degree T holds R x (N_T + R) entries and an R x (T+1)
+block: about 1.9 MB of int64 for multiplicities 20, 0, ..., 0 at degree 41.
 """
 
 from __future__ import annotations
@@ -376,12 +381,19 @@ class _Echelon:
         self.grow(t)
         return bisect.bisect_left(self.pivots, _ncols(t))
 
+    def full(self, t: int) -> bool:
+        """Whether rank C_t is min(R, N_t), the most it can be."""
+        return self.rank(t) == min(len(self.a), _ncols(t))
+
     def mu(self, t: int) -> tuple:
         """(ker, cok) of I_t x (linear forms) -> I_{t+1}; see the module
         docstring."""
+        first = self.rank(t - 1)
+        if first == len(self.a):  # I_Z is t-regular, so mu_t is onto
+            return 3 * (_ncols(t) - first) - (_ncols(t + 1) - first), 0
         self.grow(t + 1)
         low, n = _ncols(t - 1), _ncols(t)
-        first, r = self.rank(t - 1), self.rank(t)
+        r = self.rank(t)
         dim, dim_up = n - r, _ncols(t + 1) - self.rank(t + 1)
         # positions in y*T (0..t+1): the free columns F of degree t, and the
         # rest, its pivot columns and position t+1
@@ -394,8 +406,7 @@ class _Echelon:
         if len(free):
             yt = np.zeros((len(free), t + 2), dtype=self.a.dtype)
             yt[np.arange(len(free)), free] = 1
-            if len(bound):  # else ``a`` may have stopped growing before degree t
-                yt[:, bound] = -self.a[first:r, low + free].T
+            yt[:, bound] = -self.a[first:r, low + free].T
             # z*T is y*T moved one position right; position -1 (t+1) of y*T
             # is zero, so column j - 1 of yt is column j of z*T
             cleared = yt[:, rest - 1] - yt[:, free - 1] @ yt[:, rest]
@@ -421,13 +432,17 @@ def _echelon(points, mults, p: int | None):
                           for (_, b, c), x in zip(points, xs)), mults, p)
 
 
-def _decide(points, mults, read):
-    """``read`` of the states mod both primes if they agree, else exact."""
-    states = [_echelon(points, mults, p) for p in PRIMES]
-    got = {read(state) for state in states if state is not None}
-    if len(got) != 1 or None in states:
-        got = {read(_echelon(points, mults, None))}
-    return got.pop()
+def _decide(points, mults, read, proven):
+    """``read`` of the state mod the first prime if ``proven`` of it and the
+    value, else of the states mod both primes if they agree, else exact."""
+    first = _echelon(points, mults, PRIMES[0])
+    value = None if first is None else read(first)
+    if first is not None and proven(first, value):
+        return value
+    second = _echelon(points, mults, PRIMES[1])
+    if None in (first, second) or read(second) != value:
+        value = read(_echelon(points, mults, None))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +452,12 @@ def _decide(points, mults, read):
 def ideal_dim(points, mults, t: int) -> int:
     """Dimension of the degree-t piece of the fat point ideal.
 
-    Column count minus the rank of the conditions matrix, over both primes,
-    with exact rational elimination on disagreement.
+    Column count minus the rank of the conditions matrix: mod the first
+    prime if it is min(R, N_t), as rank_p <= rank_Q <= min(R, N_t), else
+    over both primes, with exact rational elimination on disagreement.
     """
     points, mults = _checked(points, mults, t)
-    return _ncols(t) - _decide(points, mults, lambda state: state.rank(t))
+    return _ncols(t) - _decide(points, mults, lambda s: s.rank(t), lambda s, _: s.full(t))
 
 
 def mu_rank_direct(points, mults, t: int):
@@ -449,9 +465,12 @@ def mu_rank_direct(points, mults, t: int):
 
     Reads the ideal's basis in degree t and its dimension in degree t+1 off
     one echelon form and measures the rank of that basis times the three
-    coordinates, over both primes, with exact rational elimination on
-    disagreement.
+    coordinates, or (3 dim I_t - dim I_{t+1}, 0) once rank C_{t-1} = R
+    makes I_Z t-regular.  Kept mod the first prime if both dimensions are
+    min(R, N) and ker or cok is 0 (they bound those over Q from above), else
+    over both primes, with exact rational elimination on disagreement.
     Returns (ker, cok).
     """
     points, mults = _checked(points, mults, t)
-    return _decide(points, mults, lambda state: state.mu(t))
+    return _decide(points, mults, lambda s: s.mu(t),
+                   lambda s, mu: 0 in mu and s.full(t) and s.full(t + 1))

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -437,10 +438,122 @@ def test_ideal_dim_far_past_full_rank_builds_nothing_more():
     pts, m, t = oracle.fixture_points("iv"), (1,) * 6, 10 ** 6
     oracle._echelon.cache_clear()
     assert oracle.ideal_dim(pts, m, t) == _ncols(t) - 6
-    for p in oracle.PRIMES:
-        state = oracle._echelon(pts, m, p)
-        assert state.degree == t
-        assert state.block.shape == (6, 3) and state.a.shape == (6, _ncols(2) + 6)
+    # full rank mod the first prime is a proof, so no other state is read
+    state = oracle._echelon(pts, m, oracle.PRIMES[0])
+    assert state.degree == t
+    assert state.block.shape == (6, 3) and state.a.shape == (6, _ncols(2) + 6)
+
+
+def test_mu_past_regularity_takes_no_elimination():
+    # six simple points impose six conditions from degree 2 on, so I_Z is
+    # t-regular and mu_t onto; an eliminated block would hold (t+1)^2 int64
+    pts, m, t = oracle.fixture_points("iv"), (1,) * 6, 60_000
+    oracle._echelon.cache_clear()
+    tracemalloc.start()
+    try:
+        assert oracle.mu_rank_direct(pts, m, t) == (3_600_119_988, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * (_ncols(t) - 6) - (_ncols(t + 1) - 6) == 3_600_119_988
+    assert peak < 2 ** 20, peak
+
+
+def test_first_prime_below_the_bound_goes_to_the_vote(monkeypatch):
+    # mod 5 the conditions of case i at (3, 3, 3, 1, 0, 3) have rank 20 in
+    # degree 5, below the exact rank and the bound min(R, N_5) = 21: that
+    # rank proves nothing, and the vote and the exact route give dim 0
+    pts, m, t = oracle.fixture_points("i"), (3, 3, 3, 1, 0, 3), 5
+    monkeypatch.setattr(oracle, "PRIMES", (5, oracle.PRIMES[0]))
+    oracle._echelon.cache_clear()
+    low = oracle._echelon(pts, m, 5)
+    assert low.rank(t) == 20 and not low.full(t)
+    assert oracle._echelon(pts, m, None).rank(t) == 21 == _ncols(t) < len(low.a)
+    assert oracle.ideal_dim(pts, m, t) == 0
+
+
+@pytest.mark.parametrize("case, mults, t, full, mod5, exact", [
+    # dims t and t+1 proven mod 5, but neither kernel nor cokernel is 0
+    ("general", (2, 0, 2, 1, 2, 1), 4, (True, True), (3, 1), (2, 0)),
+    # kernel 0 mod 5 and dim t proven, but dim t+1 is not
+    ("conic", (4, 0, 2, 2, 2, 1), 4, (True, False), (0, 2), (0, 1)),
+    # kernel 0 mod 5, but dim t is not proven
+    ("conic", (4, 0, 2, 2, 2, 1), 5, (False, False), (0, 3), (0, 5)),
+])
+def test_first_prime_mu_short_of_a_proof_goes_to_the_vote(monkeypatch, case, mults, t,
+                                                          full, mod5, exact):
+    # mu_rank_direct keeps the first prime's (ker, cok) only when both
+    # dimensions are proven and one of them is 0; each case drops one of
+    # those conditions and would return the value mod 5
+    pts = oracle.fixture_points(case)
+    monkeypatch.setattr(oracle, "PRIMES", (5, oracle.PRIMES[0]))
+    oracle._echelon.cache_clear()
+    low = oracle._echelon(pts, mults, 5)
+    assert (low.full(t), low.full(t + 1)) == full and low.mu(t) == mod5
+    assert oracle._echelon(pts, mults, None).mu(t) == exact
+    assert oracle.mu_rank_direct(pts, mults, t) == exact
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(oracle.FIXTURE_CASES),
+       mults=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+       p=st.sampled_from((5, 7, 11, 13)))
+def test_one_prime_proofs_hold_in_small_characteristic(case, mults, p):
+    # the facts the oracle returns without a vote, checked where a small
+    # prime makes reduction lose rank: a rank mod p at min(R, N_t) is the
+    # rank over Q, and so are kernel and cokernel mod p when both
+    # dimensions are and one of them is 0; once rank C_{t-1} = R, mu_t is
+    # onto, as elimination of the whole image confirms in the first two
+    # such degrees (the costly ones past them rest on the same theorem)
+    pts, mults = oracle.fixture_points(case), tuple(mults)
+    state = oracle._echelon(pts, mults, p)
+    if state is None:  # p divides a chart denominator: no proof is read
+        return
+    exact = oracle._echelon(pts, mults, None)
+    count, eliminated = len(state.a), 0
+    for t in range(14):
+        if state.full(t):
+            assert state.rank(t) == exact.rank(t), (p, t)
+        if state.rank(t - 1) == count:
+            dim, dim_up = _ncols(t) - count, _ncols(t + 1) - count
+            assert state.mu(t) == (3 * dim - dim_up, 0), (p, t)
+            if eliminated < 2:
+                assert state.mu(t) == _reference_mu(pts, mults, t, p), (p, t)
+                eliminated += 1
+        elif state.full(t) and state.full(t + 1) and 0 in state.mu(t):
+            assert state.mu(t) == exact.mu(t), (p, t)
+
+
+def test_second_prime_only_for_unproven_values(monkeypatch):
+    # every value of six simple points is full rank or past regularity mod
+    # the first prime; on case ii at (1, 0, 1, 5, 0, 5) the dimensions in
+    # degrees 6-8 fall short of min(R, N_t), and mu_9, with kernel 36 and
+    # cokernel 1, reads dim I_10, the highest degree an unproven value reads
+    built = []
+    echelon = oracle._echelon
+
+    def spy(points, mults, p):
+        built.append(p)
+        return echelon(points, mults, p)
+
+    monkeypatch.setattr(oracle, "_echelon", spy)
+    pts = oracle.fixture_points("iv")
+    echelon.cache_clear()
+    for t in range(11):
+        oracle.ideal_dim(pts, (1,) * 6, t)
+        oracle.mu_rank_direct(pts, (1,) * 6, t)
+    assert set(built) == {oracle.PRIMES[0]}
+    pts, m = oracle.fixture_points("ii"), (1, 0, 1, 5, 0, 5)
+    echelon.cache_clear()
+    built.clear()
+    assert oracle.ideal_dim(pts, m, 6) == 2
+    assert oracle.PRIMES[1] in built
+    for t in range(12):
+        oracle.ideal_dim(pts, m, t)
+        oracle.mu_rank_direct(pts, m, t)
+    assert None not in built
+    assert echelon(pts, m, oracle.PRIMES[1]).degree == 10
+    assert echelon(pts, m, oracle.PRIMES[0]).degree == 12
 
 
 def test_walk_eliminates_each_column_once(monkeypatch):
