@@ -472,24 +472,26 @@ def test_first_prime_below_the_bound_goes_to_the_vote(monkeypatch):
     assert oracle.ideal_dim(pts, m, t) == 0
 
 
-@pytest.mark.parametrize("case, mults, t, full, mod5, exact", [
-    # dims t and t+1 proven mod 5, but neither kernel nor cokernel is 0
-    ("general", (2, 0, 2, 1, 2, 1), 4, (True, True), (3, 1), (2, 0)),
-    # kernel 0 mod 5 and dim t proven, but dim t+1 is not
-    ("conic", (4, 0, 2, 2, 2, 1), 4, (True, False), (0, 2), (0, 1)),
-    # kernel 0 mod 5, but dim t is not proven
-    ("conic", (4, 0, 2, 2, 2, 1), 5, (False, False), (0, 3), (0, 5)),
+@pytest.mark.parametrize("case, mults, p, t, full, mod_p, exact", [
+    # dims t and t+1 proven mod p, but neither kernel nor cokernel is 0
+    ("general", (2, 0, 2, 1, 2, 1), 5, 4, (True, True), (3, 1), (2, 0)),
+    # kernel 0 mod p and dim t proven, but dim t+1 is not
+    ("conic", (4, 0, 2, 2, 2, 1), 5, 4, (True, False), (0, 2), (0, 1)),
+    # kernel 0 mod p, but neither dimension is proven
+    ("conic", (4, 0, 2, 2, 2, 1), 5, 5, (False, False), (0, 3), (0, 5)),
+    # kernel and cokernel 0 mod p and dim t+1 proven, but dim t is not
+    ("general", (2, 2, 2, 2, 1, 3), 7, 5, (False, True), (0, 0), (0, 3)),
 ])
-def test_first_prime_mu_short_of_a_proof_goes_to_the_vote(monkeypatch, case, mults, t,
-                                                          full, mod5, exact):
+def test_first_prime_mu_short_of_a_proof_goes_to_the_vote(monkeypatch, case, mults, p, t,
+                                                          full, mod_p, exact):
     # mu_rank_direct keeps the first prime's (ker, cok) only when both
     # dimensions are proven and one of them is 0; each case drops one of
-    # those conditions and would return the value mod 5
+    # those conditions and would return the value mod p
     pts = oracle.fixture_points(case)
-    monkeypatch.setattr(oracle, "PRIMES", (5, oracle.PRIMES[0]))
+    monkeypatch.setattr(oracle, "PRIMES", (p, oracle.PRIMES[0]))
     oracle._echelon.cache_clear()
-    low = oracle._echelon(pts, mults, 5)
-    assert (low.full(t), low.full(t + 1)) == full and low.mu(t) == mod5
+    low = oracle._echelon(pts, mults, p)
+    assert (low.full(t), low.full(t + 1)) == full and low.mu(t) == mod_p
     assert oracle._echelon(pts, mults, None).mu(t) == exact
     assert oracle.mu_rank_direct(pts, mults, t) == exact
 
