@@ -87,10 +87,6 @@ class NegSet:
     def nodal(self) -> tuple:
         return tuple(c for c in self.classes if c.dot(c) == -2)
 
-    @property
-    def other(self) -> tuple:
-        return tuple(c for c in self.classes if c.dot(c) <= -3)
-
 
 def per_surface(fn):
     """Memoize fn(neg, *args) on the NegSet, keyed by fn, or by (fn, *args)

@@ -371,15 +371,15 @@ class _Built:
     good: np.ndarray
 
 
-def _proven(prev: _Built, members: np.ndarray, s1: np.ndarray, rational: np.ndarray,
+def _proven(prev: _Built, members: np.ndarray, s1: np.ndarray,
             row: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     """Candidates of the next level that h1 persistence proves non-deficient.
 
-    Each pre-dedupe row a*n1 + c of ``prev`` that made a member F with s1[c]
-    rational writes F = A' + C for C = s1[c]; then for every level-1 class
-    c0 the candidate S = F + s1[c0] (row f*n1 + c0 of this level, for the
-    member index f of F) is A + C with A = A' + s1[c0], the candidate of
-    ``prev`` at row a*n1 + c0.  S is proven when A is good with the pivot j
+    Each pre-dedupe row a*n1 + c of ``prev`` that made a member F writes
+    F = A' + C for C = s1[c]; then for every level-1 class c0 the candidate
+    S = F + s1[c0] (row f*n1 + c0 of this level, for the member index f of
+    F) is A + C with A = A' + s1[c0], the candidate of ``prev`` at row
+    a*n1 + c0.  S is proven when A is good with the pivot j
     of S and (S - D).C >= -1 for D = Ej and E0 - Ej (see :func:`s_chain`).
     S.C is F.C plus s1[c0].C, read off the pairings of the members and of
     s1 with s1; in the stored convention (S - Ej).C = S.C - C[j] and
@@ -388,9 +388,6 @@ def _proven(prev: _Built, members: np.ndarray, s1: np.ndarray, rational: np.ndar
     n1 = len(s1)
     good = np.zeros(len(pivot), dtype=bool)
     r = np.flatnonzero(~prev.good[prev.row])  # the rows that made a member
-    r = r[rational[r % n1]]
-    if not len(r):
-        return good
     a, c = np.divmod(r, n1)
     f = (np.cumsum(~prev.good) - 1)[prev.row[r]]  # member index of F
     form = s1 * _FORM
@@ -419,13 +416,14 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     tables of :func:`_bounds_and_certs`; other sums do not.
 
     From level 3 on most sums are proven non-deficient without reducing
-    anything, by h1 persistence along a rational level-1 class.  Lemma:
-    let A be nef and non-deficient with pivot j, so h0(A - D) > 0 and
-    h1(A - D) = 0 for D in {Ej, E0 - Ej}; let C be a level-1 class with
-    C^2 + K.C = -2, and let S = A + C have pivot j and (S - D).C >= -1 for
-    both D.  Then S is non-deficient.  Proof: C is a pared generator of
-    genus 0, a candidate of :func:`_rational_curve_candidates`, so |C| has
-    a smooth rational member (Harbourne, *Anticanonical rational surfaces*,
+    anything, by h1 persistence along a level-1 class.  Lemma: let A be
+    nef and non-deficient with pivot j, so h0(A - D) > 0 and h1(A - D) = 0
+    for D in {Ej, E0 - Ej}; let C be a level-1 class, and let S = A + C
+    have pivot j and (S - D).C >= -1 for both D.  Then S is non-deficient.
+    Proof: C is a pared generator of genus 0 (every level-1 class is, on
+    every supported surface, by the census test in ``tests/test_murank.py``),
+    a candidate of :func:`_rational_curve_candidates`, so |C| has a smooth
+    rational member (Harbourne, *Anticanonical rational surfaces*,
     Trans. AMS 349, 1997).  From
     0 -> O(A - D) -> O(S - D) -> O_C(S - D) -> 0 and H1(P1, O(e)) = 0 for
     e >= -1, h1(S - D) <= h1(A - D) = 0 and h0(S - D) >= h0(A - D) > 0.
@@ -441,7 +439,6 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     gam = gamma(neg)
     g = np.array(gam, dtype=np.int64).reshape(-1, 7)
     s1 = g[_deficient_rows(g, neg, cache_all=True)]
-    rational = (s1 * (s1 - MINUS_K)) @ _FORM == -2  # C^2 + K.C
     levels = [s1]
     prev = None
     for _ in range(2, depth + 1):
@@ -455,7 +452,7 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
         sums = sums[fresh]
         pivot = _pivots(sums, neg)
         good = (np.zeros(len(sums), dtype=bool) if prev is None
-                else _proven(prev, levels[-1], s1, rational, row, pivot))
+                else _proven(prev, levels[-1], s1, row, pivot))
         test = np.flatnonzero(~good)
         good[test[~_deficient_rows(sums[test], neg)]] = True
         levels.append(sums[~good])
@@ -480,71 +477,45 @@ class TailCertificate:
     detail: str
 
 
-def _stable_pivot(base: DivisorClass, step: DivisorClass, neg: NegSet):
-    """Eventual pivot index of base + i*step and the offset where it locks in.
+def _ray_pivot(base: DivisorClass, step: DivisorClass, neg: NegSet) -> int:
+    """The pivot (:func:`_pivots`) of base + step, which is the pivot of every
+    member base + i*step, i >= 1, of a ray of :func:`_find_stabilization`
+    on every supported surface (the census test in ``tests/test_murank.py``)."""
+    first = base + step
+    return max(plane_point_indices(neg), key=lambda j: (first[j], -j))
 
-    Only usable indices compete (see :func:`plane_point_indices`).  Returns
-    (index, i_stab >= 1), the index the pivot for every i >= i_stab: it is
-    the argmax a of (step, base multiplicity, -index), which a tie of step
-    multiplicities never unseats and a larger one overtakes from i_stab.
+
+def _injective_tail(base, step, neg):
+    """Witness that q = l = 0 holds along the whole ray.
+
+    The step C is nef, so (base + i*step - D).C < 0 proves the shifted
+    class ineffective for D = Ej, E0 - Ej; with C.C <= 0 the pairing only
+    decreases along the ray, so one check at the first member covers every
+    later one.  No other nef class is needed as the witness (the census
+    test in ``tests/test_murank.py``).
     """
-    usable = [j - 1 for j in plane_point_indices(neg)]
-    bm = base.multiplicities
-    sm = step.multiplicities
-    a = max(usable, key=lambda b: (sm[b], bm[b], -b))
-    i_stab = 1
-    for b in usable:
-        if b == a or sm[a] == sm[b]:
-            continue
-        strict = b < a  # lower indices must be beaten strictly
-        gap = bm[b] - bm[a]
-        d = sm[a] - sm[b]
-        need = gap // d + 1 if strict else -((-gap) // d)
-        i_stab = max(i_stab, need)
-    return a + 1, i_stab
-
-
-def _injective_tail(base, step, neg, computed: int):
-    """Witness that q = l = 0 holds along the whole ray beyond the start.
-
-    A nef witness W with (base + i*step - D).W < 0 proves the shifted class
-    ineffective; with step.W <= 0 the pairing only decreases along the ray,
-    so one check at the start degree covers every later one.
-    """
-    j, start = _stable_pivot(base, step, neg)
-    if start > computed + 1:
-        return None  # members below start would be uncovered
-    witnesses = []
-    for shift in (E[j], E0 - E[j]):
-        found = None
-        for w in (step,) + nef_generators(neg).pared:
-            if step.dot(w) <= 0 and (base + start * step - shift).dot(w) < 0:
-                found = w
-                break
-        if found is None:
-            return None
-        witnesses.append(found)
-    detail = ("q-witness " + " ".join(map(str, witnesses[0].display_row()))
-              + "; l-witness " + " ".join(map(str, witnesses[1].display_row()))
-              + f"; pivot {j}")
-    return TailCertificate(base=base, step=step, kind="injective-bound",
-                           start=start, detail=detail)
+    j = _ray_pivot(base, step, neg)
+    first = base + step
+    if step.dot(step) > 0 or any((first - d).dot(step) >= 0 for d in (E[j], E0 - E[j])):
+        return None
+    row = " ".join(map(str, step.display_row()))
+    return TailCertificate(base=base, step=step, kind="injective-bound", start=1,
+                           detail=f"q-witness {row}; l-witness {row}; pivot {j}")
 
 
 def _h1_persistence_tail(base, step, neg, computed: int):
-    """Vanishing of the starred counts propagates along a prime rational step.
+    """Vanishing of the starred counts propagates along a rational step.
 
-    Restricting to the step curve shows h1 cannot reappear once the twisted
-    classes meet the step in degree >= -1 on it; both pairings are
-    nondecreasing in the ray parameter, so checking the first needed member
-    covers the whole tail, and every tail member is then surjective.  From
-    i_stab on the stable pivot is the pivot of :func:`ql_bounds`, so the
-    starred counts come from the one bounds kernel (stored by the chain).
+    The step is a level-1 class, a genus-0 pared generator with a smooth
+    rational member (see :func:`s_chain`).  Restricting to it shows h1
+    cannot reappear once the twisted classes meet the step in degree >= -1
+    on it; both pairings are nondecreasing in the ray parameter, so checking
+    the first needed member covers the whole tail, and every tail member is
+    then surjective.  Every member has the pivot of :func:`_ray_pivot`, so
+    the starred counts come from the one bounds kernel (stored by the chain).
     """
-    if arithmetic_genus(step) != 0:
-        return None
-    j, i_stab = _stable_pivot(base, step, neg)
-    for i0 in range(i_stab, computed + 1):
+    j = _ray_pivot(base, step, neg)
+    for i0 in range(1, computed + 1):
         b = ql_bounds(base + i0 * step, neg)
         if b.q_star != 0 or b.l_star != 0:
             continue
@@ -562,10 +533,9 @@ def _surjective_tail(base, step, neg, computed: int):
 
     Needs the step pairing condition from the base level onwards; the
     pairing (base + i*step).step is nondecreasing in i because the step is
-    nef, so checking it at the first induction target suffices.
+    nef, so checking it at the first induction target suffices.  The step
+    is a level-1 class, a candidate of :func:`_rational_curve_candidates`.
     """
-    if arithmetic_genus(step) != 0:
-        return None
     for i0 in range(1, computed + 1):
         member = base + i0 * step
         if not certified(certify(member, neg), Status.SURJECTIVE, member, neg):
@@ -660,7 +630,7 @@ def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
         computed = chain.depth - j
         tail = (_h1_persistence_tail(f, c, neg, computed)
                 or _surjective_tail(f, c, neg, computed)
-                or _injective_tail(f, c, neg, computed))
+                or _injective_tail(f, c, neg))
         if tail is None:
             inconclusive.append(f)
             notes.append("ray from " + " ".join(map(str, f.display_row()))

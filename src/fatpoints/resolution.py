@@ -13,13 +13,16 @@ resolutions of fat point ideals on P2* (JPAA 125, 1998).
 Every invariant is read off one degree table (``_table``): two lists,
 the nef part N_t of F_t (None without sections) and its section count
 h0(F_t), for t = 0..T.  ``hilbert`` finds alpha and tau on the h0 list,
-with h1 = h0 - chi by Riemann-Roch; ``betti`` and ``mu_cokernel`` read the
-cokernels off both lists.  The NegSet keeps one table (``_degree_slot``).
+with h1 = h0 - chi by Riemann-Roch; ``betti`` reads the cokernels off
+both lists, and ``mu_cokernel`` reads ``betti``.  The NegSet keeps one
+table (``_degree_slot``).
 
-The table is filled walking down the degrees.  It reduces F_T once at a
-top degree T, two past the least degree where F_t meets every NEG class
-nonnegatively, then gets degree t from N_{t+1} by reducing N_{t+1} - E0
-instead of F_t; that first fill covers alpha and tau + 2 (``_alpha_tau``).
+The table is filled once, walking down the degrees.  It reduces F_T once
+at a top degree T, two past the least degree t0 where F_t meets every NEG
+class nonnegatively, then gets degree t from N_{t+1} by reducing
+N_{t+1} - E0 instead of F_t; that fill covers alpha and tau + 2
+(``_alpha_tau``).  Past the table F_t is nef, so h0(F_t) = chi(F_t) and
+no degree beyond it is reduced.
 This is exact.  Fix(F + E0) <= Fix(F), because |E0| is base-point free.  Each ``reduce`` step subtracts only a forced component:
 copies of an irreducible curve C with F.C < 0.  Those copies stay forced
 in F_t = F_{t+1} - E0, since E0.C >= 0.  Two distinct forced curves stay
@@ -27,10 +30,9 @@ forced after either is subtracted, since they meet nonnegatively, so the
 order of forced subtractions does not change where they end.  Hence
 N_{t+1} - E0 (F_t less the fixed part of F_{t+1}) reduces to N_t and has
 the same h0.  If F_{t+1} has no sections, neither has F_t, so below the
-first degree without sections nothing is reduced.  A degree past T at
-least doubles T and walks the new top range down to the old T+1.  Walking
-down, each step strips only the few curves that subtracting E0 makes
-negative, so the cost of a degree does not grow with the multiplicities.
+first degree without sections nothing is reduced.  Walking down, each
+step strips only the few curves that subtracting E0 makes negative, so
+the cost of a degree does not grow with the multiplicities.
 The walk carries the pairings of the nef part with the NEG classes along
 with it (``cones._strip``): subtracting E0 lowers the pairing with C by
 deg C and each step updates them by one row of the NEG Gram table, so a
@@ -141,59 +143,49 @@ def _degree_slot(neg: NegSet) -> list:
     return [None, [], []]
 
 
-def _table(z: FatPointScheme, t: int) -> tuple:
+def _table(z: FatPointScheme) -> tuple:
     """The lists (nef, h0) of the degree table of a normalized z (module
-    doc), extended to cover degree t.
+    doc), for the degrees 0 .. t0 + 2.
 
     ``nef[u]`` is the nef part ``reduce`` gives F_u, or None when F_u has no
     sections; ``h0[u]`` is the section count of F_u.  Another scheme's
-    multiplicities empty the NegSet's one slot.
+    multiplicities replace the table in the NegSet's one slot.
     """
     neg = z.neg
     slot = _degree_slot(neg)
-    if slot[0] != z.multiplicities:
-        slot[:] = z.multiplicities, [], []
-    _, nef, h0 = slot
-    old = len(nef)
-    if t < old:
-        return nef, h0
-    if old:
-        top = max(t, 2 * old)
-    else:
-        f0 = z.class_for_degree(0)  # F_u.C = u*C.degree + F_0.C
-        top = max(t, 2 + max([0] + [-(f0.dot(c) // c.degree)
-                                    for c in neg if c.degree > 0]))
+    if slot[0] == z.multiplicities:
+        return slot[1], slot[2]
+    f0 = z.class_for_degree(0)  # F_u.C = u*C.degree + F_0.C
+    top = 2 + max([0] + [-(f0.dot(c) // c.degree) for c in neg if c.degree > 0])
     red = reduce(z.class_for_degree(top), neg)
     part = red.nef_part if red.effective else None
-    walked = [part]
+    nef = [part]
     degrees = [c.degree for c in neg.classes]
     if part is not None:
         d = [part.dot(c) for c in neg.classes]
-    for _ in range(top - old):
+    for _ in range(top):
         if part is not None:
             cur = list(part)
             cur[0] -= 1  # (N - E0).C = N.C - deg C
             effective, cur, d, _ = _strip(
                 cur, [a - b for a, b in zip(d, degrees)], neg)
             part = DivisorClass(cur) if effective else None
-        walked.append(part)
-    walked.reverse()
-    nef.extend(walked)
-    h0.extend(0 if p is None else chi(p) for p in walked)
-    return nef, h0
+        nef.append(part)
+    nef.reverse()
+    slot[:] = z.multiplicities, nef, [0 if p is None else chi(p) for p in nef]
+    return slot[1], slot[2]
 
 
 def _alpha_tau(z: FatPointScheme) -> tuple:
-    """alpha and tau of a normalized z, read off the first fill of the
-    degree table.  It tops out at t0 + 2, for t0 the least degree from
-    which F_t meets every NEG class nonnegatively (normalization covers
-    degree 0), so F_t0 .. F_top are nef, with h0 = chi and h1 = 0, and
-    chi(F_t0) >= 1 (a nef class meets itself and the effective -K
+    """alpha and tau of a normalized z, read off the degree table.  It
+    tops out at t0 + 2, for t0 the least degree from which F_t meets every
+    NEG class nonnegatively (normalization covers degree 0), so F_t0 ..
+    F_top are nef, with h0 = chi and h1 = 0, and chi(F_t0) >= 1 (a nef class meets itself and the effective -K
     nonnegatively): alpha, tau <= t0, and the fill covers tau + 2."""
     # h1 = h0 - chi(F_t), and chi(F_t) = (t+1)(t+2)/2 - conditions by
     # Riemann-Roch (t >= 0, so that h2 vanishes)
     conditions = sum(m * (m + 1) // 2 for m in z.multiplicities)
-    _, h0 = _table(z, 0)
+    _, h0 = _table(z)
     h1 = [v - (t + 1) * (t + 2) // 2 + conditions for t, v in enumerate(h0)]
     alpha = next((t for t, v in enumerate(h0) if v), len(h0))
     tau = next((t for t, v in enumerate(h1) if v <= 0), len(h1))
@@ -216,13 +208,17 @@ def hilbert(z: FatPointScheme, t_max: int | None = None) -> HilbertProfile:
     normalization.  The values run through the first degree where the
     first-cohomology term of the degree class vanishes, which is stable in
     the degree, and two confirming degrees are checked anyway.  They are
-    read off the degree table (module doc).
+    read off the degree table (module doc) and, past it, where F_t is nef,
+    are chi(F_t) = (t+1)(t+2)/2 - sum m(m+1)/2.
     """
     z = proximity_normalize(z)
     alpha, tau = _alpha_tau(z)
     end = max(alpha, tau + 2, t_max or 0)
-    _, h0 = _table(z, end)
-    return HilbertProfile(values=dict(enumerate(h0[:end + 1])), alpha=alpha,
+    _, h0 = _table(z)
+    conditions = sum(m * (m + 1) // 2 for m in z.multiplicities)
+    values = h0[:end + 1] + [(t + 1) * (t + 2) // 2 - conditions
+                             for t in range(len(h0), end + 1)]
+    return HilbertProfile(values=dict(enumerate(values)), alpha=alpha,
                           tau=tau, sigma=tau + 1)
 
 
@@ -238,26 +234,11 @@ def _supported(z: FatPointScheme) -> FatPointScheme:
 def mu_cokernel(z: FatPointScheme, i: int) -> int:
     """Cokernel dimension of multiplication from degree i to degree i+1.
 
-    Strips the fixed part of the degree-i class; on the residual nef part
-    the multiplication map has maximal rank, and the fixed part contributes
-    the difference of section counts one degree up.  The nef part is the
-    one the degree table (module doc) holds for degree i.
+    Minimal generators of degree i+1 map to a basis of the cokernel, so its
+    dimension is the generator count t_{i+1} of :func:`betti`, which is 0
+    unless alpha <= i+1 <= sigma.
     """
-    nef, h0 = _table(_supported(z), i + 1)
-    if i < 0:  # degree i has no sections; h0[i] would read from the end
-        return h0[0] if i == -1 else 0
-    return _cokernel(nef, h0, i)
-
-
-def _cokernel(nef: list, h0: list, i: int) -> int:
-    hi, hnext = h0[i], h0[i + 1]
-    if hi == 0:
-        return hnext
-    # hi = chi(m) for the nef part m.  m + E0 meets every NEG class
-    # nonnegatively and has degree >= 1, so its section count is its chi,
-    # which Riemann-Roch puts at chi(m) + m.E0 + 2
-    hm_up = hi + nef[i].degree + 2
-    return max(0, hm_up - 3 * hi) + (hnext - hm_up)
+    return betti(z).t.get(i + 1, 0)
 
 
 @dataclass(frozen=True)
@@ -300,11 +281,17 @@ def betti(z: FatPointScheme) -> BettiTable:
     """
     z = _supported(z)
     alpha, tau = _alpha_tau(z)
-    nef, h0 = _table(z, tau + 2)
+    nef, h0 = _table(z)
     sigma = tau + 1
     t = {alpha: h0[alpha]}
     for i in range(alpha, sigma):
-        v = _cokernel(nef, h0, i)
+        # h0[i] = chi(m) for the nef part m of F_i.  The fixed part of F_i
+        # adds h0[i + 1] - h0(m + E0) to the cokernel, and on m the map has
+        # maximal rank.  m + E0 meets every NEG class nonnegatively and has
+        # degree >= 1, so its section count is its chi, which Riemann-Roch
+        # puts at chi(m) + m.E0 + 2
+        hm_up = h0[i] + nef[i].degree + 2
+        v = max(0, hm_up - 3 * h0[i]) + (h0[i + 1] - hm_up)
         if v:
             t[i + 1] = v
     h = [0, 0, 0] + h0[:sigma + 2]  # h[i + 3] is the value in degree i

@@ -15,7 +15,7 @@ from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, arithmetic_gen
 from fatpoints import murank
 from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _bounds_and_certs,
                               _canonical_keys, _deficient_rows, _direct,
-                              _find_stabilization, _pivots, _stable_pivot,
+                              _find_stabilization, _pivots,
                               _rational_curve_candidates,
                               _search, certified, certify, change_of_marking, deficient,
                               e0_classes, effective_roots, exceptional_configuration,
@@ -515,6 +515,12 @@ def set_find_stabilization(chain):
     return None
 
 
+def curves(neg):
+    """The classes of NEG of square <= -2: the nodal roots and, for four
+    collinear points, the line classes of square <= -3."""
+    return [c for c in neg if c.dot(c) <= -2]
+
+
 def distinct_marking_problems(names):
     """One NegSet per distinct verification problem of the named types'
     markings, as ``verify_all_markings`` dedupes them."""
@@ -523,7 +529,7 @@ def distinct_marking_problems(names):
         neg = neg_from_nodal(dynkin_catalog()[name])
         for h in e0_classes(neg):
             problem = change_of_marking(neg, h)
-            problems.setdefault(canonical_key(problem.nodal + problem.other), problem)
+            problems.setdefault(canonical_key(curves(problem)), problem)
     return list(problems.values())
 
 
@@ -727,6 +733,75 @@ def test_census_needs_no_candidate_filter():
     assert checked == 90843
 
 
+def witness_search(base, step, neg, j):
+    """Reference witness search of the injective tail, which ``murank``
+    dropped for the step alone: for D = Ej and E0 - Ej, the first of the
+    step and the pared generators W with step.W <= 0 and
+    (base + step - D).W < 0, or None."""
+    pool = [w for w in (step,) + nef_generators(neg).pared if step.dot(w) <= 0]
+    return [next((w for w in pool if shifted.dot(w) < 0), None)
+            for shifted in (base + step - E[j], base + step - E0 + E[j])]
+
+
+def test_census_rays_need_no_tail_search():
+    """On every configuration with nef -K, the generality the ray tails
+    dropped changes nothing: every level-1 class has genus 0 (so the steps
+    need no genus check and ``s_chain`` no rational mask), the pivot of
+    every ray member F + i*C is that of F + C (``stable_pivot`` returns it
+    with i_stab = 1), and the witness search of the injective tail finds
+    the step or nothing, never another class.
+
+    Why this census covers every input: a configuration with nef -K is a
+    marking of one of 21 root types of E6, the 20 catalog types and general
+    points (Harbourne, Trans. AMS 349, 1997).  Its NEG is the catalog NEG of
+    its type moved by an element of W(E6), an isometry fixing K that takes
+    some nef class of the orbit of E0 to E0.  Genus and the pared
+    generators are W(E6)-invariant, but deficiency, the pivot and the
+    pairings with Ej and E0 - Ej read the marking, so the census takes every
+    type in every nef marking, as ``census_negs`` does: the 296 (type,
+    marking) problems with their relabelled copies, since the pivot's
+    tie-break follows the labels, the 20 catalog labellings and the 272
+    labelled distinct-point patterns (393 distinct NEG sets).  On each ray
+    the usable indices where F + C has its largest multiplicity are among
+    those where C has its largest, so every F + i*C has its largest
+    multiplicity at the same indices and keeps its pivot under any order of
+    tie-break, that is, under any labelling.  Depth >= 6 adds no ray:
+    ``_find_stabilization`` tries the same (j, k) pairs, j <= 3 and k <= 2,
+    at every depth >= 6 and reads levels <= 6 only, so the rays at depths
+    1-6 are all the rays.  A chain of depth d is the depth-6 chain cut to d
+    levels.  The named 380 problems (the 20
+    types, the 88 marked problems of the sweep and the 272 patterns) have
+    15,769 rays.  About 3-4 s on a 2-core Intel Xeon VM.
+    """
+    negs = census_negs()
+    rays = {}
+    for neg in dict.fromkeys(negs):
+        chain = s_chain(neg, 6)
+        assert all(arithmetic_genus(c) == 0 for c in chain.level(1)), neg.nodal
+        if on_conic(neg):
+            continue
+        rays[neg] = 0
+        usable = plane_point_indices(neg)
+        for depth in range(1, 7):
+            cut = SChain(levels=chain.levels[:depth], gamma=chain.gamma, depth=depth)
+            found = _find_stabilization(cut) if all(cut.levels) else None
+            for f, c in (found[2] if found else {}).items():
+                first = f + c
+                j = int(_pivots(int_rows([first]), neg)[0])
+                assert stable_pivot(f, c, neg) == (j, 1), (neg.nodal, f, c)
+                assert murank._ray_pivot(f, c, neg) == j
+                top = max(c[b] for b in usable)
+                assert all(c[b] == top for b in usable if first[b] == first[j]), (f, c)
+                assert all(w in (c, None) for w in witness_search(f, c, neg, j)), (f, c)
+                rays[neg] += 1
+    assert (len(rays), sum(rays.values())) == (351, 16689)
+    named = ([neg_from_nodal(r) for _, r in sorted(dynkin_catalog().items())]
+             + distinct_marking_problems(sorted(dynkin_catalog()))
+             + negs[:272])  # census_negs lists the distinct-point patterns first
+    assert len(named) == 380 and sum(neg in rays for neg in named) == 322
+    assert sum(rays.get(neg, 0) for neg in named) == 15769
+
+
 def pruned_candidates(neg, depth, monkeypatch):
     """(candidates, proven) of each level >= 2: the distinct sums
     ``s_chain`` built, and those it never passed to ``_deficient_rows``."""
@@ -788,7 +863,6 @@ def test_pruned_candidates_are_not_deficient(monkeypatch, case_iv, a1_vertical_n
     ({"c1": (0, 0, 1, 0, 0, 0, 0), "j": 2}, True),  # (S - Ej).C = -1 exactly
     ({"a_good": False}, False),
     ({"a_pivot": 2}, False),
-    ({"rational": False}, False),
     ({"c1": (0, 0, 2, 0, 0, 0, 0)}, False),  # (S - (E0 - Ej)).C = -2
     ({"c1": (0, 0, 2, 0, 0, 0, 0), "j": 2}, False),  # (S - Ej).C = -2
 ])
@@ -796,10 +870,10 @@ def test_proven_needs_every_hypothesis(change, proven):
     """``_proven`` on a hand-built state: the last level has the candidates
     F = A' + C (a member) and A = A' + C1 (good), and the next level's
     candidate S = F + C1 = A + C is proven only when A is good with the
-    pivot j of S, C is rational and (S - D).C >= -1 for D = Ej, E0 - Ej.
+    pivot j of S and (S - D).C >= -1 for D = Ej, E0 - Ej.
     The rows need not be nef: the arithmetic alone is under test."""
     arg = {"c1": (1, 0, 0, 1, 0, 0, 0), "j": 1, "a_good": True, "a_pivot": None,
-           "rational": True, **change}
+           **change}
     s1 = np.array([(1, 0, 1, 0, 0, 0, 0), arg["c1"]])
     last = np.array([1, 1, 0, 0, 0, 0, 0]) + s1  # rows A' + s1[c]: F, A
     good = np.array([False, arg["a_good"]])
@@ -808,7 +882,7 @@ def test_proven_needs_every_hypothesis(change, proven):
                          good=good)
     sums = [tuple(m + c0) for m in last[~good] for c0 in s1]
     cands = sorted(set(sums))
-    got = murank._proven(prev, last[~good], s1, np.array([arg["rational"], True]),
+    got = murank._proven(prev, last[~good], s1,
                          row=np.array([cands.index(x) for x in sums]),
                          pivot=np.full(len(cands), j))
     assert np.flatnonzero(got).tolist() == [cands.index(tuple(last[0] + s1[1]))] * proven
@@ -939,8 +1013,9 @@ def test_change_of_marking_matches_nodal_rebuild():
 
 
 def test_neg_determined_by_nodal_and_other():
-    """NEG is nodal + other + the exceptional classes meeting both >= 0, in
-    every marking: the premise of the marking dedupe key."""
+    """NEG is its curves of square <= -2 (``curves``) and the exceptional
+    classes meeting them all >= 0, in every marking: the premise of the
+    marking dedupe key."""
     bases = ([neg_from_distinct(s) for s in FIXTURE_SPECS.values()]
              + [neg_from_nodal(r) for r in dynkin_catalog().values()]
              + [neg_from_distinct(s) for s in FOUR_COLLINEAR_SPECS])
@@ -948,7 +1023,7 @@ def test_neg_determined_by_nodal_and_other():
     for base in bases:
         for h in e0_classes(base):
             neg = change_of_marking(base, h)
-            known = neg.nodal + neg.other
+            known = curves(neg)
             survivors = {e for e in exceptional_classes()
                          if all(e.dot(c) >= 0 for c in known)}
             assert set(neg.classes) == set(known) | survivors, (base, h)
@@ -1068,17 +1143,40 @@ def test_gamma_within_injectivity_theory(a1_vertical_neg):
                              a1_vertical_neg)
 
 
+def stable_pivot(base, step, neg):
+    """Reference pivot of a ray, which ``murank`` dropped for the pivot of
+    base + step: the eventual pivot index of base + i*step and the offset
+    where it locks in.  Only usable indices compete.  Returns (index,
+    i_stab >= 1), the index the pivot for every i >= i_stab: it is the
+    argmax a of (step, base multiplicity, -index), which a tie of step
+    multiplicities never unseats and a larger one overtakes from i_stab."""
+    usable = [j - 1 for j in plane_point_indices(neg)]
+    bm = base.multiplicities
+    sm = step.multiplicities
+    a = max(usable, key=lambda b: (sm[b], bm[b], -b))
+    i_stab = 1
+    for b in usable:
+        if b == a or sm[a] == sm[b]:
+            continue
+        strict = b < a  # lower indices must be beaten strictly
+        gap = bm[b] - bm[a]
+        d = sm[a] - sm[b]
+        need = gap // d + 1 if strict else -((-gap) // d)
+        i_stab = max(i_stab, need)
+    return a + 1, i_stab
+
+
 @settings(max_examples=200, deadline=None)
 @given(base=st.lists(st.integers(-4, 12), min_size=6, max_size=6),
        step=st.lists(st.integers(-2, 5), min_size=6, max_size=6))
 def test_stable_pivot_matches_brute_force(base, step):
-    """On every type and fixture, the index ``_stable_pivot`` returns is the
+    """On every type and fixture, the index ``stable_pivot`` returns is the
     pivot (``_pivots``) of base + i*step for i = i_stab .. i_stab + 60, and
     not that of the member just before when i_stab > 1."""
     base, step = DivisorClass([5] + base), DivisorClass([1] + step)
     offsets = np.arange(61)[:, None]
     for name, neg in MARKING_BASES:
-        j, i_stab = _stable_pivot(base, step, neg)
+        j, i_stab = stable_pivot(base, step, neg)
         assert i_stab >= 1
         ray = np.array(base) + (i_stab + offsets) * np.array(step)
         assert (_pivots(ray, neg) == j).all(), (name, base, step)
@@ -1195,9 +1293,9 @@ def check_marking_table(neg, against_loop=True):
         assert exceptional_configuration(h, neg) == marking
         problem = NegSet(tuple(DivisorClass(x.dot(m) for m in marking) for x in neg))
         assert change_of_marking(neg, h) == problem
-        assert canonical_key(problem.nodal + problem.other) == key
+        assert canonical_key(curves(problem)) == key
         if against_loop:
-            assert key == permutation_loop_canonical(problem.nodal + problem.other)
+            assert key == permutation_loop_canonical(curves(problem))
     return dict(keys)
 
 

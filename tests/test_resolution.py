@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatpoints import cones, oracle, resolution
+from fatpoints.cli import main
 from fatpoints.cones import h0, is_nef, reduce
-from fatpoints.config import DistinctSpec, NegSet, PointConfiguration, neg_from_distinct
+from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfiguration,
+                              neg_from_distinct)
 from fatpoints.lattice import E, E0, DivisorClass, chi
 from fatpoints.resolution import (BettiTable, FatPointScheme, HilbertProfile,
                                   UnsupportedConfigurationError, betti,
@@ -211,7 +214,7 @@ def test_four_collinear_plus_line_against_coordinates():
     inside = {frozenset(c) for c in itertools.combinations((1, 2, 3, 4), 3)}
     assert found == inside | {frozenset((2, 5, 6))}
     neg = neg_from_distinct(DistinctSpec(collinear=((1, 2, 3, 4), (2, 5, 6))))
-    assert neg.other == (DivisorClass((1, 1, 1, 1, 1, 0, 0)),)
+    assert [c for c in neg if c.dot(c) <= -3] == [DivisorClass((1, 1, 1, 1, 1, 0, 0))]
     rng = random.Random(31)
     for _ in range(6):
         m = tuple(rng.randint(0, 3) for _ in range(6))
@@ -346,7 +349,7 @@ def test_degree_walk_matches_upward_scan(data):
     for i in range(-1, ref.sigma + 3):
         assert mu_cokernel(fresh, i) == _reference_mu_cokernel(z, i), i
     nz = proximity_normalize(fresh)
-    nef, _ = resolution._table(nz, 0)
+    nef, _ = resolution._table(nz)
     assert len(nef) > ref.sigma + 1
     for t, part in enumerate(nef):
         red = reduce(nz.class_for_degree(t), neg)
@@ -449,8 +452,8 @@ def test_hilbert_checks_the_table(monkeypatch):
     real = resolution._table
 
     def corrupted(edit):
-        def table(z, t):
-            nef, h0 = real(z, t)
+        def table(z):
+            nef, h0 = real(z)
             return nef, edit(list(h0))
         return table
 
@@ -477,10 +480,80 @@ def test_first_fill_covers_alpha_and_tau():
             m = tuple(rng.randint(0, top) for _ in range(6))
             z = proximity_normalize(FatPointScheme(neg=NegSet(neg.classes),
                                                    multiplicities=m))
-            _, h0_list = resolution._table(z, 0)
+            _, h0_list = resolution._table(z)
             t0 = len(h0_list) - 3
             f = z.class_for_degree(t0)
             assert is_nef(f, z.neg) and h0(f, z.neg) == chi(f) >= 1, m
             assert t0 == 0 or not is_nef(z.class_for_degree(t0 - 1), z.neg), m
             prof = hilbert(z)
             assert max(prof.alpha, prof.tau + 2) < len(h0_list), m
+
+
+def test_mu_cokernel_far_past_sigma_fills_the_table_once():
+    # past sigma no generator is left, so mu_cokernel reads betti and the
+    # table keeps its first fill (t0 + 3 degrees) however far i lies
+    neg = NegSet(distinct_case("general").neg.classes)
+    z = FatPointScheme(neg=neg, multiplicities=(2, 2, 2, 1, 1, 1))
+    assert hilbert(z).sigma == 5
+    first = len(resolution._degree_slot(neg)[1])
+    assert mu_cokernel(z, 10**6) == 0
+    assert [mu_cokernel(z, i) for i in range(2, 7)] == [0, 3, 0, 0, 0]
+    key, nef, h0_list = resolution._degree_slot(neg)
+    assert key == z.multiplicities and len(nef) == len(h0_list) == first
+
+
+def test_hilbert_far_past_the_table_is_h0():
+    # hilbert reads chi past the table, where F_t is nef; the section count
+    # of F_t agrees at sampled degrees up to 10**5
+    rng = random.Random(43)
+    for neg in WALK_NEGS[::5]:
+        m = tuple(rng.randint(0, 20) for _ in range(6))
+        z = FatPointScheme(neg=NegSet(neg.classes), multiplicities=m)
+        prof = hilbert(z, 10**5)
+        table = len(resolution._degree_slot(z.neg)[2])
+        assert len(prof.values) == 10**5 + 1 and table <= sum(m) + 3, m
+        for t in (table - 1, table, table + 1, 777, 54321, 10**5):
+            assert prof(t) == h0(z.class_for_degree(t), neg), (m, t)
+
+
+def walked_h0(z, top):
+    """Reference section counts of F_0 .. F_top: reduce F_top, then reduce
+    N_{t+1} - E0 for each lower degree, every degree walked as the table
+    did before it stopped at t0 + 2 and read chi past it."""
+    z = proximity_normalize(z)
+    red = reduce(z.class_for_degree(top), z.neg)
+    part = red.nef_part if red.effective else None
+    out = []
+    for _ in range(top + 1):
+        out.append(0 if part is None else chi(part))
+        if part is not None:
+            red = reduce(part - E0, z.neg)
+            part = red.nef_part if red.effective else None
+    return out[::-1]
+
+
+def test_hilbert_cli_to_degree_2000_matches_the_walk(tmp_path, capsys):
+    # ``hilbert --deg`` prints what walking every degree gives, on the six
+    # fixtures, four collinear points (with a second line, too) and five
+    # catalog types, at degree 2000 and at a low degree
+    configs = [{"kind": "distinct", "collinear": [list(c) for c in spec.collinear],
+                "six_on_conic": spec.six_on_conic}
+               for spec in FIXTURE_SPECS.values()]
+    configs += [{"kind": "distinct", "collinear": [[1, 2, 3, 4]]},
+                {"kind": "distinct", "collinear": [[1, 2, 3, 4], [2, 5, 6]]}]
+    configs += [{"kind": "dynkin", "type": t} for t in ("A1", "4A1", "D4", "A5", "E6")]
+    rng = random.Random(47)
+    path = tmp_path / "cfg.json"
+    for cfg in configs:
+        path.write_text(json.dumps(cfg))
+        neg = PointConfiguration.load(str(path)).neg
+        m = tuple(rng.randint(0, 12) for _ in range(6))
+        z = FatPointScheme(neg=neg, multiplicities=m)
+        ref = _reference_hilbert(z)
+        walked = walked_h0(z, 2000)
+        for deg in (rng.randint(0, 30), 2000):
+            assert main(["hilbert", "--config", str(path), "--mult",
+                         ",".join(map(str, m)), "--deg", str(deg)]) == 0
+            want = [f"{t} {v}" for t, v in enumerate(walked[:deg + 1])]
+            want += [f"alpha {ref.alpha}", f"tau {ref.tau}", f"sigma {ref.sigma}"]
+            assert capsys.readouterr().out.splitlines() == want, (cfg, m, deg)
