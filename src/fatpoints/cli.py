@@ -53,36 +53,28 @@ def _emit(payload: dict, rows: list, as_json: bool) -> None:
             print(line)
 
 
-def _cmd_neg(args) -> int:
-    cfg = PointConfiguration.load(args.config)
-    rows = [_row(c) for c in cfg.neg.classes]
-    _emit({"command": "neg", "classes": [list(c.display_row())
-                                         for c in cfg.neg.classes]},
-          rows, args.json)
+def _classes(args, command: str, classes, **extra) -> int:
+    """Classes as display rows, or as the ``classes`` of a JSON payload."""
+    _emit({"command": command, **extra,
+           "classes": [list(c.display_row()) for c in classes]},
+          [_row(c) for c in classes], args.json)
     return 0
+
+
+def _cmd_neg(args) -> int:
+    return _classes(args, "neg", PointConfiguration.load(args.config).neg.classes)
 
 
 def _cmd_nefgens(args) -> int:
-    cfg = PointConfiguration.load(args.config)
-    gens = nef_generators(cfg.neg)
-    shown = gens.raw if args.raw else gens.pared
-    rows = [_row(c) for c in shown]
-    _emit({"command": "nefgens", "raw": args.raw,
-           "classes": [list(c.display_row()) for c in shown]},
-          rows, args.json)
-    return 0
+    gens = nef_generators(PointConfiguration.load(args.config).neg)
+    return _classes(args, "nefgens", gens.raw if args.raw else gens.pared, raw=args.raw)
 
 
 def _cmd_orbit(args) -> int:
     seed = _parse_class(args.seed)
-    orb = orbit(seed)
-    elements = orb.sorted()
-    rows = [_row(c) for c in elements]
-    _emit({"command": "orbit", "seed": list(seed.display_row()),
-           "size": len(elements),
-           "classes": [list(c.display_row()) for c in elements]},
-          rows, args.json)
-    return 0
+    elements = orbit(seed).sorted()
+    return _classes(args, "orbit", elements, seed=list(seed.display_row()),
+                    size=len(elements))
 
 
 def _cmd_catalog(args) -> int:

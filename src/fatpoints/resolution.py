@@ -10,22 +10,23 @@ counts follow as s_i = t_i - (third difference of the Hilbert function).
 The Hilbert function and resolution are those of Harbourne, *Free
 resolutions of fat point ideals on P2* (JPAA 125, 1998).
 
-Every invariant is read off one degree table (``_table``): two lists,
-the nef part N_t of F_t (None without sections) and its section count
-h0(F_t), for t = 0..T.  ``hilbert`` finds alpha and tau on the h0 list,
-with h1 = h0 - chi by Riemann-Roch; ``betti`` reads the cokernels off
-both lists, and ``mu_cokernel`` reads ``betti``.  The NegSet keeps one
-table (``_degree_slot``).
+Every invariant is read off one profile of the scheme (``_profile``): its
+degree table (``_table``), two lists, the nef part N_t of F_t (None
+without sections) and its section count h0(F_t) for t = 0..T, with alpha
+and tau found and checked on the h0 list (h1 = h0 - chi by Riemann-Roch).
+``hilbert`` unpacks it, ``betti`` reads the cokernels off both lists, and
+``mu_cokernel`` reads ``betti``.  The NegSet keeps the profile of the last
+scheme (``_degree_slot``), so a scheme is normalized and filled once.
 
 The table is filled once, walking down the degrees.  It reduces F_T once
 at a top degree T, two past the least degree t0 where F_t meets every NEG
 class nonnegatively, then gets degree t from N_{t+1} by reducing
-N_{t+1} - E0 instead of F_t; that fill covers alpha and tau + 2
-(``_alpha_tau``).  Past the table F_t is nef, so h0(F_t) = chi(F_t) and
-no degree beyond it is reduced.
-This is exact.  Fix(F + E0) <= Fix(F), because |E0| is base-point free.  Each ``reduce`` step subtracts only a forced component:
-copies of an irreducible curve C with F.C < 0.  Those copies stay forced
-in F_t = F_{t+1} - E0, since E0.C >= 0.  Two distinct forced curves stay
+N_{t+1} - E0 instead of F_t; that fill covers alpha and tau + 2.  Past the
+table F_t is nef, so h0(F_t) = chi(F_t) and no degree beyond it is reduced.
+This is exact.  Fix(F + E0) <= Fix(F), because |E0| is base-point free.
+Each ``reduce`` step subtracts only a forced component: copies of an
+irreducible curve C with F.C < 0.  Those copies stay forced in
+F_t = F_{t+1} - E0, since E0.C >= 0.  Two distinct forced curves stay
 forced after either is subtracted, since they meet nonnegatively, so the
 order of forced subtractions does not change where they end.  Hence
 N_{t+1} - E0 (F_t less the fixed part of F_{t+1}) reduces to N_t and has
@@ -34,9 +35,10 @@ first degree without sections nothing is reduced.  Walking down, each
 step strips only the few curves that subtracting E0 makes negative, so
 the cost of a degree does not grow with the multiplicities.
 The walk carries the pairings of the nef part with the NEG classes along
-with it (``cones._strip``): subtracting E0 lowers the pairing with C by
-deg C and each step updates them by one row of the NEG Gram table, so a
-walked degree takes no dot product with a NEG class.
+with it (``cones._strip``), from T*deg C + F_0.C at the nef F_T, the values
+that find T: subtracting E0 lowers the pairing with C by deg C and each
+step updates them by one row of the NEG Gram table, so a walked degree
+takes no dot product with a NEG class.
 """
 
 from __future__ import annotations
@@ -138,31 +140,26 @@ class HilbertProfile:
 
 @per_surface
 def _degree_slot(neg: NegSet) -> list:
-    """[multiplicities, nef, h0] of the last scheme asked about on the NegSet,
-    so ``hilbert`` followed by ``betti`` fills the table once."""
-    return [None, [], []]
+    """[multiplicities, profile] of the last scheme asked about on the
+    NegSet, keyed by the multiplicities as given (``_profile``)."""
+    return [None, None]
 
 
 def _table(z: FatPointScheme) -> tuple:
     """The lists (nef, h0) of the degree table of a normalized z (module
-    doc), for the degrees 0 .. t0 + 2.
+    doc), for the degrees 0 .. t0 + 2, filled anew on every call.
 
     ``nef[u]`` is the nef part ``reduce`` gives F_u, or None when F_u has no
-    sections; ``h0[u]`` is the section count of F_u.  Another scheme's
-    multiplicities replace the table in the NegSet's one slot.
+    sections; ``h0[u]`` is the section count of F_u.
     """
     neg = z.neg
-    slot = _degree_slot(neg)
-    if slot[0] == z.multiplicities:
-        return slot[1], slot[2]
-    f0 = z.class_for_degree(0)  # F_u.C = u*C.degree + F_0.C
-    top = 2 + max([0] + [-(f0.dot(c) // c.degree) for c in neg if c.degree > 0])
-    red = reduce(z.class_for_degree(top), neg)
+    degrees = [c.degree for c in neg]
+    f0 = list(map(z.class_for_degree(0).dot, neg))  # F_u.C = u*deg C + F_0.C
+    top = 2 + max([0] + [-(e // g) for e, g in zip(f0, degrees) if g > 0])
+    red = reduce(z.class_for_degree(top), neg)  # F_top is nef: no step
     part = red.nef_part if red.effective else None
     nef = [part]
-    degrees = [c.degree for c in neg.classes]
-    if part is not None:
-        d = [part.dot(c) for c in neg.classes]
+    d = [top * g + e for g, e in zip(degrees, f0)]
     for _ in range(top):
         if part is not None:
             cur = list(part)
@@ -172,20 +169,26 @@ def _table(z: FatPointScheme) -> tuple:
             part = DivisorClass(cur) if effective else None
         nef.append(part)
     nef.reverse()
-    slot[:] = z.multiplicities, nef, [0 if p is None else chi(p) for p in nef]
-    return slot[1], slot[2]
+    return nef, [0 if p is None else chi(p) for p in nef]
 
 
-def _alpha_tau(z: FatPointScheme) -> tuple:
-    """alpha and tau of a normalized z, read off the degree table.  It
-    tops out at t0 + 2, for t0 the least degree from which F_t meets every
-    NEG class nonnegatively (normalization covers degree 0), so F_t0 ..
-    F_top are nef, with h0 = chi and h1 = 0, and chi(F_t0) >= 1 (a nef class meets itself and the effective -K
-    nonnegatively): alpha, tau <= t0, and the fill covers tau + 2."""
+def _profile(z: FatPointScheme) -> tuple:
+    """(nef, h0, alpha, tau, conditions) of z: the degree table of z
+    normalized, alpha and tau found and checked on it, and sum m(m+1)/2.
+
+    F_t0 .. F_top are nef (normalization covers degree 0), with h0 = chi and
+    h1 = 0, and chi(F_t0) >= 1 (a nef class meets itself and the effective
+    -K nonnegatively): alpha, tau <= t0, and the fill covers tau + 2.  The
+    NegSet's slot keeps these plain values, under z's own multiplicities.
+    """
+    slot = _degree_slot(z.neg)
+    if slot[0] == z.multiplicities:
+        return slot[1]
+    key, z = z.multiplicities, proximity_normalize(z)
+    nef, h0 = _table(z)
     # h1 = h0 - chi(F_t), and chi(F_t) = (t+1)(t+2)/2 - conditions by
     # Riemann-Roch (t >= 0, so that h2 vanishes)
     conditions = sum(m * (m + 1) // 2 for m in z.multiplicities)
-    _, h0 = _table(z)
     h1 = [v - (t + 1) * (t + 2) // 2 + conditions for t, v in enumerate(h0)]
     alpha = next((t for t, v in enumerate(h0) if v), len(h0))
     tau = next((t for t, v in enumerate(h1) if v <= 0), len(h1))
@@ -198,7 +201,8 @@ def _alpha_tau(z: FatPointScheme) -> tuple:
     if h1[tau + 1] or h1[tau + 2]:
         raise ArithmeticError(
             f"first cohomology failed to stay zero past degree {tau}")
-    return alpha, tau
+    slot[:] = key, (nef, h0, alpha, tau, conditions)
+    return slot[1]
 
 
 def hilbert(z: FatPointScheme, t_max: int | None = None) -> HilbertProfile:
@@ -211,24 +215,12 @@ def hilbert(z: FatPointScheme, t_max: int | None = None) -> HilbertProfile:
     read off the degree table (module doc) and, past it, where F_t is nef,
     are chi(F_t) = (t+1)(t+2)/2 - sum m(m+1)/2.
     """
-    z = proximity_normalize(z)
-    alpha, tau = _alpha_tau(z)
+    _, h0, alpha, tau, conditions = _profile(z)
     end = max(alpha, tau + 2, t_max or 0)
-    _, h0 = _table(z)
-    conditions = sum(m * (m + 1) // 2 for m in z.multiplicities)
     values = h0[:end + 1] + [(t + 1) * (t + 2) // 2 - conditions
                              for t in range(len(h0), end + 1)]
     return HilbertProfile(values=dict(enumerate(values)), alpha=alpha,
                           tau=tau, sigma=tau + 1)
-
-
-def _supported(z: FatPointScheme) -> FatPointScheme:
-    """z normalized, after checking that a result covers its configuration."""
-    z = proximity_normalize(z)
-    if not z.is_supported():
-        raise UnsupportedConfigurationError(
-            "infinitely-near configuration without nef anticanonical class")
-    return z
 
 
 def mu_cokernel(z: FatPointScheme, i: int) -> int:
@@ -279,9 +271,10 @@ def betti(z: FatPointScheme) -> BettiTable:
     difference of the Hilbert function, always nonnegative, with one more
     generator than syzygy in total.
     """
-    z = _supported(z)
-    alpha, tau = _alpha_tau(z)
-    nef, h0 = _table(z)
+    if not z.is_supported():
+        raise UnsupportedConfigurationError(
+            "infinitely-near configuration without nef anticanonical class")
+    nef, h0, alpha, tau, _ = _profile(z)
     sigma = tau + 1
     t = {alpha: h0[alpha]}
     for i in range(alpha, sigma):

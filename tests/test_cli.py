@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,28 @@ def test_orbit(capsys):
     assert len(out.strip().splitlines()) == 72
     code, out, _ = run(capsys, "orbit", "3,-1,-1,-1,-1,-1,-1")
     assert len(out.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,lines,digest", [
+    (["catalog"], 20, "6142f4bbc9c0f808f279cd63d8ca87dac512602e02f879bdb6118ecf4de613d7"),
+    (["catalog", "--json"], 774,
+     "c79bcf1e0536175aac082cf13a20ce5165f13e6d248f8e287c1c449129ae543e"),
+    (["orbit", "1 0 0 0 0 0 0"], 72,
+     "be05c95660c62d1e21397620a7fec0a43784f3e5bc8082c77b223787e0ad004d"),
+    (["orbit", "1 0 0 0 0 0 0", "--json"], 663,
+     "c653cc8bd699843c57b41d2552ebf838830953d0f26cf4b0dd2eba0d444b8d61"),
+    (["orbit", "0 0 0 0 0 0 1"], 27,
+     "b08e671863259f74d1849d7c9ced9258d6e272568fada556deade8fa68ce0c93"),
+    (["orbit", "0 0 0 0 0 0 1", "--json"], 258,
+     "e1f4e496c38756d28c598d760d4e6ae0d5a171d6788929045412a2a8bf0025b2"),
+    (["orbit", "3,-1,-1,-1,-1,-1,-1", "--json"], 24,
+     "72f284e6bba6bb655bae253098aad45c85ca0d15b0691a0ffeac277451e69a80"),
+])
+def test_catalog_and_orbit_output_is_pinned(capsys, argv, lines, digest):
+    # byte-identical stdout: the line count and the sha256 of the text
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == (lines, digest)
 
 
 def test_hilbert(capsys, case_iv_cfg):

@@ -1,16 +1,17 @@
 """Byte-identical command-line output, pinned by sha256 digests of stdout.
 
 ``golden_cli.json`` holds the exit code and the sha256 of stdout of
-``verify`` and ``verify --json``, each with and without ``--all-e0``, on the
-six fixture cases and the 20 catalog types, of ``nefgens`` and ``nefgens
---raw``, text and ``--json``, on the six fixture cases, of three ``verify
---depth 13`` runs (levels past 6; on some A1 markings their entries leave
-the int64 key packing range), and of ``hilbert`` and ``resolve``, text and
-``--json``, at the large multiplicities ``LARGE_MULT`` on cases iv and
-general and the types E6, D5 and A5, and at ``ASCENDING_MULT`` on E6 and D4,
-where ``proximity_normalize`` changes the multiplicities; one ``hilbert
---deg`` run reaches past twice sigma.  A change that means to alter this
-output rewrites the file with ``PYTHONPATH=src python
+``verify`` and ``verify --json``, each with and without ``--all-e0``, and of
+``neg`` and ``neg --json``, on the six fixture cases and the 20 catalog
+types, of ``nefgens`` and ``nefgens --raw``, text and ``--json``, on the
+six fixture cases, of three ``verify --depth 13`` runs (levels past 6; on
+some A1 markings their entries leave the int64 key packing range), and of
+``hilbert`` and ``resolve``, text and ``--json``, at the large
+multiplicities ``LARGE_MULT`` on cases iv and general and the types E6, D5
+and A5, and at ``ASCENDING_MULT`` on E6 and D4, where
+``proximity_normalize`` changes the multiplicities; one ``hilbert --deg``
+run reaches past twice sigma.  A change that means to alter this output
+rewrites the file with ``PYTHONPATH=src python
 tests/test_golden_cli.py`` and says why.
 """
 
@@ -47,6 +48,9 @@ def commands() -> list:
         for marking in ("", " --all-e0"):
             for fmt in ("", " --json"):
                 out.append(f"{name} verify{marking}{fmt}")
+    for name in tuple(FIXTURE_SPECS) + tuple(sorted(dynkin_catalog())):
+        for fmt in ("", " --json"):
+            out.append(f"{name} neg{fmt}")
     for name in FIXTURE_SPECS:
         for which in ("", " --raw"):
             for fmt in ("", " --json"):

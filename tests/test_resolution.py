@@ -202,6 +202,16 @@ def test_unsupported_configuration_rejected():
         mu_cokernel(z, 3)
 
 
+def test_unsupported_betti_leaves_the_slot_empty():
+    # betti checks support on NEG alone, before anything is normalized or
+    # filled, so the NegSet's slot stays empty
+    bad = NegSet((E[1] - E[2], DivisorClass((1, 1, 1, 1, 1, 0, 0))))
+    z = FatPointScheme(neg=bad, multiplicities=(1, 1, 1, 1, 0, 0))
+    with pytest.raises(UnsupportedConfigurationError):
+        betti(z)
+    assert resolution._degree_slot(bad) == [None, None]
+
+
 def test_four_collinear_plus_line_against_coordinates():
     # a 4-point line and a second line through one of its points: the most
     # degenerate distinct shape; Hilbert values and generator counts both
@@ -436,13 +446,43 @@ def test_scan_cache_holds_one_table(monkeypatch):
     monkeypatch.setattr(resolution, "_strip", counted)
     hilbert(a)
     hilbert(b)
-    key, nef, h0 = resolution._degree_slot(neg)
+    key, (nef, h0, *_) = resolution._degree_slot(neg)
     assert key == b.multiplicities and len(nef) == len(h0)
     calls[0] = 0
     betti(b)
     assert calls[0] == 0
     hilbert(a)
     assert calls[0] > 0
+
+
+def test_one_normalization_and_one_fill_per_scheme(monkeypatch):
+    # hilbert, betti and mu_cokernel on one scheme read one profile: one
+    # proximity_normalize and one _table call; each switch of scheme on
+    # the NegSet makes one more of each.  On E6 the ascending multiplicities
+    # normalize to other values, and the slot is keyed by the given ones
+    neg = NegSet(PointConfiguration.from_dynkin("E6").neg.classes)
+    a = FatPointScheme(neg=neg, multiplicities=(1, 6, 10, 19, 20, 21))
+    b = FatPointScheme(neg=neg, multiplicities=(6, 5, 4, 3, 2, 1))
+    assert proximity_normalize(a) != a
+    calls = {"proximity_normalize": 0, "_table": 0}
+
+    def spy(name):
+        real = getattr(resolution, name)
+
+        def counted(z):
+            calls[name] += 1
+            return real(z)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(resolution, name, spy(name))
+    for z, want in ((a, 1), (b, 2), (a, 3)):
+        for _ in range(2):
+            sigma = hilbert(z).sigma
+            betti(z)
+            for i in (-1, 0, sigma - 1, sigma, 10**6):
+                mu_cokernel(z, i)
+        assert calls == {"proximity_normalize": want, "_table": want}, z
 
 
 def test_hilbert_checks_the_table(monkeypatch):
@@ -495,10 +535,10 @@ def test_mu_cokernel_far_past_sigma_fills_the_table_once():
     neg = NegSet(distinct_case("general").neg.classes)
     z = FatPointScheme(neg=neg, multiplicities=(2, 2, 2, 1, 1, 1))
     assert hilbert(z).sigma == 5
-    first = len(resolution._degree_slot(neg)[1])
+    first = len(resolution._degree_slot(neg)[1][0])
     assert mu_cokernel(z, 10**6) == 0
     assert [mu_cokernel(z, i) for i in range(2, 7)] == [0, 3, 0, 0, 0]
-    key, nef, h0_list = resolution._degree_slot(neg)
+    key, (nef, h0_list, *_) = resolution._degree_slot(neg)
     assert key == z.multiplicities and len(nef) == len(h0_list) == first
 
 
@@ -510,7 +550,7 @@ def test_hilbert_far_past_the_table_is_h0():
         m = tuple(rng.randint(0, 20) for _ in range(6))
         z = FatPointScheme(neg=NegSet(neg.classes), multiplicities=m)
         prof = hilbert(z, 10**5)
-        table = len(resolution._degree_slot(z.neg)[2])
+        table = len(resolution._degree_slot(z.neg)[1][1])
         assert len(prof.values) == 10**5 + 1 and table <= sum(m) + 3, m
         for t in (table - 1, table, table + 1, 777, 54321, 10**5):
             assert prof(t) == h0(z.class_for_degree(t), neg), (m, t)
