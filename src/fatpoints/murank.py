@@ -10,7 +10,9 @@ give two-sided bounds on its kernel and cokernel:
 where j is a valid reindexing (largest multiplicity, least index on ties):
 the kernel dimension lies in [l, l+q], and when h1(F) = 0 the cokernel is
 at most q* + l*.  So q* + l* = 0 certifies surjectivity and q = l = 0
-certifies injectivity.
+certifies injectivity.  :func:`certify` decides conic support (six points
+on a conic: every map is surjective) first; the bounds kernel stores the
+certificate of these two rules once per nef class.
 
 Classes where neither fires are organised into a chain of levels, each
 built as one sorted integer array: the nef-cone generators that fail the
@@ -38,9 +40,9 @@ import numpy as np
 
 from . import weyl
 from .config import _CONIC6, NegSet, anticanonical_nef, per_surface
-from .cones import (_FORM, _neg_blocks, chi_rows, gamma, h0, h0_rows, int_rows, is_nef,
+from .cones import (_FORM, _neg_blocks, chi_rows, gamma, h0_rows, int_rows, is_nef,
                     nef_generators, nef_rows, orbit_rows, pack_keys, packable, reduce,
-                    unpack_keys)
+                    unpack_keys, h0)  # h0 is not called; perfbench's tracer test wraps it
 from .lattice import E0, MINUS_K, DivisorClass, E, arithmetic_genus
 
 
@@ -112,10 +114,9 @@ def ql_bounds(f: DivisorClass, neg: NegSet) -> MuBounds:
     """The four section counts bounding kernel and cokernel, plus h-values.
 
     The pivot j is the least usable index (:func:`plane_point_indices`)
-    with the largest multiplicity of f; for a nef class it lies in the
-    plane.  The bounds have one kernel: a class missing from the table runs
-    through :func:`_deficient_rows` as a one-row array, which raises
-    ``ValueError`` if f is not effective.
+    with the largest multiplicity of f.  A class missing from the table
+    runs through the one kernel, :func:`_deficient_rows`, as a one-row
+    array, which raises ``ValueError`` if f is not effective.
     """
     bounds = _bounds_and_certs(neg)[0]
     got = bounds.get(f)
@@ -147,8 +148,8 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
     call, whose rounds are those of its slowest row, and the chi of the two
     twists through one ``chi_rows`` call.  The ``MuBounds`` of every row
     (``cache_all``) or of the deficient rows go into the tables, with the
-    certificate (:func:`_rules`) of each such nef row.  Raises ``ValueError``
-    on an ineffective row, else ``ArithmeticError`` on h1 < 0.
+    certificate (:func:`_rules`) of each such nef row, written nowhere else.
+    Raises ``ValueError`` on an ineffective row, else ``ArithmeticError``.
     """
     f = int_rows(f)
     n = len(f)
@@ -176,14 +177,13 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
             f"negative h1 in bounds for {DivisorClass(f[bad.argmax()].tolist())!r}")
     mask = (q == 0) | (l == 0) | (q_star > 0) | (l_star > 0)
     keep = slice(None) if cache_all else mask
-    conic = on_conic(neg)
     bounds, certs = _bounds_and_certs(neg)
     cols = (f, nef, q, l, q_star, l_star, h, h_next, pivot)
     for row, is_nef_row, *values in zip(*(x[keep].tolist() for x in cols)):
         c = DivisorClass(row)
         b = bounds.setdefault(c, MuBounds(*values))
         if is_nef_row:
-            certs.setdefault(c, _rules(conic, b))
+            certs.setdefault(c, _rules(b))
     return mask
 
 
@@ -240,19 +240,23 @@ def _rational_curve_candidates(neg: NegSet) -> tuple:
 def certify(f: DivisorClass, neg: NegSet) -> Certificate:
     """Try to certify maximal rank for the multiplication map out of f.
 
-    Search order: the direct rules (:func:`_direct`), then the one-level
-    search (:func:`_search`); anything else is inconclusive.  Every result
-    is stored on the NegSet, for nef classes only; the bounds kernel stores
-    direct-rule results there, None until the search decides the class.
+    Conic support first, before any stored certificate is read; then the
+    q/l rules (:func:`_known`); then the one-level search (:func:`_search`),
+    whose result is stored.  The search reads stored certificates, so the
+    answer depends on what was certified before on the NegSet: on the A5
+    chain (roots E1-E2, ..., E5-E6) 15E0-6E1-...-6E6 is inconclusive on a
+    fresh NegSet, a rational-curve step once 10E0-4E1-...-4E6 is certified.
+    :func:`verify_stabilization` relies on its ascending order.
     """
     certs = _bounds_and_certs(neg)[1]
-    if f not in certs:
-        if not is_nef(f, neg):
-            raise ValueError(f"{f!r} is not nef on this configuration")
-        certs[f] = _direct(f, neg)
-    if certs[f] is None:
-        certs[f] = _search(f, neg)
-    return certs[f]
+    if f not in certs and not is_nef(f, neg):
+        raise ValueError(f"{f!r} is not nef on this configuration")
+    if on_conic(neg):
+        return Certificate(Status.SURJECTIVE, "conic-support")
+    cert = certs.get(f) or _known(f, neg)
+    if cert is None:
+        cert = certs[f] = _search(f, neg)
+    return cert
 
 
 def certified(cert: Certificate | None, want: Status, f: DivisorClass, neg: NegSet) -> bool:
@@ -271,13 +275,10 @@ def certified(cert: Certificate | None, want: Status, f: DivisorClass, neg: NegS
     return b.h_next <= 3 * b.h if want is Status.SURJECTIVE else b.h_next >= 3 * b.h
 
 
-def _rules(conic: bool, b: MuBounds | None) -> Certificate | None:
-    """The direct rules in order, None when none fires: a conic-supported
-    configuration is surjective (b unread); then, on the bounds b of the
-    class, q* + l* = 0 certifies surjectivity and q = l = 0 injectivity
+def _rules(b: MuBounds) -> Certificate | None:
+    """The q/l rules on the bounds b of a nef class, None when neither fires:
+    q* + l* = 0 certifies surjectivity and q = l = 0 injectivity
     (Fitchett-Harbourne-Holay, J. Algebra 244, 2001)."""
-    if conic:
-        return Certificate(Status.SURJECTIVE, "conic-support")
     if b.q_star + b.l_star == 0:
         return Certificate(Status.SURJECTIVE, "qstar+lstar=0")
     if b.q == 0 and b.l == 0:
@@ -285,15 +286,11 @@ def _rules(conic: bool, b: MuBounds | None) -> Certificate | None:
     return None
 
 
-def _direct(f, neg) -> Certificate | None:
-    """:func:`_rules` on f, whose bounds a conic configuration never needs."""
-    return _rules(True, None) if on_conic(neg) else _rules(False, ql_bounds(f, neg))
-
-
 def _known(f, neg) -> Certificate | None:
-    """What the search reads of a smaller class: its stored certificate, else
-    the direct rules.  Nothing in the search calls :func:`certify`."""
-    return _bounds_and_certs(neg)[1].get(f) or _direct(f, neg)
+    """The stored certificate of a nef class after :func:`ql_bounds` (the
+    search's, else the rules', else None); the search never calls certify."""
+    ql_bounds(f, neg)
+    return _bounds_and_certs(neg)[1][f]
 
 
 def _search(f, neg) -> Certificate:
@@ -319,17 +316,18 @@ def _kernel_transfer(f, neg):
     """Injectivity across a prime curve the class does not meet.
 
     Restriction to a prime curve c with f.c = 0 is left exact on sections;
-    when no linear form vanishes on c the forms stay independent on it, so
-    the restricted multiplication is injective in degree zero and any
-    kernel element comes from f - c.  Stripping the fixed part of f - c
-    preserves kernels, so injectivity of the residual nef part is enough.
+    when no linear form vanishes on c (deg c >= 2, as h0(E0 - c) = 2 - deg c
+    by the census test) the forms stay independent on it, so the restricted
+    multiplication is injective in degree zero and any kernel element comes
+    from f - c.  Stripping the fixed part of f - c preserves kernels, so
+    injectivity of the residual nef part is enough.
     f - c is effective: f = 0 is certified by q* = l* = 0, a direct rule, and
     a nef f != 0 has f^2 >= 0, -K.f >= 1 (Hodge index) and f^2 - K.f even,
     so h0(f) = chi(f) >= 2, and restricting to the smooth rational c with
     f.c = 0 gives h0(f - c) >= h0(f) - 1 >= 1.
     """
     for c in _rational_curve_candidates(neg):
-        if f.dot(c) != 0 or h0(E0 - c, neg) != 0:
+        if f.dot(c) != 0 or c.degree < 2:
             continue
         nef = reduce(f - c, neg).nef_part
         if certified(_known(nef, neg), Status.INJECTIVE, nef, neg):
@@ -477,25 +475,17 @@ class TailCertificate:
     detail: str
 
 
-def _ray_pivot(base: DivisorClass, step: DivisorClass, neg: NegSet) -> int:
-    """The pivot (:func:`_pivots`) of base + step, which is the pivot of every
-    member base + i*step, i >= 1, of a ray of :func:`_find_stabilization`
-    on every supported surface (the census test in ``tests/test_murank.py``)."""
-    first = base + step
-    return max(plane_point_indices(neg), key=lambda j: (first[j], -j))
-
-
 def _injective_tail(base, step, neg):
     """Witness that q = l = 0 holds along the whole ray.
 
     The step C is nef, so (base + i*step - D).C < 0 proves the shifted
     class ineffective for D = Ej, E0 - Ej; with C.C <= 0 the pairing only
     decreases along the ray, so one check at the first member covers every
-    later one.  No other nef class is needed as the witness (the census
-    test in ``tests/test_murank.py``).
+    later one.  The step is the only witness needed, and every member has
+    the pivot of the first (the census test in ``tests/test_murank.py``).
     """
-    j = _ray_pivot(base, step, neg)
     first = base + step
+    j = ql_bounds(first, neg).index
     if step.dot(step) > 0 or any((first - d).dot(step) >= 0 for d in (E[j], E0 - E[j])):
         return None
     row = " ".join(map(str, step.display_row()))
@@ -511,10 +501,10 @@ def _h1_persistence_tail(base, step, neg, computed: int):
     cannot reappear once the twisted classes meet the step in degree >= -1
     on it; both pairings are nondecreasing in the ray parameter, so checking
     the first needed member covers the whole tail, and every tail member is
-    then surjective.  Every member has the pivot of :func:`_ray_pivot`, so
-    the starred counts come from the one bounds kernel (stored by the chain).
+    then surjective.  Every member has the pivot of base + step (the census
+    test in ``tests/test_murank.py``): pivot and counts are stored bounds.
     """
-    j = _ray_pivot(base, step, neg)
+    j = ql_bounds(base + step, neg).index
     for i0 in range(1, computed + 1):
         b = ql_bounds(base + i0 * step, neg)
         if b.q_star != 0 or b.l_star != 0:

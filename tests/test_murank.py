@@ -14,7 +14,7 @@ from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfigur
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, arithmetic_genus, chi
 from fatpoints import murank
 from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _bounds_and_certs,
-                              _canonical_keys, _deficient_rows, _direct,
+                              _canonical_keys, _deficient_rows,
                               _find_stabilization, _pivots,
                               _rational_curve_candidates,
                               _search, certified, certify, change_of_marking, deficient,
@@ -179,10 +179,56 @@ def test_certify_hard_class_on_vertical_a1(a1_vertical_neg):
 
 
 def test_conic_shortcut():
+    # on a fresh conic NegSet, and on one whose bounds table s_chain filled
+    # with q/l rule certificates: conic support is decided before any of them
     cfg = distinct_case("conic")
-    cert = certify(5 * E0, cfg.neg)
-    assert cert.status is Status.SURJECTIVE
-    assert cert.reason == "conic-support"
+    filled = fresh(cfg.neg)
+    chain = s_chain(filled, 6)
+    table = _bounds_and_certs(filled)[1]
+    assert any(table.values())
+    for neg, classes in ((fresh(cfg.neg), [5 * E0]),
+                         (filled, [5 * E0, *chain.gamma, *table])):
+        for f in classes:
+            cert = certify(f, neg)
+            assert cert.status is Status.SURJECTIVE
+            assert cert.reason == "conic-support"
+
+
+def direct_rules(b):
+    """Test-local copy of the q/l rules on the bounds b of a nef class."""
+    if b.q_star + b.l_star == 0:
+        return Certificate(Status.SURJECTIVE, "qstar+lstar=0")
+    if b.q == 0 and b.l == 0:
+        return Certificate(Status.INJECTIVE, "q=l=0")
+    return None
+
+
+def direct_certificate(f, neg):
+    """Test-local copy of the retired ``murank._direct``: conic support, then
+    the q/l rules on the scalar bounds of f."""
+    if on_conic(neg):
+        return Certificate(Status.SURJECTIVE, "conic-support")
+    return direct_rules(scalar_ql_bounds(f, neg))
+
+
+def test_certify_depends_on_call_history():
+    """``certify``'s search reads stored certificates, so its answer depends
+    on what was certified earlier on the same NegSet.  On the A5 chain,
+    15E0 - 6(E1 + ... + E6) is inconclusive on a fresh NegSet, and a
+    rational-curve step across 5E0 - 2(E1 + ... + E6) once 10E0 - 4(E1 +
+    ... + E6) (a kernel transfer) or the whole configuration is certified:
+    ``verify`` certifies in ascending order and relies on this."""
+    neg = neg_from_nodal(tuple(E[i] - E[i + 1] for i in range(1, 6)))
+    hard, easier = DivisorClass((15,) + (6,) * 6), DivisorClass((10,) + (4,) * 6)
+    step = Certificate(Status.SURJECTIVE, "rational-curve-step:5 -2 -2 -2 -2 -2 -2")
+    assert certify(hard, fresh(neg)) == Certificate(Status.INCONCLUSIVE,
+                                                    "no criterion applied")
+    first = fresh(neg)
+    assert certify(easier, first).reason.startswith("kernel-transfer")
+    assert certify(hard, first) == step
+    verified = fresh(neg)
+    assert verify_configuration(verified).ok
+    assert certify(hard, verified) == step
 
 
 def past_ql_criteria(f, neg):
@@ -418,7 +464,7 @@ def test_kernel_transfer_complement_is_effective():
             assert reduce(f - cands[b], neg).effective, (neg.nodal, f, cands[b])
             pairs += 1
         cert = certify(ZERO, neg)
-        assert cert == _direct(ZERO, neg)
+        assert cert == direct_certificate(ZERO, neg)
         assert cert.reason == ("conic-support" if on_conic(neg) else "qstar+lstar=0")
     assert pairs > 1000
 
@@ -693,7 +739,8 @@ def test_census_needs_no_candidate_filter():
     ``step_allows`` equal the filters they replaced (the references above):
     the pairwise test removes no pared generator, the nef classes of the
     orbits of E0 and E0 - E1 are pared already, and every candidate c of
-    degree <= 2 has h0(E0 - c) = 2 - deg c (one above is a nef generator).
+    degree <= 2 has h0(E0 - c) = 2 - deg c (one above is a nef generator),
+    so a line contains c exactly when deg c < 2.
 
     Why this census covers every input: a configuration with nef -K is a
     marking of one of 21 root types of E6, the 20 catalog types and general
@@ -721,6 +768,8 @@ def test_census_needs_no_candidate_filter():
         assert gamma(neg) == pairwise_gamma(neg), neg.nodal
         cands = _rational_curve_candidates(neg)
         assert cands == three_pool_candidates(neg), neg.nodal
+        # the line test of ``_kernel_transfer``, at every degree
+        assert all((h0(E0 - c, neg) != 0) == (c.degree < 2) for c in cands), neg.nodal
         gens = nef_generators(neg).pared
         rows = int_rows(gens)
         for c, meet in zip(cands, ((rows * _FORM) @ int_rows(cands).T).T):
@@ -748,7 +797,8 @@ def test_census_rays_need_no_tail_search():
     dropped changes nothing: every level-1 class has genus 0 (so the steps
     need no genus check and ``s_chain`` no rational mask), the pivot of
     every ray member F + i*C is that of F + C (``stable_pivot`` returns it
-    with i_stab = 1), and the witness search of the injective tail finds
+    with i_stab = 1), which the tails read as ``ql_bounds(F + C).index``
+    and name in their detail, and the witness search of the injective tail finds
     the step or nothing, never another class.
 
     Why this census covers every input: a configuration with nef -K is a
@@ -774,7 +824,7 @@ def test_census_rays_need_no_tail_search():
     15,769 rays.  About 3-4 s on a 2-core Intel Xeon VM.
     """
     negs = census_negs()
-    rays = {}
+    rays, kinds = {}, Counter()
     for neg in dict.fromkeys(negs):
         chain = s_chain(neg, 6)
         assert all(arithmetic_genus(c) == 0 for c in chain.level(1)), neg.nodal
@@ -789,17 +839,39 @@ def test_census_rays_need_no_tail_search():
                 first = f + c
                 j = int(_pivots(int_rows([first]), neg)[0])
                 assert stable_pivot(f, c, neg) == (j, 1), (neg.nodal, f, c)
-                assert murank._ray_pivot(f, c, neg) == j
+                assert ql_bounds(first, neg).index == j
+                tails = (murank._h1_persistence_tail(f, c, neg, depth - found[0]),
+                         murank._injective_tail(f, c, neg))
+                for tail in filter(None, tails):
+                    assert tail.detail.endswith(f"pivot {j}"), (neg.nodal, f, c)
+                    kinds[tail.kind] += 1
                 top = max(c[b] for b in usable)
                 assert all(c[b] == top for b in usable if first[b] == first[j]), (f, c)
                 assert all(w in (c, None) for w in witness_search(f, c, neg, j)), (f, c)
                 rays[neg] += 1
     assert (len(rays), sum(rays.values())) == (351, 16689)
+    assert kinds.keys() == {"surjective-h1-persistence", "injective-bound"}, kinds
     named = ([neg_from_nodal(r) for _, r in sorted(dynkin_catalog().items())]
              + distinct_marking_problems(sorted(dynkin_catalog()))
              + negs[:272])  # census_negs lists the distinct-point patterns first
     assert len(named) == 380 and sum(neg in rays for neg in named) == 322
     assert sum(rays.get(neg, 0) for neg in named) == 15769
+
+
+def test_tails_name_the_pivot_of_the_first_member(general):
+    """The tails take their pivot from the stored bounds of base + step.  On
+    every ray of a chain base has that pivot too (the census above), so
+    rays from ZERO, whose pivot is 1 on general points, tell the two apart:
+    a line E0 - E2 and a cubic through the six points, double at p6."""
+    neg = fresh(general.neg)
+    line = DivisorClass.from_display_row((1, 0, -1, 0, 0, 0, 0))
+    cubic = DivisorClass.from_display_row((3, -1, -1, -1, -1, -1, -2))
+    assert [ql_bounds(f, neg).index for f in (ZERO, line, cubic)] == [1, 2, 6]
+    tail = murank._h1_persistence_tail(ZERO, line, neg, 1)
+    assert (tail.kind, tail.start) == ("surjective-h1-persistence", 1)
+    assert tail.detail.endswith("pivot 2")
+    tail = murank._injective_tail(ZERO, cubic, neg)
+    assert tail.kind == "injective-bound" and tail.detail.endswith("pivot 6")
 
 
 def pruned_candidates(neg, depth, monkeypatch):
@@ -1442,20 +1514,26 @@ def kernel_problems(a1_vertical_neg):
 
 
 def test_kernel_certificates_match_direct_rules(a1_vertical_neg):
-    """The bounds kernel stores a direct-rule certificate (None when no rule
-    fires) for gamma and every level member, all nef, each equal to what
-    ``_direct`` gives on a NegSet where no chain was built."""
+    """The bounds kernel stores a q/l rule certificate (None when no rule
+    fires) for gamma and every level member, all nef, each equal to the
+    rules on the scalar bounds of a NegSet where no chain was built, and on
+    the conic problem too; there ``certify`` answers conic support for each."""
     reasons = Counter()
+    conic = 0
     for neg in kernel_problems(a1_vertical_neg):
         chain = s_chain(neg, 6)
         certs = _bounds_and_certs(neg)[1]
         assert set(certs) == set(chain.gamma).union(*chain.levels), neg.nodal
         other = fresh(neg)
-        for f, cert in certs.items():
+        for f, cert in list(certs.items()):
             assert is_nef(f, neg)
-            assert cert == _direct(f, other), (neg.nodal, f)
+            assert cert == direct_rules(scalar_ql_bounds(f, other)), (neg.nodal, f)
             reasons[cert and cert.reason] += 1
-    assert set(reasons) == {"conic-support", "qstar+lstar=0", "q=l=0", None}
+            if on_conic(neg):
+                assert certify(f, neg) == Certificate(Status.SURJECTIVE, "conic-support")
+                conic += 1
+    assert set(reasons) == {"qstar+lstar=0", "q=l=0", None}
+    assert conic > 0
 
 
 def test_s_chain_reduces_once_per_level(monkeypatch, case_iv):
@@ -1537,4 +1615,4 @@ def test_deficient_rows_on_mixed_nef_rows_matches_scalar_reference(data, name, s
         assert bounds[f] == scalar_ql_bounds(f, ref)
         assert (f in certs) == is_nef_row
         if is_nef_row:
-            assert certs[f] == _direct(f, ref)
+            assert certs[f] == direct_rules(scalar_ql_bounds(f, ref))
