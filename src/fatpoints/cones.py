@@ -347,21 +347,19 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
     return keys[..., None] // _PACK_WEIGHTS % (4 * PACK_ENTRY_BOUND) - 2 * PACK_ENTRY_BOUND
 
 
-def _pare(classes) -> tuple:
-    """Drop the classes that are sums of two members of the set.
+def _pare(rows: np.ndarray) -> np.ndarray:
+    """Which rows of an ascending array of distinct classes are no sum of two.
 
     One pass suffices: a sum of two survivors is a sum of two members of
-    the whole set, so the pass has dropped it already.  Members are sorted,
-    so degrees ascend and a row is only paired with the members from itself
-    up to the largest degree a sum can still have.  Members are packed into
-    sorted int64 keys (``pack_keys``); a block of rows, about ``PARE_CHUNK``
-    sums, is added to its columns in one step and each sum is looked up by
-    binary search in the keys.  The only caller passes orbit-union classes,
-    whose entries lie in 0..9; a set with an entry outside
-    ``PACK_ENTRY_BOUND`` raises ``ValueError``.
+    the whole set, so the pass has dropped it already.  Degrees ascend, so
+    a row is only paired with the rows from itself up to the largest degree
+    a sum can still have.  Rows are packed into sorted int64 keys
+    (``pack_keys``); a block of rows, about ``PARE_CHUNK`` sums, is added
+    to its columns in one step and each sum is looked up by binary search
+    in the keys.  The only caller passes nef rows of the sorted orbit-union
+    array, whose entries lie in 0..9; an entry outside ``PACK_ENTRY_BOUND``
+    raises ``ValueError``.
     """
-    members = sorted(set(classes))
-    rows = np.array(members).reshape(-1, 7)
     if not packable(rows):
         raise ValueError("classes have entries outside the packing range")
     keys = pack_keys(rows)
@@ -377,21 +375,22 @@ def _pare(classes) -> tuple:
             break
         end = min(n, i + max(1, PARE_CHUNK // (stop - i)))
         sums = keys[i:end, None] + shifted[None, i:stop]
-        pos = np.searchsorted(keys, sums)
-        np.minimum(pos, n - 1, out=pos)
+        pos = np.minimum(np.searchsorted(keys, sums), n - 1)
         hit[pos[keys[pos] == sums]] = True
         i = end
-    return tuple(itertools.compress(members, (~hit).tolist()))
+    return ~hit
 
 
 @per_surface
 def nef_generators(neg: NegSet) -> GeneratorSet:
-    """Generators of the nef cone semigroup; requires -K nef."""
+    """Generators of the nef cone semigroup; requires -K nef.  The nef rows
+    of the sorted orbit-union array go to ``_pare`` as they are."""
     if not anticanonical_nef(neg):
         raise ValueError("nef-cone generators require a nef anticanonical class")
     classes, rows = _sorted_union()
-    raw = tuple(itertools.compress(classes, nef_rows(rows, neg).tolist()))
-    return GeneratorSet(raw=raw, pared=_pare(raw))
+    nef = nef_rows(rows, neg)
+    raw = tuple(itertools.compress(classes, nef.tolist()))
+    return GeneratorSet(raw=raw, pared=tuple(itertools.compress(raw, _pare(rows[nef]).tolist())))
 
 
 def gamma(neg: NegSet) -> tuple:

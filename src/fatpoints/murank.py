@@ -15,25 +15,21 @@ on a conic: every map is surjective) first; the bounds kernel stores the
 certificate of these two rules once per nef class.
 
 Classes where neither fires are organised into a chain of levels, each
-built as one sorted integer array: the nef-cone generators that fail the
-criteria (level 1), then sums of a failing class with a level-1 class that
-fail again, and so on.  Most sums are never reduced: if A is nef with
-q, l > 0 and q* = l* = 0 for its pivot j, and C is a level-1 class of
-genus 0, then S = A + C with the same pivot and (S - D).C >= -1 for
-D = Ej, E0 - Ej has h1(S - D) <= h1(A - D) = 0 and h0(S - D) >=
-h0(A - D) > 0, by restriction to a smooth rational member of |C|
-(Harbourne, Trans. AMS 349, 1997); see :func:`s_chain`.  Once the levels
-repeat along rays F + i*C (searched for on packed keys), every ray tail is
-certified in closed form, either by induction along a rational curve
-(surjectivity persists) or by a pairing argument forcing q = l = 0 forever
-(injectivity persists).
+built as one sorted int64 array and kept as one: the nef-cone generators
+that fail the criteria (level 1), then sums of a failing class with a
+level-1 class that fail again, and so on.  Most sums are never reduced;
+h1 persistence along a rational level-1 class proves them good (see
+:func:`s_chain`).  Once the levels repeat along rays F + i*C (searched for
+on packed keys), every ray tail is certified in closed form, either by
+induction along a rational curve (surjectivity persists) or by a pairing
+argument forcing q = l = 0 forever (injectivity persists).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -56,6 +52,11 @@ class Status(str, Enum):
 class Certificate:
     status: Status
     reason: str
+
+
+_CONIC = Certificate(Status.SURJECTIVE, "conic-support")
+_SURJECTIVE_RULE = Certificate(Status.SURJECTIVE, "qstar+lstar=0")
+_INJECTIVE_RULE = Certificate(Status.INJECTIVE, "q=l=0")
 
 
 @dataclass(frozen=True)
@@ -242,8 +243,8 @@ def certify(f: DivisorClass, neg: NegSet) -> Certificate:
 
     Conic support first, before any stored certificate is read; then the
     q/l rules (:func:`_known`); then the one-level search (:func:`_search`),
-    whose result is stored.  The search reads stored certificates, so the
-    answer depends on what was certified before on the NegSet: on the A5
+    stored only when conclusive.  The search reads stored certificates, so
+    the answer depends on what was certified before on the NegSet: on the A5
     chain (roots E1-E2, ..., E5-E6) 15E0-6E1-...-6E6 is inconclusive on a
     fresh NegSet, a rational-curve step once 10E0-4E1-...-4E6 is certified.
     :func:`verify_stabilization` relies on its ascending order.
@@ -252,10 +253,10 @@ def certify(f: DivisorClass, neg: NegSet) -> Certificate:
     if f not in certs and not is_nef(f, neg):
         raise ValueError(f"{f!r} is not nef on this configuration")
     if on_conic(neg):
-        return Certificate(Status.SURJECTIVE, "conic-support")
-    cert = certs.get(f) or _known(f, neg)
-    if cert is None:
-        cert = certs[f] = _search(f, neg)
+        return _CONIC
+    cert = certs.get(f) or _known(f, neg) or _search(f, neg)
+    if cert.status is not Status.INCONCLUSIVE:
+        certs[f] = cert
     return cert
 
 
@@ -280,10 +281,8 @@ def _rules(b: MuBounds) -> Certificate | None:
     q* + l* = 0 certifies surjectivity and q = l = 0 injectivity
     (Fitchett-Harbourne-Holay, J. Algebra 244, 2001)."""
     if b.q_star + b.l_star == 0:
-        return Certificate(Status.SURJECTIVE, "qstar+lstar=0")
-    if b.q == 0 and b.l == 0:
-        return Certificate(Status.INJECTIVE, "q=l=0")
-    return None
+        return _SURJECTIVE_RULE
+    return _INJECTIVE_RULE if b.q == 0 and b.l == 0 else None
 
 
 def _known(f, neg) -> Certificate | None:
@@ -348,6 +347,7 @@ class SChain:
     levels: tuple  # levels[i-1] = level i, distinct classes in ascending order
     gamma: tuple
     depth: int
+    rows: tuple = field(repr=False, compare=False)  # the levels as n x 7 int64 arrays
 
     def level(self, i: int) -> tuple:
         return self.levels[i - 1]
@@ -401,17 +401,34 @@ def _proven(prev: _Built, members: np.ndarray, s1: np.ndarray,
     return good
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple:
+    """The distinct rows of an n x 7 int64 array, ascending, and each row's
+    index among them, compared on int64 keys: the entries are digits in base
+    2**b, for the b bits the spread of the entries and 0 needs, so keys sort
+    as the rows do; a key holds 63 // b columns (all seven within 0..511)."""
+    bits = max(1, int(rows.max(initial=0)) - int(rows.min(initial=0))).bit_length()
+    per = 63 // bits
+    keys = np.stack([rows[:, i:i + per] @ (1 << bits * np.arange(min(per, 7 - i))[::-1])
+                     for i in range(0, 7, per)])
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (keys[:, 1:] != keys[:, :-1]).any(0)
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(fresh) - 1
+    return rows[order[fresh]], index
+
+
 def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     """Build the deficiency levels up to the given depth.
 
-    Each level is one int64 array: level 1 is gamma (the pared generators)
-    masked by :func:`deficient`, level i+1 the distinct sums of a level-i
-    and a level-1 class that are deficient.  One ``np.lexsort`` over the
-    columns, dropping each row equal to its predecessor, dedupes the sums in
-    ascending order at any depth (level i has entries up to 9i, past the
-    reach of packed keys).  Gamma and the level members, which
-    :func:`verify_stabilization` certifies, leave their bounds in the
-    tables of :func:`_bounds_and_certs`; other sums do not.
+    Each level is one int64 array, kept in the chain: level 1 is gamma (the
+    pared generators) masked by :func:`deficient`, level i+1 the distinct
+    sums of a level-i and a level-1 class that are deficient, deduped in
+    ascending order on keys packed from the sums' own entry range
+    (:func:`_distinct_rows`; level i has entries up to 9i).  Gamma and the
+    level members, which :func:`verify_stabilization` certifies, leave their
+    bounds in the tables of :func:`_bounds_and_certs`; other sums do not.
 
     From level 3 on most sums are proven non-deficient without reducing
     anything, by h1 persistence along a level-1 class.  Lemma: let A be
@@ -440,14 +457,7 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     levels = [s1]
     prev = None
     for _ in range(2, depth + 1):
-        sums = (levels[-1][:, None] + s1[None]).reshape(-1, 7)
-        order = np.lexsort(sums.T[::-1])
-        sums = sums[order]
-        fresh = np.ones(len(sums), dtype=bool)
-        fresh[1:] = (sums[1:] != sums[:-1]).any(1)
-        row = np.empty(len(sums), dtype=np.intp)
-        row[order] = np.cumsum(fresh) - 1
-        sums = sums[fresh]
+        sums, row = _distinct_rows((levels[-1][:, None] + s1[None]).reshape(-1, 7))
         pivot = _pivots(sums, neg)
         good = (np.zeros(len(sums), dtype=bool) if prev is None
                 else _proven(prev, levels[-1], s1, row, pivot))
@@ -455,9 +465,8 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
         good[test[~_deficient_rows(sums[test], neg)]] = True
         levels.append(sums[~good])
         prev = _Built(row=row, pivot=pivot, good=good)
-    return SChain(levels=tuple(tuple(DivisorClass(r) for r in lv.tolist())
-                              for lv in levels),
-                  gamma=gam, depth=depth)
+    return SChain(levels=tuple(tuple(map(DivisorClass, lv.tolist())) for lv in levels),
+                  gamma=gam, depth=depth, rows=tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +573,16 @@ def _find_stabilization(chain: SChain):
     F + k*C in level j+k, and the rays F + i*C give exactly level j+i for
     i = 1 .. k+1, so they also predict level j+k+1.  Levels must be nonempty.
 
-    Classes are compared as sorted ``cones.pack_keys``, with key(F + i*C) =
-    key(F) + i*(key(C) - key(ZERO)); each row of candidate keys of level j
-    is binary-searched in level j+k.  Every class read is a sum of at most
-    j+k+1 <= 6 level-1 classes, whose orbit-union entries lie in 0..9, so
-    entries stay within 6*9 < PACK_ENTRY_BOUND and the guard cannot fire.
+    Classes are compared as sorted ``cones.pack_keys`` of the level arrays,
+    with key(F + i*C) = key(F) + i*(key(C) - key(ZERO)); each row of
+    candidate keys of level j is binary-searched in level j+k.  Every class
+    read is a sum of at most j+k+1 <= 6 level-1 classes, whose orbit-union
+    entries lie in 0..9, so entries stay within 6*9 < PACK_ENTRY_BOUND and
+    the guard cannot fire.
     """
-    rows = [np.array(lv, dtype=np.int64).reshape(-1, 7) for lv in chain.levels[:6]]
-    if not packable(6 * rows[0]):
+    if not packable(6 * chain.rows[0]):
         raise ValueError("level classes have entries outside the packing range")
-    keys = [None] + [pack_keys(r) for r in rows]  # keys[i] = level i
+    keys = [None] + [pack_keys(r) for r in chain.rows[:6]]  # keys[i] = level i
     step = keys[1] - pack_keys(np.zeros(7, dtype=np.int64))
     for j in range(1, 4):
         for k in range(1, min(3, chain.depth - j)):  # j + k + 1 <= depth
@@ -584,25 +593,27 @@ def _find_stabilization(chain: SChain):
             col = hit.argmax(1)
             if all(np.array_equal(np.unique(keys[j] + i * step[col]), keys[j + i])
                    for i in range(1, k + 2)):
-                s1 = chain.level(1)
-                return j, k, {f: s1[c] for f, c in zip(chain.level(j), col.tolist())}
+                return j, k, {f: chain.level(1)[c] for f, c in zip(chain.level(j), col.tolist())}
     return None
 
 
 def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
     """Certify maximal rank for every member of every level, to all depths.
 
-    Every computed-level member is certified directly.  When the levels are
-    nonempty a stabilization pair (j, k) is located; beyond the computed
-    depth each ray F + i*C_F is certified in closed form.  The report is
-    ``ok`` only if nothing stays inconclusive.
+    Every computed-level member is certified directly, conic support decided
+    once: by its stored certificate, else by :func:`certify` in the same
+    ascending order.  When the levels are nonempty a stabilization pair
+    (j, k) is located; beyond the computed depth each ray F + i*C_F is
+    certified in closed form.  The report is ``ok`` only if nothing stays
+    inconclusive.
     """
     notes = []
     certificates: dict = {}
     inconclusive = []
+    certs, conic = _bounds_and_certs(neg)[1], on_conic(neg)
 
     def check(f):
-        cert = certificates[f] = certify(f, neg)
+        cert = certificates[f] = _CONIC if conic else certs.get(f) or certify(f, neg)
         if cert.status is Status.INCONCLUSIVE:
             inconclusive.append(f)
 
@@ -697,21 +708,10 @@ def exceptional_configuration(h: DivisorClass, neg: NegSet) -> tuple:
 
 
 def _transport(neg: NegSet, mats: np.ndarray) -> np.ndarray:
-    """NEG under each marking matrix, marking x class x 7: X -> (X.E0'', ..., X.E6'')."""
+    """NEG under each marking matrix, marking x class x 7: X -> (X.E0'', ...,
+    X.E6''), NEG of the same surface in the new coordinates, as a change of
+    marking is an isometry fixing K (Harbourne, Trans. AMS 349, 1997)."""
     return np.einsum("jc,mkj->mck", _neg_blocks(neg, np.dtype(np.int64))[1], mats)
-
-
-def change_of_marking(neg: NegSet, h: DivisorClass) -> NegSet:
-    """NEG of the configuration in the coordinates of marking h.
-
-    A class X has coordinates (X.E0'', X.E1'', ..., X.E6'') in the stored
-    convention of the new marking.  A change of marking is an integral
-    isometry of the lattice fixing K (Harbourne, Trans. AMS 349, 1997), so
-    it carries NEG, every -3 line class included, onto NEG of the same
-    surface in the new coordinates.  No class is reduced.
-    """
-    marking = np.array(exceptional_configuration(h, neg), dtype=np.int64)
-    return NegSet(tuple(map(DivisorClass, _transport(neg, marking[None])[0].tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from fatpoints.config import (FIXTURE_SPECS, NegSet, PointConfiguration, dynkin_catalog,
                               neg_from_nodal)
 from fatpoints.lattice import E, DivisorClass
+from fatpoints.murank import _transport, exceptional_configuration
 
 # CI runs with HYPOTHESIS_PROFILE=ci: fixed examples, no per-example deadline
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -20,6 +22,15 @@ def distinct_case(name):
 WALK_NEGS = tuple(
     [distinct_case(c).neg for c in ("i", "ii", "iii", "iv", "general", "conic")]
     + [PointConfiguration.from_dynkin(n).neg for n in sorted(dynkin_catalog())])
+
+
+def change_of_marking(neg, h):
+    """NEG of the configuration in the coordinates of marking h: the
+    exceptional configuration of h as one marking matrix, and NEG moved
+    under it as ``murank.verify_all_markings`` moves it.  No class is
+    reduced."""
+    marking = np.array(exceptional_configuration(h, neg), dtype=np.int64)
+    return NegSet(tuple(map(DivisorClass, _transport(neg, marking[None])[0].tolist())))
 
 
 def relabelled(neg, perm):

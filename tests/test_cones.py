@@ -15,7 +15,7 @@ from fatpoints.config import (ConfigError, DistinctSpec, NegSet, PointConfigurat
                               dynkin_catalog, neg_from_distinct)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi, through
 
-from conftest import WALK_NEGS, distinct_case, relabelled
+from conftest import WALK_NEGS, change_of_marking, distinct_case, relabelled
 
 # the 39 pared generators of the four-line configuration, as displayed
 PARED_39_ROWS = """
@@ -473,7 +473,7 @@ def test_distinct_neg_classes_meet_nonnegatively():
     set where it fails; here it is checked on every supported configuration
     and on the problem of each of the 296 catalog markings."""
     catalog = [PointConfiguration.from_dynkin(name).neg for name in sorted(dynkin_catalog())]
-    markings = [murank.change_of_marking(neg, h)
+    markings = [change_of_marking(neg, h)
                 for neg in catalog for h in murank.e0_classes(neg)]
     assert len(markings) == 296
     negs = list(catalog_and_fixture_negs().values())
@@ -483,6 +483,14 @@ def test_distinct_neg_classes_meet_nonnegatively():
             assert a.dot(b) >= 0, (neg, a, b)
     with pytest.raises(ConfigError, match="meet negatively"):
         NegSet((E[1], E[1] - E[2]))
+
+
+def pare(classes):
+    """``_pare`` on any collection of classes: the survivors among the
+    distinct classes in ascending order, as a tuple."""
+    members = sorted(set(classes))
+    keep = _pare(np.array(members, dtype=np.int64).reshape(-1, 7))
+    return tuple(itertools.compress(members, keep.tolist()))
 
 
 def all_pairs_pare(classes):
@@ -500,7 +508,7 @@ def all_pairs_pare(classes):
 def test_pare_matches_all_pairs_on_catalog():
     for name in sorted(dynkin_catalog()):
         raw = nef_generators(PointConfiguration.from_dynkin(name).neg).raw
-        assert _pare(raw) == all_pairs_pare(raw), name
+        assert pare(raw) == all_pairs_pare(raw), name
 
 
 def repeating_pare(classes):
@@ -537,11 +545,49 @@ def test_pare_one_pass_matches_repeating():
     negs = list(WALK_NEGS)
     for name in ("A1", "D4", "2A2", "E6"):
         neg = PointConfiguration.from_dynkin(name).neg
-        negs += [murank.change_of_marking(neg, h) for h in murank.e0_classes(neg)]
+        negs += [change_of_marking(neg, h) for h in murank.e0_classes(neg)]
     classes, rows = cones._sorted_union()
     for neg in negs:
         raw = tuple(itertools.compress(classes, cones.nef_rows(rows, neg).tolist()))
-        assert _pare(raw) == repeating_pare(raw), neg
+        assert pare(raw) == repeating_pare(raw), neg
+
+
+def tuple_pare(classes):
+    """Reference copy of the tuple path ``nef_generators`` pared through
+    before it passed ``_pare`` its nef rows: sort and dedupe the classes,
+    rebuild their array, pack, and return the survivors as a tuple."""
+    members = sorted(set(classes))
+    rows = np.array(members).reshape(-1, 7)
+    keys = pack_keys(rows)
+    deg = rows[:, 0]
+    n = len(keys)
+    top = deg[-1] if n else 0
+    shifted = keys - pack_keys(np.zeros(7, dtype=np.int64))
+    hit = np.zeros(n, dtype=bool)
+    i = 0
+    while i < n:
+        stop = np.searchsorted(deg, top - deg[i], side="right")
+        if stop <= i:
+            break
+        end = min(n, i + max(1, cones.PARE_CHUNK // (stop - i)))
+        sums = keys[i:end, None] + shifted[None, i:stop]
+        pos = np.searchsorted(keys, sums)
+        np.minimum(pos, n - 1, out=pos)
+        hit[pos[keys[pos] == sums]] = True
+        i = end
+    return tuple(itertools.compress(members, (~hit).tolist()))
+
+
+def test_pared_generators_match_tuple_path():
+    # the 20 types in all 296 markings, and the six fixtures
+    negs = [distinct_case(case).neg for case in ("i", "ii", "iii", "iv", "general", "conic")]
+    for name in sorted(dynkin_catalog()):
+        neg = PointConfiguration.from_dynkin(name).neg
+        negs += [change_of_marking(neg, h) for h in murank.e0_classes(neg)]
+    assert len(negs) == 6 + 296
+    for neg in negs:
+        gens = nef_generators(neg)
+        assert gens.pared == tuple_pare(gens.raw), neg
 
 
 def catalog_and_fixture_negs():
@@ -601,12 +647,12 @@ def test_pare_matches_all_pairs_across_packing_bound(rows, scale):
     if not packable(np.array(classes)):
         assert scale > PACK_ENTRY_BOUND // 3
         with pytest.raises(ValueError, match="packing range"):
-            _pare(classes)
+            pare(classes)
         return
-    got = _pare(classes)
+    got = pare(classes)
     assert got == all_pairs_pare(classes)
     assert got == tuple(DivisorClass([scale * x for x in c])
-                        for c in _pare([DivisorClass(r) for r in rows]))
+                        for c in pare([DivisorClass(r) for r in rows]))
 
 
 def test_pare_packing_guard_at_the_bound():
@@ -616,10 +662,10 @@ def test_pare_packing_guard_at_the_bound():
                    for d, x in ((1, 0), (1, top), (2, top), (3, top))]
         assert packable(np.array(classes)) == (abs(top) < PACK_ENTRY_BOUND)
         if abs(top) < PACK_ENTRY_BOUND:
-            assert _pare(classes) == all_pairs_pare(classes) == tuple(sorted(classes[:2])), top
+            assert pare(classes) == all_pairs_pare(classes) == tuple(sorted(classes[:2])), top
         else:
             with pytest.raises(ValueError, match="packing range"):
-                _pare(classes)
+                pare(classes)
 
 
 def test_reduce_steps_bounded_at_large_multiplicity():

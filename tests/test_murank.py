@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -17,13 +18,13 @@ from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _bounds_and
                               _canonical_keys, _deficient_rows,
                               _find_stabilization, _pivots,
                               _rational_curve_candidates,
-                              _search, certified, certify, change_of_marking, deficient,
+                              _search, certified, certify, deficient,
                               e0_classes, effective_roots, exceptional_configuration,
                               on_conic, plane_point_indices, ql_bounds, s_chain, step_allows,
                               verify_all_markings, verify_configuration, verify_stabilization)
 from fatpoints.weyl import all_roots, exceptional_classes, orbit
 
-from conftest import distinct_case, relabelled
+from conftest import change_of_marking, distinct_case, relabelled
 
 NINE_ROWS = [
     (1, -1, 0, 0, 0, 0, 0), (1, 0, -1, 0, 0, 0, 0), (1, 0, 0, -1, 0, 0, 0),
@@ -228,6 +229,52 @@ def test_certify_depends_on_call_history():
     verified = fresh(neg)
     assert verify_configuration(verified).ok
     assert certify(hard, verified) == step
+
+
+def test_inconclusive_certify_leaves_verify_as_fresh():
+    """An inconclusive answer is not stored: after ``certify`` leaves
+    15E0 - 6(E1 + ... + E6) inconclusive on the A5 chain, verifying the
+    same NegSet gives the report of a fresh one, with no inconclusive
+    class, and certifying the class again finds the rational-curve step."""
+    neg = neg_from_nodal(tuple(E[i] - E[i + 1] for i in range(1, 6)))
+    hard = DivisorClass((15,) + (6,) * 6)
+    first = fresh(neg)
+    assert certify(hard, first).status is Status.INCONCLUSIVE
+    assert _bounds_and_certs(first)[1][hard] is None  # the rules' answer, kept
+    report = verify_configuration(first)
+    assert report.ok and not report.report.inconclusive
+    assert repr(report) == repr(verify_configuration(fresh(neg)))
+    assert certify(hard, first).reason == "rational-curve-step:5 -2 -2 -2 -2 -2 -2"
+    assert all(c is None or c.status is not Status.INCONCLUSIVE
+               for c in _bounds_and_certs(first)[1].values())
+
+
+def test_verify_stabilization_reads_stored_certificates(monkeypatch, a1_vertical_neg):
+    """``verify_stabilization`` takes a member's stored certificate from the
+    table and calls ``certify`` only for a member without one, in ascending
+    order; on a conic NegSet every member is conic-supported.  (The
+    surjective ray tail still asks ``certify`` for its members.)"""
+    real_certify = murank.certify
+    calls = []
+
+    def spy(f, neg):
+        if sys._getframe(1).f_code.co_name == "check":
+            calls.append(_bounds_and_certs(neg)[1].get(f))
+        return real_certify(f, neg)
+
+    monkeypatch.setattr(murank, "certify", spy)
+    members = 0
+    for neg in kernel_problems(a1_vertical_neg):
+        chain = s_chain(neg, 6)
+        report = verify_stabilization(chain, neg)
+        assert report.ok, neg.nodal
+        for f, cert in report.certificates.items():
+            assert cert == real_certify(f, neg), (neg.nodal, f)
+            if on_conic(neg):
+                assert cert.reason == "conic-support"
+        members += len(nef_generators(neg).pared) + sum(map(len, chain.levels))
+    assert calls and not any(calls)
+    assert len(calls) * 20 < members
 
 
 def past_ql_criteria(f, neg):
@@ -592,7 +639,8 @@ def test_find_stabilization_matches_set_reference(sweep_chains):
     found = set()
     for chain in sweep_chains:
         for depth in (3, 4, 5, 6):
-            cut = SChain(levels=chain.levels[:depth], gamma=chain.gamma, depth=depth)
+            cut = SChain(levels=chain.levels[:depth], gamma=chain.gamma, depth=depth,
+                         rows=chain.rows[:depth])
             got, want = _find_stabilization(cut), set_find_stabilization(cut)
             if want is None:
                 assert got is None
@@ -603,20 +651,26 @@ def test_find_stabilization_matches_set_reference(sweep_chains):
     assert len(found) > 1
 
 
+def chain_of(levels):
+    """A depth-3 ``SChain`` of the given level classes, with their arrays."""
+    return SChain(levels=levels, gamma=(), depth=3, rows=tuple(
+        np.array(lv, dtype=np.int64).reshape(-1, 7) for lv in levels))
+
+
 def test_find_stabilization_rejects_like_set_reference():
     # first chain: a has two witnesses (a + a and a + b are in level 2), so
     # (1, 1) fails though the first hits would reproduce levels 2 and 3;
     # second chain: level 3 is {b}, so the ray a + i*a leaves the levels
     a, b = DivisorClass((1, 0, 1, 0, 0, 0, 0)), DivisorClass((1, 1, 0, 0, 0, 0, 0))
     for levels in (((a, b), (a + a, a + b), (3 * a, a + a + b)), ((a,), (a + a,), (b,))):
-        chain = SChain(levels=tuple(tuple(sorted(lv)) for lv in levels), gamma=(), depth=3)
+        chain = chain_of(tuple(tuple(sorted(lv)) for lv in levels))
         assert _find_stabilization(chain) is set_find_stabilization(chain) is None
 
 
 def test_find_stabilization_packing_guard():
     # 6 * 11 leaves the packing range; no chain s_chain builds gets there
     big = DivisorClass((11, 0, 0, 0, 0, 0, 0))
-    chain = SChain(levels=((big,), (2 * big,), (3 * big,)), gamma=(), depth=3)
+    chain = chain_of(((big,), (2 * big,), (3 * big,)))
     with pytest.raises(ValueError, match="packing range"):
         _find_stabilization(chain)
 
@@ -832,7 +886,8 @@ def test_census_rays_need_no_tail_search():
         rays[neg] = 0
         usable = plane_point_indices(neg)
         for depth in range(1, 7):
-            cut = SChain(levels=chain.levels[:depth], gamma=chain.gamma, depth=depth)
+            cut = SChain(levels=chain.levels[:depth], gamma=chain.gamma, depth=depth,
+                         rows=chain.rows[:depth])
             found = _find_stabilization(cut) if all(cut.levels) else None
             for f, c in (found[2] if found else {}).items():
                 first = f + c
@@ -957,6 +1012,66 @@ def test_proven_needs_every_hypothesis(change, proven):
                          row=np.array([cands.index(x) for x in sums]),
                          pivot=np.full(len(cands), j))
     assert np.flatnonzero(got).tolist() == [cands.index(tuple(last[0] + s1[1]))] * proven
+
+
+def column_lexsort_rows(rows):
+    """Reference dedupe that ``_distinct_rows`` replaced: one ``np.lexsort``
+    over the seven columns, dropping each row equal to its predecessor."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    fresh_row = np.ones(len(rows), dtype=bool)
+    fresh_row[1:] = (ordered[1:] != ordered[:-1]).any(1)
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(fresh_row) - 1
+    return ordered[fresh_row], index
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), top=st.sampled_from((10, 511, 512, 10 ** 4, 10 ** 12)),
+       low=st.sampled_from((0, 0, -3)))
+def test_distinct_rows_match_column_lexsort(data, top, low):
+    """Keyed dedupe against the seven-column lexsort: the distinct rows in
+    ascending order and each row's index among them, which :func:`_proven`
+    reads.  Entries up to 10 and 511 pack into one key per row, 512 and
+    10**4 into two, 10**12 into one key per column; negative entries are
+    digits too.  Rows repeat, so the dedupe has work to do."""
+    base = data.draw(st.lists(st.lists(st.integers(low, top), min_size=7, max_size=7),
+                              min_size=1, max_size=12))
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), max_size=40))
+    rows = np.array(base + [base[i] for i in picks], dtype=np.int64)
+    got, index = murank._distinct_rows(rows)
+    want, want_index = column_lexsort_rows(rows)
+    assert got.tolist() == want.tolist() == sorted(map(list, set(map(tuple, base))))
+    assert index.tolist() == want_index.tolist()
+    assert (got[index] == rows).all()
+
+
+def test_distinct_rows_at_the_key_bounds():
+    # the largest entry of a key width in every column: 511 packs seven
+    # columns into 2**63 - 1, 2**16 - 1 three into 2**48 - 1; entries near
+    # 2**60 with a spread of 3 take one key per column, as the spread counts
+    # from 0; an empty array dedupes to an empty one
+    far = 2 ** 60
+    for top in (511, 2 ** 16 - 1, 10 ** 12, -10 ** 12):
+        rows = np.array([[top] * 7, [0] * 7, [top] * 6 + [top - 1], [top] * 7,
+                         [0] * 6 + [1], [top - 1] * 7], dtype=np.int64)
+        got, index = murank._distinct_rows(rows)
+        want, want_index = column_lexsort_rows(rows)
+        assert got.tolist() == want.tolist() and index.tolist() == want_index.tolist(), top
+    rows = np.array([[far + 1] * 7, [far] * 7, [far] * 6 + [far + 3], [far + 2] + [far] * 6],
+                    dtype=np.int64)
+    got, index = murank._distinct_rows(rows)
+    assert got.tolist() == sorted(rows.tolist()) and index.tolist() == [2, 0, 1, 3]
+    got, index = murank._distinct_rows(np.zeros((0, 7), dtype=np.int64))
+    assert got.shape == (0, 7) and index.shape == (0,)
+
+
+def test_s_chain_rows_are_the_levels(sweep_chains):
+    for chain in sweep_chains:
+        assert len(chain.rows) == len(chain.levels) == chain.depth
+        for rows, level in zip(chain.rows, chain.levels):
+            assert rows.dtype == np.int64 and rows.shape == (len(level), 7)
+            assert list(map(tuple, rows.tolist())) == list(level)
 
 
 def test_deep_levels_match_unique_reference():
