@@ -242,25 +242,29 @@ def certify(f: DivisorClass, neg: NegSet) -> Certificate:
     """Try to certify maximal rank for the multiplication map out of f.
 
     Conic support first, before any stored certificate is read; then the
-    q/l rules (:func:`_known`); then the one-level search (:func:`_search`),
-    stored only when conclusive.  The search reads stored certificates, so
-    the answer depends on what was certified before on the NegSet: on the A5
-    chain (roots E1-E2, ..., E5-E6) 15E0-6E1-...-6E6 is inconclusive on a
-    fresh NegSet, a rational-curve step once 10E0-4E1-...-4E6 is certified.
-    :func:`verify_stabilization` relies on its ascending order.
+    q/l rules (:func:`_known`); then the one-level search (:func:`_search`).
+    A smaller class the search reads unsettled is settled first, on a stack,
+    so the answer depends on f and the surface only; every answer, also an
+    inconclusive one, is stored and final.  The stack is finite: an ample H
+    meets every curve positively, so each class pushed has a smaller
+    H-degree, and only finitely many nef classes lie below f.
     """
     certs = _bounds_and_certs(neg)[1]
     if f not in certs and not is_nef(f, neg):
         raise ValueError(f"{f!r} is not nef on this configuration")
     if on_conic(neg):
         return _CONIC
-    cert = certs.get(f) or _known(f, neg) or _search(f, neg)
-    if cert.status is not Status.INCONCLUSIVE:
-        certs[f] = cert
-    return cert
+    stack = [f]
+    while stack:
+        got = _known(stack[-1], neg) or _search(stack[-1], neg)
+        if isinstance(got, Certificate):
+            certs[stack.pop()] = got
+        else:
+            stack.append(got)
+    return certs[f]
 
 
-def certified(cert: Certificate | None, want: Status, f: DivisorClass, neg: NegSet) -> bool:
+def certified(cert: Certificate, want: Status, f: DivisorClass, neg: NegSet) -> bool:
     """Whether cert shows the map out of f to be ``want``, directly or by the count.
 
     A certificate of the other status counts when the map is bijective: an
@@ -268,7 +272,7 @@ def certified(cert: Certificate | None, want: Status, f: DivisorClass, neg: NegS
     reaches the target's, and a surjective map is one-to-one as soon as the
     target's count reaches three times the source's.
     """
-    if cert is None or cert.status is Status.INCONCLUSIVE:
+    if cert.status is Status.INCONCLUSIVE:
         return False
     if cert.status is want:
         return True
@@ -286,24 +290,28 @@ def _rules(b: MuBounds) -> Certificate | None:
 
 
 def _known(f, neg) -> Certificate | None:
-    """The stored certificate of a nef class after :func:`ql_bounds` (the
-    search's, else the rules', else None); the search never calls certify."""
+    """The stored certificate of a nef class after :func:`ql_bounds`: the
+    final answer of :func:`certify`, else the rules', else None (unsettled)."""
     ql_bounds(f, neg)
     return _bounds_and_certs(neg)[1][f]
 
 
-def _search(f, neg) -> Certificate:
+def _search(f, neg) -> Certificate | DivisorClass:
     """Induction along a rational curve c whose complement f - c is known
     surjective, then injectivity transfer (:func:`_kernel_transfer`).  One
     ``nef_rows`` product decides which complements are nef, and the
-    candidates are tried in their order."""
+    candidates are tried in their order.  A class read unsettled is returned."""
     if not anticanonical_nef(neg):
         return Certificate(Status.INCONCLUSIVE, "no generator set available")
     cands = _rational_curve_candidates(neg)
     nef = nef_rows(int_rows([f]) - int_rows(cands), neg)
     for c in itertools.compress(cands, nef.tolist()):
         fp = f - c
-        if step_allows(c, f, neg) and certified(_known(fp, neg), Status.SURJECTIVE, fp, neg):
+        if not step_allows(c, f, neg):
+            continue
+        if (known := _known(fp, neg)) is None:
+            return fp
+        if certified(known, Status.SURJECTIVE, fp, neg):
             return Certificate(
                 Status.SURJECTIVE,
                 f"rational-curve-step:{' '.join(map(str, c.display_row()))}")
@@ -323,13 +331,16 @@ def _kernel_transfer(f, neg):
     f - c is effective: f = 0 is certified by q* = l* = 0, a direct rule, and
     a nef f != 0 has f^2 >= 0, -K.f >= 1 (Hodge index) and f^2 - K.f even,
     so h0(f) = chi(f) >= 2, and restricting to the smooth rational c with
-    f.c = 0 gives h0(f - c) >= h0(f) - 1 >= 1.
+    f.c = 0 gives h0(f - c) >= h0(f) - 1 >= 1.  A nef part read unsettled
+    is returned, as by :func:`_search`.
     """
     for c in _rational_curve_candidates(neg):
         if f.dot(c) != 0 or c.degree < 2:
             continue
         nef = reduce(f - c, neg).nef_part
-        if certified(_known(nef, neg), Status.INJECTIVE, nef, neg):
+        if (known := _known(nef, neg)) is None:
+            return nef
+        if certified(known, Status.INJECTIVE, nef, neg):
             return Certificate(
                 Status.INJECTIVE,
                 f"kernel-transfer:{' '.join(map(str, c.display_row()))}")
@@ -601,11 +612,10 @@ def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
     """Certify maximal rank for every member of every level, to all depths.
 
     Every computed-level member is certified directly, conic support decided
-    once: by its stored certificate, else by :func:`certify` in the same
-    ascending order.  When the levels are nonempty a stabilization pair
-    (j, k) is located; beyond the computed depth each ray F + i*C_F is
-    certified in closed form.  The report is ``ok`` only if nothing stays
-    inconclusive.
+    once: by its stored certificate, else by :func:`certify`.  When the
+    levels are nonempty a stabilization pair (j, k) is located; beyond the
+    computed depth each ray F + i*C_F is certified in closed form.  The
+    report is ``ok`` only if nothing stays inconclusive.
     """
     notes = []
     certificates: dict = {}

@@ -211,42 +211,102 @@ def direct_certificate(f, neg):
     return direct_rules(scalar_ql_bounds(f, neg))
 
 
-def test_certify_depends_on_call_history():
-    """``certify``'s search reads stored certificates, so its answer depends
-    on what was certified earlier on the same NegSet.  On the A5 chain,
-    15E0 - 6(E1 + ... + E6) is inconclusive on a fresh NegSet, and a
-    rational-curve step across 5E0 - 2(E1 + ... + E6) once 10E0 - 4(E1 +
-    ... + E6) (a kernel transfer) or the whole configuration is certified:
-    ``verify`` certifies in ascending order and relies on this."""
-    neg = neg_from_nodal(tuple(E[i] - E[i + 1] for i in range(1, 6)))
+def a5_chain():
+    """The A5 chain: nodal roots E1 - E2, ..., E5 - E6."""
+    return neg_from_nodal(tuple(E[i] - E[i + 1] for i in range(1, 6)))
+
+
+A5_STEP = Certificate(Status.SURJECTIVE, "rational-curve-step:5 -2 -2 -2 -2 -2 -2")
+
+
+def test_certify_is_independent_of_call_history():
+    """``certify`` answers from the class and the surface alone.  On the A5
+    chain, 15E0 - 6(E1 + ... + E6) is the same rational-curve step across
+    5E0 - 2(E1 + ... + E6) on a fresh NegSet, after 10E0 - 4(E1 + ... + E6)
+    (a kernel transfer) is certified, and after the whole configuration is
+    verified."""
+    neg = a5_chain()
     hard, easier = DivisorClass((15,) + (6,) * 6), DivisorClass((10,) + (4,) * 6)
-    step = Certificate(Status.SURJECTIVE, "rational-curve-step:5 -2 -2 -2 -2 -2 -2")
-    assert certify(hard, fresh(neg)) == Certificate(Status.INCONCLUSIVE,
-                                                    "no criterion applied")
+    assert certify(hard, fresh(neg)) == A5_STEP
     first = fresh(neg)
     assert certify(easier, first).reason.startswith("kernel-transfer")
-    assert certify(hard, first) == step
+    assert certify(hard, first) == A5_STEP
     verified = fresh(neg)
     assert verify_configuration(verified).ok
-    assert certify(hard, verified) == step
+    assert certify(hard, verified) == A5_STEP
 
 
-def test_inconclusive_certify_leaves_verify_as_fresh():
-    """An inconclusive answer is not stored: after ``certify`` leaves
-    15E0 - 6(E1 + ... + E6) inconclusive on the A5 chain, verifying the
-    same NegSet gives the report of a fresh one, with no inconclusive
-    class, and certifying the class again finds the rational-curve step."""
-    neg = neg_from_nodal(tuple(E[i] - E[i + 1] for i in range(1, 6)))
+def test_stored_certificate_is_final(monkeypatch):
+    """Every answer is stored, and a stored answer is final.  Certifying
+    15E0 - 6(E1 + ... + E6) on the A5 chain settles the smaller classes its
+    search reads, each with the answer a fresh NegSet gives it; verifying
+    the NegSet afterwards searches none of them again and gives the report
+    of a fresh one.  An inconclusive answer is stored too: with the search
+    cut off (-K read as not nef) the class is inconclusive, and it stays so
+    once the search is back."""
+    neg = a5_chain()
     hard = DivisorClass((15,) + (6,) * 6)
     first = fresh(neg)
-    assert certify(hard, first).status is Status.INCONCLUSIVE
-    assert _bounds_and_certs(first)[1][hard] is None  # the rules' answer, kept
+    assert certify(hard, first) == A5_STEP
+    searched = {f: c for f, c in _bounds_and_certs(first)[1].items()
+                if c is not None and c.reason.split(":")[0] in ("rational-curve-step",
+                                                                "kernel-transfer")}
+    assert hard in searched and len(searched) > 1
+    assert all(certify(f, fresh(neg)) == c for f, c in searched.items())
+    again = []
+    monkeypatch.setattr(murank, "_search", lambda f, n: again.append(f) or _search(f, n))
     report = verify_configuration(first)
-    assert report.ok and not report.report.inconclusive
+    assert again and not set(again) & set(searched)
     assert repr(report) == repr(verify_configuration(fresh(neg)))
-    assert certify(hard, first).reason == "rational-curve-step:5 -2 -2 -2 -2 -2 -2"
-    assert all(c is None or c.status is not Status.INCONCLUSIVE
-               for c in _bounds_and_certs(first)[1].values())
+    cut = fresh(neg)
+    with monkeypatch.context() as m:
+        m.setattr(murank, "anticanonical_nef", lambda n: False)
+        cert = certify(hard, cut)
+    assert cert == Certificate(Status.INCONCLUSIVE, "no generator set available")
+    assert _bounds_and_certs(cut)[1][hard] == cert
+    assert certify(hard, cut) == cert
+
+
+def test_certify_in_descending_order_matches_verify():
+    """On a fresh NegSet, certifying the classes of a ``verify`` report
+    largest first gives each the report's certificate, so no answer rests
+    on the order in which ``verify`` certifies: the 20 types, the A5 chain
+    and the six fixtures, 2,222 classes."""
+    negs = [neg_from_nodal(r) for _, r in sorted(dynkin_catalog().items())]
+    negs += [a5_chain()] + [distinct_case(c).neg for c in FIXTURE_SPECS]
+    classes = 0
+    for neg in negs:
+        report = verify_configuration(fresh(neg)).report
+        if report is None:  # conic support
+            continue
+        problem = fresh(neg)
+        for f in sorted(report.certificates, reverse=True):
+            assert certify(f, problem) == report.certificates[f], (neg.nodal, f)
+        classes += len(report.certificates)
+    assert classes == 2222
+
+
+def test_certify_settles_a_deep_chain_without_recursion(monkeypatch):
+    """The classes the search settles first go on a stack, not on Python's
+    call stack: 5000E0 - 2000(E1 + ... + E6) on a fresh A5 chain is a
+    rational-curve step, settled after the 998 multiples below it, from
+    10E0 - 4(E1 + ... + E6) (a kernel transfer) up.  Each is searched at
+    most twice: once to find its unsettled complement, once after it is
+    settled and stored."""
+    searched = Counter()
+
+    def spy(f, neg):
+        searched[f] += 1
+        assert searched[f] <= 2, f
+        return _search(f, neg)
+
+    monkeypatch.setattr(murank, "_search", spy)
+    neg = fresh(a5_chain())
+    assert certify(DivisorClass((5000,) + (2000,) * 6), neg) == A5_STEP
+    table = _bounds_and_certs(neg)[1]
+    assert table[DivisorClass((10,) + (4,) * 6)].reason.startswith("kernel-transfer")
+    assert all(table[DivisorClass((5 * k,) + (2 * k,) * 6)] == A5_STEP for k in range(3, 1001))
+    assert len(searched) == 999
 
 
 def test_verify_stabilization_reads_stored_certificates(monkeypatch, a1_vertical_neg):
@@ -313,9 +373,10 @@ def test_good_part_sum_never_fires_on_the_sweep(monkeypatch):
     reached = []
 
     def record(f, neg):
-        cert = _search(f, neg)
-        reached.append((f, neg, cert.reason.split(":")[0]))
-        return cert
+        got = _search(f, neg)  # a certificate, or a smaller class to settle first
+        if isinstance(got, Certificate):
+            reached.append((f, neg, got.reason.split(":")[0]))
+        return got
 
     monkeypatch.setattr("fatpoints.murank._search", record)
     for case in ("i", "ii", "iii", "iv"):
@@ -325,6 +386,7 @@ def test_good_part_sum_never_fires_on_the_sweep(monkeypatch):
         assert all(r.ok for r in verify_all_markings(neg_from_nodal(roots), _cache=solved))
     assert Counter(rule for *_, rule in reached) == {"rational-curve-step": 46,
                                                       "kernel-transfer": 4}
+    assert len({(f, neg.classes) for f, neg, _ in reached}) == len(reached)
     assert all(good_part_sum(f, neg) is None for f, neg, _ in reached)
 
 
