@@ -119,17 +119,17 @@ def reduce(f: DivisorClass, neg: NegSet) -> Reduction:
     subtracted do not depend on the scan order; tests assert this against
     an in-test reference that takes an explicit order.
 
-    Termination: the weight W = (19; 6, 5, 4, 3, 2, 1) pairs to at least 1
-    with every shape NEG takes in the catalog and distinct-point
-    configurations (Ei, Ei - Ej with i < j, lines through two to four
-    points, conics through five or six), so each step lowers W.F by at
-    least 1.  The loop runs only at degree >= 0, and no stored multiplicity
-    exceeds A = max(0, initial ones) (Ei lifts a negative entry to 0,
-    Ei - Ej stays within the old range, lines and conics only lower
-    entries), so W.F stays >= -21*A.  ``tests/test_cones.py`` checks the
-    weight on every such shape.  That bound grows with the entries, so
-    every ``WITNESS_STEPS`` steps the loop also stops at a nef witness,
-    which an effective class never has.
+    Termination: the weight W = (19; 6, 5, 4, 3, 2, 1), its point weights
+    reordered so that wi > wj for every member Ei - Ej (``NegSet`` rejects
+    their cycles), pairs to at least 1 with every shape of an accepted NEG
+    (Ei, Ei - Ej, lines through two to four points, conics through five or
+    six), so each step lowers W.F by at least 1.  The loop runs only at
+    degree >= 0, and no stored multiplicity exceeds A = max(0, initial ones)
+    (Ei lifts a negative entry to 0, Ei - Ej stays within the old range,
+    lines and conics only lower entries), so W.F stays >= -21*A.
+    ``tests/test_cones.py`` checks the weight on every such shape.  That
+    bound grows with the entries, so every ``WITNESS_STEPS`` steps the loop
+    also stops at a nef witness, which an effective class never has.
     """
     classes = neg.classes
     effective, cur, _, steps = _strip(f, [f.dot(c) for c in classes], neg)
@@ -273,13 +273,13 @@ def h0_rows(f, neg: NegSet) -> np.ndarray:
     for an effective row and stays 0 for an ineffective one, and entries
     stay within the row's initial ones while its degree is >= 0 (a round
     that ends below degree 0 may overshoot, in int64 by less than 2**38).
-    ``reduce``'s weight W = (19; 6, 5, 4, 3, 2, 1) drops by at least 1 per
-    round, and after k rounds a row has subtracted at least what ``reduce``
-    takes in k steps, so a call ends within its rows' longest ``reduce``
-    trace plus one round.  A row retires with h0 = 0 once its degree is negative or,
-    checked every ``WITNESS_STEPS`` rounds, it has a nef witness, and with
-    h0 = chi once it is nef, the values the scalar ``h0`` gives.  A row's
-    result and the round it retires in do not depend on the other rows.
+    ``reduce``'s weight W (its point weights ordered along the Ei - Ej) drops
+    by at least 1 per round, and after k rounds a row has subtracted at least
+    what ``reduce`` takes in k steps, so a call ends within its rows' longest
+    ``reduce`` trace plus one round.  A row retires with h0 = 0 once its degree
+    is negative or, checked every ``WITNESS_STEPS`` rounds, it has a nef
+    witness, and with h0 = chi once it is nef, as the scalar ``h0`` does.  A
+    row's result and the round it retires in do not depend on the other rows.
     """
     cur = int_rows(f)
     out = np.zeros(len(cur), dtype=cur.dtype)

@@ -137,9 +137,12 @@ def neg_from_nodal(nodal) -> NegSet:
 class DistinctSpec:
     """Six distinct plane points, described by their collinearity pattern.
 
-    ``collinear`` lists the maximal collinear subsets of {1..6} of size at
-    least 3; ``six_on_conic`` records whether an irreducible conic passes
-    through all six (which forces ``collinear`` to be empty).
+    ``collinear`` lists the maximal collinear subsets of {1..6} of size 3
+    or 4; ``six_on_conic`` records whether an irreducible conic passes
+    through all six (which forces ``collinear`` to be empty).  Five or six
+    collinear points are rejected, though NEG holds them (one line class, of
+    square -4 or -5): ``cones.reduce``'s termination weight meets the line
+    through five in -1 (ROADMAP direction 3).
     """
 
     collinear: tuple = ()
@@ -155,7 +158,7 @@ class DistinctSpec:
                 raise ConfigError(f"collinear subset {sorted(s)} has fewer than 3 points")
             if len(s) >= 5:
                 raise ConfigError(f"collinear subset {sorted(s)} has 5 or more points; "
-                                  "not representable here")
+                                  "its line is outside the reduction's termination argument")
         for a, b in itertools.combinations(sets, 2):
             if len(a & b) > 1:
                 raise ConfigError(

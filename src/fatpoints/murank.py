@@ -10,9 +10,9 @@ give two-sided bounds on its kernel and cokernel:
 where j is a valid reindexing (largest multiplicity, least index on ties):
 the kernel dimension lies in [l, l+q], and when h1(F) = 0 the cokernel is
 at most q* + l*.  So q* + l* = 0 certifies surjectivity and q = l = 0
-certifies injectivity.  :func:`certify` decides conic support (six points
-on a conic: every map is surjective) first; the bounds kernel stores the
-certificate of these two rules once per nef class.
+certifies injectivity.  The bounds kernel stores each nef class's direct
+certificate once: conic support (six points on a conic: every map is
+surjective), else these two rules; :func:`certify` searches only past them.
 
 Classes where neither fires are organised into a chain of levels, each
 built as one sorted int64 array and kept as one: the nef-cone generators
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -149,8 +149,9 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
     call, whose rounds are those of its slowest row, and the chi of the two
     twists through one ``chi_rows`` call.  The ``MuBounds`` of every row
     (``cache_all``) or of the deficient rows go into the tables, with the
-    certificate (:func:`_rules`) of each such nef row, written nowhere else.
-    Raises ``ValueError`` on an ineffective row, else ``ArithmeticError``.
+    direct certificate of each such nef row, written nowhere else: conic
+    support on a conic surface, else :func:`_rules`.  Raises ``ValueError``
+    on an ineffective row, else ``ArithmeticError``.
     """
     f = int_rows(f)
     n = len(f)
@@ -178,13 +179,13 @@ def _deficient_rows(f: np.ndarray, neg: NegSet, cache_all: bool = False) -> np.n
             f"negative h1 in bounds for {DivisorClass(f[bad.argmax()].tolist())!r}")
     mask = (q == 0) | (l == 0) | (q_star > 0) | (l_star > 0)
     keep = slice(None) if cache_all else mask
-    bounds, certs = _bounds_and_certs(neg)
+    (bounds, certs), conic = _bounds_and_certs(neg), on_conic(neg)
     cols = (f, nef, q, l, q_star, l_star, h, h_next, pivot)
     for row, is_nef_row, *values in zip(*(x[keep].tolist() for x in cols)):
         c = DivisorClass(row)
         b = bounds.setdefault(c, MuBounds(*values))
         if is_nef_row:
-            certs.setdefault(c, _rules(b))
+            certs.setdefault(c, _CONIC if conic else _rules(b))
     return mask
 
 
@@ -196,10 +197,8 @@ def _pivots(f: np.ndarray, neg: NegSet) -> np.ndarray:
 
 
 def on_conic(neg: NegSet) -> bool:
-    """Whether 2E0-E1-...-E6 is effective (all six points on some conic).
-
-    That class is a root, looked up in :func:`effective_roots`.
-    """
+    """Whether 2E0-E1-...-E6 is effective (all six points on some conic): a
+    root, looked up in :func:`effective_roots`."""
     return _CONIC6 in effective_roots(neg)
 
 
@@ -241,8 +240,8 @@ def _rational_curve_candidates(neg: NegSet) -> tuple:
 def certify(f: DivisorClass, neg: NegSet) -> Certificate:
     """Try to certify maximal rank for the multiplication map out of f.
 
-    Conic support first, before any stored certificate is read; then the
-    q/l rules (:func:`_known`); then the one-level search (:func:`_search`).
+    The direct rules first, as the bounds kernel stored them (:func:`_known`);
+    where neither fired, the one-level search (:func:`_search`).
     A smaller class the search reads unsettled is settled first, on a stack,
     so the answer depends on f and the surface only; every answer, also an
     inconclusive one, is stored and final.  The stack is finite: an ample H
@@ -252,8 +251,6 @@ def certify(f: DivisorClass, neg: NegSet) -> Certificate:
     certs = _bounds_and_certs(neg)[1]
     if f not in certs and not is_nef(f, neg):
         raise ValueError(f"{f!r} is not nef on this configuration")
-    if on_conic(neg):
-        return _CONIC
     stack = [f]
     while stack:
         got = _known(stack[-1], neg) or _search(stack[-1], neg)
@@ -291,7 +288,7 @@ def _rules(b: MuBounds) -> Certificate | None:
 
 def _known(f, neg) -> Certificate | None:
     """The stored certificate of a nef class after :func:`ql_bounds`: the
-    final answer of :func:`certify`, else the rules', else None (unsettled)."""
+    final answer of :func:`certify`, else the direct rules', else None."""
     ql_bounds(f, neg)
     return _bounds_and_certs(neg)[1][f]
 
@@ -300,7 +297,9 @@ def _search(f, neg) -> Certificate | DivisorClass:
     """Induction along a rational curve c whose complement f - c is known
     surjective, then injectivity transfer (:func:`_kernel_transfer`).  One
     ``nef_rows`` product decides which complements are nef, and the
-    candidates are tried in their order.  A class read unsettled is returned."""
+    candidates are tried in their order.  A class read unsettled is returned.
+    Only a library ``certify`` call on a non-conic surface with -K not nef
+    gets "no generator set available"; ``verify`` stops earlier, in :func:`s_chain`."""
     if not anticanonical_nef(neg):
         return Certificate(Status.INCONCLUSIVE, "no generator set available")
     cands = _rational_curve_candidates(neg)
@@ -351,17 +350,14 @@ def _kernel_transfer(f, neg):
 # Chain of deficient sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SChain:
     """Levels of deficient sums: level i holds sums of i level-1 classes."""
 
-    levels: tuple  # levels[i-1] = level i, distinct classes in ascending order
-    gamma: tuple
-    depth: int
-    rows: tuple = field(repr=False, compare=False)  # the levels as n x 7 int64 arrays
+    levels: tuple  # levels[i-1] = level i: n x 7 int64, distinct rows ascending
 
     def level(self, i: int) -> tuple:
-        return self.levels[i - 1]
+        return tuple(map(DivisorClass, self.levels[i - 1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -462,8 +458,7 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
     """
     if not anticanonical_nef(neg):
         raise ValueError("chain construction requires a nef anticanonical class")
-    gam = gamma(neg)
-    g = np.array(gam, dtype=np.int64).reshape(-1, 7)
+    g = np.array(gamma(neg), dtype=np.int64).reshape(-1, 7)
     s1 = g[_deficient_rows(g, neg, cache_all=True)]
     levels = [s1]
     prev = None
@@ -476,8 +471,7 @@ def s_chain(neg: NegSet, depth: int = 6) -> SChain:
         good[test[~_deficient_rows(sums[test], neg)]] = True
         levels.append(sums[~good])
         prev = _Built(row=row, pivot=pivot, good=good)
-    return SChain(levels=tuple(tuple(map(DivisorClass, lv.tolist())) for lv in levels),
-                  gamma=gam, depth=depth, rows=tuple(levels))
+    return SChain(levels=tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -578,25 +572,25 @@ class StabilizationReport:
 
 
 def _find_stabilization(chain: SChain):
-    """Smallest (j, k), j <= 3 and k <= 2, whose rays reproduce the levels.
+    """Smallest (j, k, col), j <= 3 and k <= 2, whose rays reproduce the levels.
 
-    Requires: every level-j class F owns a unique level-1 class C with
-    F + k*C in level j+k, and the rays F + i*C give exactly level j+i for
-    i = 1 .. k+1, so they also predict level j+k+1.  Levels must be nonempty.
+    Requires nonempty levels, where every level-j class F owns a unique
+    level-1 class C (index col[F]) with F + k*C in level j+k, and the rays
+    F + i*C give exactly level j+i for i = 1 .. k+1, so predict level j+k+1.
 
     Classes are compared as sorted ``cones.pack_keys`` of the level arrays,
     with key(F + i*C) = key(F) + i*(key(C) - key(ZERO)); each row of
     candidate keys of level j is binary-searched in level j+k.  Every class
     read is a sum of at most j+k+1 <= 6 level-1 classes, whose orbit-union
     entries lie in 0..9, so entries stay within 6*9 < PACK_ENTRY_BOUND and
-    the guard cannot fire.
+    the guard cannot fire.  No class is built.
     """
-    if not packable(6 * chain.rows[0]):
+    if not packable(6 * chain.levels[0]):
         raise ValueError("level classes have entries outside the packing range")
-    keys = [None] + [pack_keys(r) for r in chain.rows[:6]]  # keys[i] = level i
+    keys = [None] + [pack_keys(r) for r in chain.levels[:6]]  # keys[i] = level i
     step = keys[1] - pack_keys(np.zeros(7, dtype=np.int64))
     for j in range(1, 4):
-        for k in range(1, min(3, chain.depth - j)):  # j + k + 1 <= depth
+        for k in range(1, min(3, len(chain.levels) - j)):  # j + k + 1 <= depth
             cand = keys[j][:, None] + k * step
             hit = np.take(keys[j + k], np.searchsorted(keys[j + k], cand), mode="clip") == cand
             if (hit.sum(1) != 1).any():
@@ -604,41 +598,43 @@ def _find_stabilization(chain: SChain):
             col = hit.argmax(1)
             if all(np.array_equal(np.unique(keys[j] + i * step[col]), keys[j + i])
                    for i in range(1, k + 2)):
-                return j, k, {f: chain.level(1)[c] for f, c in zip(chain.level(j), col.tolist())}
+                return j, k, col.tolist()
     return None
 
 
 def verify_stabilization(chain: SChain, neg: NegSet) -> StabilizationReport:
     """Certify maximal rank for every member of every level, to all depths.
 
-    Every computed-level member is certified directly, conic support decided
-    once: by its stored certificate, else by :func:`certify`.  When the
-    levels are nonempty a stabilization pair (j, k) is located; beyond the
-    computed depth each ray F + i*C_F is certified in closed form.  The
-    report is ``ok`` only if nothing stays inconclusive.
+    Every computed-level member is certified directly: by its stored
+    certificate, else by :func:`certify`.  Each level's classes are built
+    once, here.  When the levels are nonempty a stabilization pair (j, k) is
+    located; beyond the computed depth each ray F + i*C_F is certified in
+    closed form.  The report is ``ok`` only if nothing stays inconclusive.
     """
     notes = []
     certificates: dict = {}
     inconclusive = []
-    certs, conic = _bounds_and_certs(neg)[1], on_conic(neg)
+    certs = _bounds_and_certs(neg)[1]
 
     def check(f):
-        cert = certificates[f] = _CONIC if conic else certs.get(f) or certify(f, neg)
+        cert = certificates[f] = certs.get(f) or certify(f, neg)
         if cert.status is Status.INCONCLUSIVE:
             inconclusive.append(f)
 
-    for f in itertools.chain(nef_generators(neg).pared, *chain.levels):
+    levels = [chain.level(i) for i in range(1, len(chain.levels) + 1)]
+    for f in itertools.chain(nef_generators(neg).pared, *levels):
         check(f)
-    empty_level = next((i + 1 for i, lv in enumerate(chain.levels) if not lv), None)
+    empty_level = next((i + 1 for i, lv in enumerate(levels) if not lv), None)
     found = None if empty_level is not None else _find_stabilization(chain)
     if empty_level is not None:
         notes.append(f"levels die out at depth {empty_level}; no rays needed")
     elif found is None:
         notes.append("no stabilization pair (j, k) found within the depth")
-    j, k, witness = found or (None, None, {})
+    j, k, col = found or (None, None, ())
+    witness = dict(zip(levels[j - 1], map(levels[0].__getitem__, col))) if found else {}
     tails = []
     for f, c in sorted(witness.items()):
-        computed = chain.depth - j
+        computed = len(levels) - j
         tail = (_h1_persistence_tail(f, c, neg, computed)
                 or _surjective_tail(f, c, neg, computed)
                 or _injective_tail(f, c, neg))

@@ -12,7 +12,7 @@ from fatpoints.cones import (GENERATOR_SEEDS, INT64_ENTRY_BOUND, PACK_ENTRY_BOUN
                              WITNESS_STEPS, _pare, gamma, h0, h0_rows, int_rows, is_nef,
                              nef_generators, pack_keys, packable, reduce, seed_orbit_union)
 from fatpoints.config import (ConfigError, DistinctSpec, NegSet, PointConfiguration,
-                              dynkin_catalog, neg_from_distinct)
+                              dynkin_catalog, neg_from_distinct, neg_from_nodal)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, chi, through
 
 from conftest import WALK_NEGS, change_of_marking, distinct_case, relabelled
@@ -772,9 +772,10 @@ TERMINATION_WEIGHT = DivisorClass((19, 6, 5, 4, 3, 2, 1))
 def reduction_candidates() -> tuple:
     """Every class shape NEG takes in the catalog and distinct-point
     configurations: basis classes Ei; differences Ei - Ej with i < j (the
-    only vertical shape compatible with a nef -K, in catalog order); lines
-    through 2..4 of the points (5+ collinear is rejected at configuration
-    time); conics through 5 or 6."""
+    only vertical shape compatible with a nef -K, in catalog order; a
+    relabelled type may have i > j, which ``reordered_weight`` covers);
+    lines through 2..4 of the points (5+ collinear is rejected at
+    configuration time); conics through 5 or 6."""
     idx = range(1, 7)
     out = list(E[1:])
     out += (E[i] - E[j] for i, j in itertools.combinations(idx, 2))
@@ -783,12 +784,34 @@ def reduction_candidates() -> tuple:
     return tuple(out)
 
 
+def reordered_weight(neg):
+    """``TERMINATION_WEIGHT`` with its six point weights reordered so that
+    wi > wj for every member Ei - Ej of NEG: the points are ranked least
+    label first among those no member Ek - Ei of an unranked k enters.
+    ``NegSet`` rejects cycles of such members, so every point gets a rank.
+    Lines, conics and the Ei pair with W the same under any order."""
+    arcs = {(c.index(-1), c.index(1)) for c in neg if c.degree == 0 and c.dot(c) == -2}
+    left, order = set(range(1, 7)), []
+    while left:
+        order.append(min(p for p in left if not any((a, p) in arcs for a in left)))
+        left.remove(order[-1])
+    weight = dict(zip(order, TERMINATION_WEIGHT[1:]))
+    return DivisorClass((TERMINATION_WEIGHT[0],) + tuple(weight[i] for i in range(1, 7)))
+
+
 def check_termination_measure() -> bool:
     """The weight drops by at least 1 on every candidate."""
     return all(TERMINATION_WEIGHT.dot(c) >= 1 for c in reduction_candidates())
 
 
 def test_termination_measure():
+    """W pairs to at least 1 with every candidate shape, and every member of
+    the supported configurations is a candidate.  Relabelled types are
+    accepted too (the sweep relabels every catalog type; ``verify`` and
+    ``resolve`` run on the nodal root E2 - E1), and their members Ei - Ej
+    may have i > j, which W meets in wj - wi < 0: W with its point weights
+    reordered along those members pairs to at least 1 with every member of
+    the 20 types under 30 seeded relabellings each, and of E2 - E1."""
     assert check_termination_measure()
     cands = reduction_candidates()
     assert len(cands) == len(set(cands)) == 6 + 15 + (15 + 20 + 15) + (6 + 1)
@@ -798,3 +821,15 @@ def test_termination_measure():
     negs += [PointConfiguration.from_dynkin(n).neg for n in sorted(dynkin_catalog())]
     for neg in negs:
         assert set(neg.classes) <= set(cands), neg
+        assert reordered_weight(neg) == TERMINATION_WEIGHT, neg
+    rng = random.Random(0)
+    negs = [neg_from_nodal((DivisorClass.from_display_row((0, -1, 1, 0, 0, 0, 0)),))]
+    for name in sorted(dynkin_catalog()):
+        neg = PointConfiguration.from_dynkin(name).neg
+        negs += [relabelled(neg, rng.sample(range(1, 7), 6)) for _ in range(30)]
+    below = 0
+    for neg in negs:
+        below += any(TERMINATION_WEIGHT.dot(c) < 1 for c in neg)
+        weight = reordered_weight(neg)
+        assert all(weight.dot(c) >= 1 for c in neg), (neg.nodal, weight)
+    assert (len(negs), below) == (601, 481)

@@ -180,8 +180,8 @@ def test_certify_hard_class_on_vertical_a1(a1_vertical_neg):
 
 
 def test_conic_shortcut():
-    # on a fresh conic NegSet, and on one whose bounds table s_chain filled
-    # with q/l rule certificates: conic support is decided before any of them
+    # on a fresh conic NegSet, and on one whose bounds table s_chain filled:
+    # the kernel stores conic support as the direct certificate of each class
     cfg = distinct_case("conic")
     filled = fresh(cfg.neg)
     s_chain(filled, 6)
@@ -284,6 +284,40 @@ def test_certify_in_descending_order_matches_verify():
             assert certify(f, problem) == report.certificates[f], (neg.nodal, f)
         classes += len(report.certificates)
     assert classes == 2222
+
+
+def marked_problems(neg):
+    """One NegSet per marked problem of a configuration: NEG in each of its
+    markings, deduped up to relabelling as ``verify_all_markings`` does."""
+    problems = {}
+    for h in e0_classes(neg):
+        problem = change_of_marking(neg, h)
+        problems.setdefault(canonical_key(curves(problem)), problem)
+    return list(problems.values())
+
+
+def test_stored_certificate_is_the_answer_on_conic_surfaces():
+    """On a surface whose six points lie on a conic the bounds kernel stores
+    conic support, so after ``s_chain`` and ``verify_stabilization`` every
+    stored certificate is what ``certify`` answers on a fresh NegSet, the
+    direct rule that comes first (``direct_certificate``): the
+    marked problems of the 20 types, the A5 chain and the six fixtures that
+    lie on a conic and have nef -K (33 of 111 problems, 2,664 certificates)."""
+    negs = [neg_from_nodal(r) for _, r in sorted(dynkin_catalog().items())]
+    negs += [a5_chain()] + [distinct_case(c).neg for c in FIXTURE_SPECS]
+    problems = [p for neg in negs for p in marked_problems(neg)]
+    conic = [p for p in problems if on_conic(p) and anticanonical_nef(p)]
+    stored = 0
+    for problem in conic:
+        neg = fresh(problem)
+        verify_stabilization(s_chain(neg, 6), neg)
+        answers = fresh(problem)
+        for f, cert in _bounds_and_certs(neg)[1].items():
+            if cert is not None:
+                assert cert == certify(f, answers) == direct_certificate(f, answers), \
+                    (problem.nodal, f)
+                stored += 1
+    assert (len(problems), len(conic), stored) == (111, 33, 2664)
 
 
 def test_certify_settles_a_deep_chain_without_recursion(monkeypatch):
@@ -592,6 +626,11 @@ def test_s_chain_a1_counts(a1_vertical_neg):
     assert [len(l) for l in chain.levels] == [58, 140, 150, 150, 150, 150]
 
 
+def level_classes(chain):
+    """The chain's levels as tuples of classes, level 1 first."""
+    return tuple(chain.level(i) for i in range(1, len(chain.levels) + 1))
+
+
 def scalar_s_chain_levels(neg, depth):
     """Reference chain: one scalar deficiency test per candidate sum."""
     s1 = tuple(f for f in gamma(neg) if scalar_deficient(f, neg))
@@ -611,7 +650,7 @@ def test_s_chain_matches_scalar_loop():
     negs = [distinct_case(c).neg for c in ("i", "ii", "iii", "iv")]
     negs += [PointConfiguration.from_dynkin(n).neg for n in sorted(dynkin_catalog())]
     for neg in negs:
-        assert s_chain(neg, 4).levels == scalar_s_chain_levels(neg, 4), neg.nodal
+        assert level_classes(s_chain(neg, 4)) == scalar_s_chain_levels(neg, 4), neg.nodal
 
 
 def test_deficient_rows_rejects_ineffective_like_ql_bounds(case_iv):
@@ -651,10 +690,10 @@ def set_find_stabilization(chain):
     """Reference search: Python sets of level classes, one sum per
     (level member, level-1 class) pair."""
     s1 = chain.level(1)
-    level_sets = [set(lv) for lv in chain.levels]
+    level_sets = [set(lv) for lv in level_classes(chain)]
     for j in range(1, 4):
         for k in range(1, 3):
-            if j + k + 1 > chain.depth:
+            if j + k + 1 > len(chain.levels):
                 continue
             witness = {}
             for f in chain.level(j):
@@ -667,6 +706,15 @@ def set_find_stabilization(chain):
                        for i in range(1, k + 2)):
                     return j, k, witness
     return None
+
+
+def witness_of(chain, found):
+    """``_find_stabilization``'s (j, k, col) with col read as the witness:
+    each level-j class mapped to its level-1 step."""
+    if found is None:
+        return None
+    j, k, col = found
+    return j, k, {f: chain.level(1)[c] for f, c in zip(chain.level(j), col)}
 
 
 def curves(neg):
@@ -701,9 +749,8 @@ def test_find_stabilization_matches_set_reference(sweep_chains):
     found = set()
     for chain in sweep_chains:
         for depth in (3, 4, 5, 6):
-            cut = SChain(levels=chain.levels[:depth], gamma=chain.gamma, depth=depth,
-                         rows=chain.rows[:depth])
-            got, want = _find_stabilization(cut), set_find_stabilization(cut)
+            cut = SChain(levels=chain.levels[:depth])
+            got, want = witness_of(cut, _find_stabilization(cut)), set_find_stabilization(cut)
             if want is None:
                 assert got is None
             else:
@@ -714,9 +761,8 @@ def test_find_stabilization_matches_set_reference(sweep_chains):
 
 
 def chain_of(levels):
-    """A depth-3 ``SChain`` of the given level classes, with their arrays."""
-    return SChain(levels=levels, gamma=(), depth=3, rows=tuple(
-        np.array(lv, dtype=np.int64).reshape(-1, 7) for lv in levels))
+    """A depth-3 ``SChain`` of the given level classes, as arrays."""
+    return SChain(levels=tuple(np.array(lv, dtype=np.int64).reshape(-1, 7) for lv in levels))
 
 
 def test_find_stabilization_rejects_like_set_reference():
@@ -742,9 +788,11 @@ def test_find_stabilization_does_no_class_arithmetic(monkeypatch, sweep_chains):
         raise AssertionError("DivisorClass arithmetic in the stabilization search")
 
     want = [set_find_stabilization(chain) for chain in sweep_chains]
-    for name in ("__add__", "__mul__", "__rmul__"):
-        monkeypatch.setattr(DivisorClass, name, refuse)
-    assert [_find_stabilization(chain) for chain in sweep_chains] == want
+    with monkeypatch.context() as m:
+        for name in ("__new__", "__add__", "__mul__", "__rmul__"):
+            m.setattr(DivisorClass, name, refuse)
+        got = [_find_stabilization(chain) for chain in sweep_chains]
+    assert [witness_of(chain, g) for chain, g in zip(sweep_chains, got)] == want
 
 
 def every_sum_levels(neg, depth):
@@ -781,7 +829,7 @@ def test_s_chain_matches_every_sum_loop_in_every_marking():
     assert len(negs) == 302
     for neg in negs:
         neg = fresh(neg)
-        got = s_chain(neg, 6).levels
+        got = level_classes(s_chain(neg, 6))
         assert got == every_sum_levels(neg, 6), neg.nodal
 
 
@@ -948,9 +996,8 @@ def test_census_rays_need_no_tail_search():
         rays[neg] = 0
         usable = plane_point_indices(neg)
         for depth in range(1, 7):
-            cut = SChain(levels=chain.levels[:depth], gamma=chain.gamma, depth=depth,
-                         rows=chain.rows[:depth])
-            found = _find_stabilization(cut) if all(cut.levels) else None
+            cut = SChain(levels=chain.levels[:depth])
+            found = witness_of(cut, _find_stabilization(cut) if all(map(len, cut.levels)) else None)
             for f, c in (found[2] if found else {}).items():
                 first = f + c
                 j = int(_pivots(int_rows([first]), neg)[0])
@@ -1130,10 +1177,10 @@ def test_distinct_rows_at_the_key_bounds():
 
 def test_s_chain_rows_are_the_levels(sweep_chains):
     for chain in sweep_chains:
-        assert len(chain.rows) == len(chain.levels) == chain.depth
-        for rows, level in zip(chain.rows, chain.levels):
-            assert rows.dtype == np.int64 and rows.shape == (len(level), 7)
-            assert list(map(tuple, rows.tolist())) == list(level)
+        assert len(chain.levels) == 6
+        for rows in chain.levels:
+            assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 7
+            assert list(map(tuple, rows.tolist())) == sorted(set(map(tuple, rows.tolist())))
 
 
 def test_deep_levels_match_unique_reference():
@@ -1146,7 +1193,7 @@ def test_deep_levels_match_unique_reference():
         for _ in range(2, 14):
             sums = np.unique((want[-1][:, None] + s1[None]).reshape(-1, 7), axis=0)
             want.append(sums[_deficient_rows(sums, neg)])
-        got = s_chain(neg, 13).levels
+        got = level_classes(s_chain(neg, 13))
         assert got == tuple(tuple(DivisorClass(r) for r in lv.tolist()) for lv in want)
         top = max(top, *(int(lv.max()) for lv in want if lv.size))
     assert top >= PACK_ENTRY_BOUND
@@ -1633,8 +1680,8 @@ def test_cached_bounds_after_s_chain_match_scalar():
         neg = make()
         chain = s_chain(neg, 4)
         cached = _bounds_and_certs(neg)[0]
-        members = {f for lv in chain.levels for f in lv}
-        assert set(cached) == set(chain.gamma) | members, name
+        members = {f for lv in level_classes(chain) for f in lv}
+        assert set(cached) == set(gamma(neg)) | members, name
         other = make()
         for f, b in cached.items():
             assert repr(b) == repr(scalar_ql_bounds(f, other)), (name, f)
@@ -1690,25 +1737,25 @@ def kernel_problems(a1_vertical_neg):
 
 
 def test_kernel_certificates_match_direct_rules(a1_vertical_neg):
-    """The bounds kernel stores a q/l rule certificate (None when no rule
-    fires) for gamma and every level member, all nef, each equal to the
-    rules on the scalar bounds of a NegSet where no chain was built, and on
-    the conic problem too; there ``certify`` answers conic support for each."""
+    """The bounds kernel stores the direct certificate (None when no rule
+    fires) of gamma and every level member, all nef, each equal to the
+    direct rules on the scalar bounds of a NegSet where no chain was built:
+    conic support on the conic problem, where ``certify`` answers it too."""
     reasons = Counter()
     conic = 0
     for neg in kernel_problems(a1_vertical_neg):
         chain = s_chain(neg, 6)
         certs = _bounds_and_certs(neg)[1]
-        assert set(certs) == set(chain.gamma).union(*chain.levels), neg.nodal
+        assert set(certs) == set(gamma(neg)).union(*level_classes(chain)), neg.nodal
         other = fresh(neg)
         for f, cert in list(certs.items()):
             assert is_nef(f, neg)
-            assert cert == direct_rules(scalar_ql_bounds(f, other)), (neg.nodal, f)
+            assert cert == direct_certificate(f, other), (neg.nodal, f)
             reasons[cert and cert.reason] += 1
             if on_conic(neg):
                 assert certify(f, neg) == Certificate(Status.SURJECTIVE, "conic-support")
                 conic += 1
-    assert set(reasons) == {"qstar+lstar=0", "q=l=0", None}
+    assert set(reasons) == {"conic-support", "qstar+lstar=0", "q=l=0", None}
     assert conic > 0
 
 
@@ -1758,7 +1805,7 @@ def test_verify_stabilization_checks_no_member_for_nef(monkeypatch, a1_vertical_
         chain = s_chain(neg, 6)
         checked.clear()
         assert verify_stabilization(chain, neg).ok
-        assert not set(checked) & set(chain.gamma).union(*chain.levels), neg.nodal
+        assert not set(checked) & set(gamma(neg)).union(*level_classes(chain)), neg.nodal
 
 
 @settings(max_examples=100, deadline=None)
@@ -1767,7 +1814,8 @@ def test_verify_stabilization_checks_no_member_for_nef(monkeypatch, a1_vertical_
 def test_deficient_rows_on_mixed_nef_rows_matches_scalar_reference(data, name, scale):
     """One call on rows that are nef (answered by Riemann-Roch) and rows
     that are not (reduced): bounds, deficiency and stored certificates as
-    the scalar reference gives them, in int64 and at 2**40 (object)."""
+    the scalar reference gives them (conic support first), in int64 and at
+    2**40 (object)."""
     neg = BOUNDS_NEGS[name]
     pared = nef_generators(neg).pared
     rows = []
@@ -1791,4 +1839,4 @@ def test_deficient_rows_on_mixed_nef_rows_matches_scalar_reference(data, name, s
         assert bounds[f] == scalar_ql_bounds(f, ref)
         assert (f in certs) == is_nef_row
         if is_nef_row:
-            assert certs[f] == direct_rules(scalar_ql_bounds(f, ref))
+            assert certs[f] == direct_certificate(f, ref)
