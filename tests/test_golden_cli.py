@@ -10,7 +10,12 @@ some A1 markings their entries leave the int64 key packing range), and of
 multiplicities ``LARGE_MULT`` on cases iv and general and the types E6, D5
 and A5, and at ``ASCENDING_MULT`` on E6 and D4, where
 ``proximity_normalize`` changes the multiplicities; one ``hilbert --deg``
-run reaches past twice sigma.  A change that means to alter this output
+run reaches past twice sigma.  ``oracle --compare``, text and ``--json``,
+is pinned on the six fixture cases at the vectors and degrees of
+``ORACLE_RUNS``, which include rank-deficient multiplication maps and
+degrees below, at and above each vector's largest multiplicity; an
+``oracle`` key names its fixture case where the others name a
+configuration.  A change that means to alter this output
 rewrites the file with ``PYTHONPATH=src python
 tests/test_golden_cli.py`` and says why.
 """
@@ -34,10 +39,25 @@ LARGE_MULT = "200,199,198,100,66,1"
 #: points get larger multiplicities than the points they lie near, so
 #: normalization rewrites them (E6: 128,128,127,127,127,127).
 ASCENDING_MULT = "1,66,100,198,199,200"
+#: (case, multiplicities, degrees) of the pinned ``oracle --compare`` runs.
+ORACLE_RUNS = (
+    ("i", "3,3,3,1,0,3", (2, 5, 7)),
+    ("ii", "0,3,0,6,3,3", (4, 5, 6, 8)),
+    ("iii", "5,4,3,2,1,0", (3, 4, 9)),
+    ("iii", "0,0,5,0,0,5", (4, 5, 9)),
+    ("iv", "2,2,6,2,2,2", (0, 4, 5, 6, 8, 11)),
+    ("iv", "20,0,0,0,0,0", (19, 20, 40)),
+    ("iv", "1,1,1,1,1,1", (0, 1, 2, 60000)),
+    ("conic", "6,1,4,0,2,0", (3, 5, 6, 7, 9)),
+    ("conic", "7,4,4,3,2,1", (6, 7, 12)),
+    ("general", "4,4,4,4,4,4", (3, 4, 10)),
+    ("general", "2,0,7,1,0,3", (6, 7, 8, 13)),
+)
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 NOTE = ("exit code and sha256 of the stdout of `fatpoints <arguments> --config "
-        "<configuration>.json`, keyed '<configuration> <arguments>'; written by "
+        "<configuration>.json`, keyed '<configuration> <arguments>', or of `fatpoints "
+        "oracle <arguments> --case <case>`, keyed '<case> oracle <arguments>'; written by "
         "tests/test_golden_cli.py")
 
 
@@ -66,6 +86,10 @@ def commands() -> list:
             for fmt in ("", " --json"):
                 out.append(f"{name} {command} --mult {ASCENDING_MULT}{fmt}")
     out.append(f"E6 hilbert --mult {ASCENDING_MULT} --deg 800")  # sigma is 383
+    for case, mult, degrees in ORACLE_RUNS:
+        for deg in degrees:
+            for fmt in ("", " --json"):
+                out.append(f"{case} oracle --mult {mult} --deg {deg} --compare{fmt}")
     return out
 
 
@@ -79,11 +103,15 @@ def config_json(name: str) -> dict:
 
 def run_command(key: str, directory: pathlib.Path) -> dict:
     name, *argv = key.split()
-    path = directory / f"{name}.json"
-    path.write_text(json.dumps(config_json(name)))
+    if argv[0] == "oracle":
+        argv += ["--case", name]
+    else:
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(config_json(name)))
+        argv += ["--config", str(path)]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv + ["--config", str(path)])
+        code = main(argv)
     return {"exit": code,
             "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
 
