@@ -30,19 +30,34 @@ Chart.  Dimensions and multiplication ranks are GL_3-invariant, so the
 points are moved by [[1, s, s^2], [0, 1, 0], [0, 0, 1]] (determinant 1),
 with the least s >= 0 that makes X = p0 + s*p1 + s^2*p2 nonzero at every
 point (a point rules out at most two values of s), and scaled to
-(1, p1/X, p2/X).  Differentiated in y and z at x = 1, column j no longer
-depends on the degree: C_t is the first N_t = C(t+2, 2) columns of C_T.
+(1, p1/X, p2/X).  The translation (y, z) -> (y - y_k, z - z_k), also of
+determinant 1 and keeping x = 1 at every point, then puts the point k of
+largest multiplicity m at the origin (1, 0, 0); the denominators X, and
+so the primes that admit the chart, are unchanged.  Differentiated in y
+and z at x = 1, column j no longer depends on the degree: C_t is the
+first N_t = C(t+2, 2) columns of C_T.
 
 Prefix.  So one elimination per (points, mults, field) serves all degrees:
 rank C_t is the number of pivots below N_t, and the basis of the ideal
-I_t is read off the same echelon form.  :class:`_Echelon` keeps it up to
-the highest degree T asked, with the row transform U carried as extra
-columns; a request above T appends U times the new columns and resumes at
-column N_T, so each column is eliminated once.  As x is 1 at every point,
-the new columns of degree k+1 are those of degree k times y, then the last
-times z: the state keeps only its latest degree block of conditions.  It
-grows a degree at a time and stops once every row has a pivot, since no
-later column adds rank, so a request far above that degree builds nothing.
+I_t is read off the same echelon form.  At the origin D_y^(du) D_z^(dv)
+picks the coefficient of y^du z^dv, so point k's m(m+1)/2 rows are the
+unit rows on the first N_{m-1} columns and zero on every later one (no
+form of degree below m vanishes to order m there).  So in every field
+rank C_t = min(N_t, N_{m-1}) plus the rank of the other points' rows on
+columns N_{m-1}..N_t-1, and the echelon form of C_t is the unit rows
+above that of those rows on those columns.  :class:`_Echelon` stores
+only the latter, up to the highest degree T asked, with the row
+transform U carried as extra columns; a request above T appends U times
+the new columns and resumes there, so each column is eliminated once.
+As x is 1 at every point, the new columns of degree k+1 are those of
+degree k times y, then the last times z: the state keeps only its latest
+degree block of the other points' conditions, and a degree below m only
+advances that block.  It grows a degree at a time and stops once every
+stored row has a pivot, since no later column adds rank, so a request
+far above that degree builds nothing.  With R' = R - m(m+1)/2 of the R
+conditions stored, a state at degree T >= m holds R' x (N_T - N_{m-1} +
+R') entries and an R' x (T+1) block; a scheme supported at one point
+stores none, at any multiplicity.
 
 Multiplication.  Times x, column j of degree t stays column j; times y
 and z, the last t+1 columns (the monomials without x) move to the new
@@ -69,8 +84,8 @@ second prime if it agrees, else exact elimination, as when p divides an X.
 :func:`_echelon` keeps the states of the last ``ECHELON_CACHE_SIZE`` keys
 (points, mults, p), enough for a scheme walked up the degrees (one state,
 two once a value goes to the vote, three on the exact route).  A state
-with R conditions at degree T holds R x (N_T + R) entries and an R x (T+1)
-block: about 1.9 MB of int64 for multiplicities 20, 0, ..., 0 at degree 41.
+for multiplicities 20, 20, 0, ..., 0 at degree 42 stores R' = 210 rows
+and 1.4 MB of int64.
 """
 
 from __future__ import annotations
@@ -344,17 +359,27 @@ class _Echelon:
     echelon form up to degree ``degree``, over F_p or over Q when p is
     None; see the module docstring.
 
-    ``a`` is [the reduced columns of C_degree | the row transform U],
-    ``pivots`` lists the pivot column of each leading row, and ``block``
-    holds the conditions of the degree-``degree`` monomials without x, the
-    last columns of C_degree before elimination.  Once every row has a
-    pivot, no column adds rank: ``a`` and ``block`` stop growing while
-    ``degree`` still follows the requests.
+    The chart is translated to put point ``origin`` at (1, 0, 0); its rows,
+    the unit rows on the first ``skip`` = N_{m-1} columns, are not stored.
+    ``a`` is [the reduced columns skip..N_degree-1 of the other rows | their
+    row transform U], ``pivots`` lists the pivot column of each leading
+    row, counted from column ``skip``, and ``block`` holds the other rows'
+    conditions of the degree-``degree`` monomials without x, the last
+    columns of C_degree before elimination.  ``count`` is R, all the rows.
+    Once every stored row has a pivot, no column adds rank: ``a`` and
+    ``block`` stop growing while ``degree`` still follows the requests.
     """
 
-    def __init__(self, chart, mults, p: int | None):
+    def __init__(self, chart, mults, p: int | None, origin: int):
         self.p = p
-        self.conditions = _Conditions(chart, mults, p)
+        self.count = sum(n * (n + 1) // 2 for n in mults)
+        m, (_, y, z) = (mults[origin], chart[origin]) if mults else (0, (1, 0, 0))
+        # the origin point's rows are the unit rows on columns 0..skip-1
+        self.skip = _ncols(m - 1)
+        moved = tuple((1, b - y, c - z) if p is None else (1, (b - y) % p, (c - z) % p)
+                      for _, b, c in chart)
+        others = tuple(0 if i == origin else n for i, n in enumerate(mults))
+        self.conditions = _Conditions(moved, others, p)
         self.degree = -1
         self.pivots = []
         self.block = None
@@ -362,39 +387,48 @@ class _Echelon:
 
     def grow(self, t: int) -> None:
         """Extend the echelon form to the columns of degree t, a degree at a
-        time until every row has a pivot."""
+        time until every row has a pivot; below the origin's multiplicity a
+        degree only advances the block."""
         while self.degree < t and len(self.pivots) < len(self.a):
             k = self.degree + 1
             self.block = self.conditions.origin if k == 0 else self.conditions.up(self.block)
-            old, new = _ncols(k - 1), _ncols(k)
+            self.degree = k
+            if _ncols(k) <= self.skip:
+                continue
+            old, new = _ncols(k - 1) - self.skip, _ncols(k) - self.skip
             u = self.a[:, old:]
             cols = u @ self.block
             if self.p is not None:
                 cols %= self.p  # each entry is a sum of R products below p^2
             self.a = np.concatenate((self.a[:, :old], cols, u), axis=1)
             _rref(self.a, self.p, old, new, self.pivots)
-            self.degree = k
         self.degree = max(self.degree, t)
 
     def rank(self, t: int) -> int:
-        """Rank of C_t: the pivots below column N_t."""
+        """Rank of C_t: the origin's unit rows below column N_t, and the
+        pivots of the other rows there."""
         self.grow(t)
-        return bisect.bisect_left(self.pivots, _ncols(t))
+        n = _ncols(t)
+        return min(n, self.skip) + bisect.bisect_left(self.pivots, n - self.skip)
 
     def full(self, t: int) -> bool:
         """Whether rank C_t is min(R, N_t), the most it can be."""
-        return self.rank(t) == min(len(self.a), _ncols(t))
+        return self.rank(t) == min(self.count, _ncols(t))
 
     def mu(self, t: int) -> tuple:
         """(ker, cok) of I_t x (linear forms) -> I_{t+1}; see the module
         docstring."""
         first = self.rank(t - 1)
-        if first == len(self.a):  # I_Z is t-regular, so mu_t is onto
+        if first == self.count:  # I_Z is t-regular, so mu_t is onto
             return 3 * (_ncols(t) - first) - (_ncols(t + 1) - first), 0
         self.grow(t + 1)
-        low, n = _ncols(t - 1), _ncols(t)
         r = self.rank(t)
-        dim, dim_up = n - r, _ncols(t + 1) - self.rank(t + 1)
+        dim, dim_up = _ncols(t) - r, _ncols(t + 1) - self.rank(t + 1)
+        if not dim:
+            return 0, dim_up
+        # dim I_t > 0 puts t past the origin's multiplicity, so the pivots
+        # of degree t are those of stored rows first - skip .. r - skip
+        low, first, r = _ncols(t - 1) - self.skip, first - self.skip, r - self.skip
         # positions in y*T (0..t+1): the free columns F of degree t, and the
         # rest, its pivot columns and position t+1
         bound = np.array(self.pivots[first:r], dtype=np.intp) - low
@@ -420,16 +454,18 @@ class _Echelon:
 
 @functools.lru_cache(maxsize=ECHELON_CACHE_SIZE)
 def _echelon(points, mults, p: int | None):
-    """The cached :class:`_Echelon` of (points, mults) over F_p or Q, or None
-    when p divides some chart denominator X."""
+    """The cached :class:`_Echelon` of (points, mults) over F_p or Q, with
+    the heaviest point at the origin, or None when p divides some chart
+    denominator X."""
     _, xs = _chart(points)
+    heaviest = max(range(len(mults)), key=mults.__getitem__, default=0)
     if p is None:
         return _Echelon(tuple((1, Fraction(b, x), Fraction(c, x))
-                              for (_, b, c), x in zip(points, xs)), mults, None)
+                              for (_, b, c), x in zip(points, xs)), mults, None, heaviest)
     if any(x % p == 0 for x in xs):
         return None
     return _Echelon(tuple((1, b * pow(x, -1, p) % p, c * pow(x, -1, p) % p)
-                          for (_, b, c), x in zip(points, xs)), mults, p)
+                          for (_, b, c), x in zip(points, xs)), mults, p, heaviest)
 
 
 def _decide(points, mults, read, proven):

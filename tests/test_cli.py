@@ -151,6 +151,14 @@ def test_oracle_compare(capsys):
     assert "MATCH" in out
 
 
+def test_oracle_one_point_at_large_multiplicity(capsys):
+    # R = 500,500 conditions at one point, all of them unit rows of the chart
+    code, out, err = run(capsys, "oracle", "--case", "iv", "--mult", "1000,0,0,0,0,0",
+                         "--deg", "0", "--compare")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["dim 0", "ker 0", "cok 0", "pipeline dim 0 MATCH"]
+
+
 def test_determinism(capsys, case_iv_cfg):
     _, out1, _ = run(capsys, "nefgens", "--config", case_iv_cfg)
     _, out2, _ = run(capsys, "nefgens", "--config", case_iv_cfg)

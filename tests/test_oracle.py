@@ -438,10 +438,29 @@ def test_ideal_dim_far_past_full_rank_builds_nothing_more():
     pts, m, t = oracle.fixture_points("iv"), (1,) * 6, 10 ** 6
     oracle._echelon.cache_clear()
     assert oracle.ideal_dim(pts, m, t) == _ncols(t) - 6
-    # full rank mod the first prime is a proof, so no other state is read
+    # full rank mod the first prime is a proof, so no other state is read;
+    # it stores the five rows of the points away from the origin, on
+    # columns 1..N_2-1
     state = oracle._echelon(pts, m, oracle.PRIMES[0])
     assert state.degree == t
-    assert state.block.shape == (6, 3) and state.a.shape == (6, _ncols(2) + 6)
+    assert state.block.shape == (5, 3) and state.a.shape == (5, _ncols(2) - 1 + 5)
+
+
+def test_one_point_at_large_multiplicity_needs_no_array():
+    # a scheme supported at one point keeps no rows: its R = 500,500
+    # conditions are the unit rows on the first N_999 columns
+    pts, m = oracle.fixture_points("iv"), (1000, 0, 0, 0, 0, 0)
+    oracle._echelon.cache_clear()
+    tracemalloc.start()
+    try:
+        assert oracle.ideal_dim(pts, m, 0) == 0
+        assert oracle.mu_rank_direct(pts, m, 0) == (0, 0)
+        assert oracle.ideal_dim(pts, m, 1000) == _ncols(1000) - _ncols(999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 20, peak
+    assert oracle._echelon(pts, m, oracle.PRIMES[0]).a.shape == (0, 0)
 
 
 def test_mu_past_regularity_takes_no_elimination():
@@ -468,7 +487,7 @@ def test_first_prime_below_the_bound_goes_to_the_vote(monkeypatch):
     oracle._echelon.cache_clear()
     low = oracle._echelon(pts, m, 5)
     assert low.rank(t) == 20 and not low.full(t)
-    assert oracle._echelon(pts, m, None).rank(t) == 21 == _ncols(t) < len(low.a)
+    assert oracle._echelon(pts, m, None).rank(t) == 21 == _ncols(t) < low.count
     assert oracle.ideal_dim(pts, m, t) == 0
 
 
@@ -512,7 +531,7 @@ def test_one_prime_proofs_hold_in_small_characteristic(case, mults, p):
     if state is None:  # p divides a chart denominator: no proof is read
         return
     exact = oracle._echelon(pts, mults, None)
-    count, eliminated = len(state.a), 0
+    count, eliminated = state.count, 0
     for t in range(14):
         if state.full(t):
             assert state.rank(t) == exact.rank(t), (p, t)
@@ -589,6 +608,66 @@ def test_walk_eliminates_each_column_once(monkeypatch):
     assert all(steps <= sum(t + 2 for t in range(13)) for steps in other.values()), other
 
 
+def test_walk_never_eliminates_the_origin_rows(monkeypatch):
+    # at (6, 2, 2, 1, 0, 0) point 1 sits at the origin: its 21 rows are the
+    # unit rows on columns 0..N_5-1, so the extensions see only the other
+    # 7 rows, from column N_5 = 21 on, and only from degree 6
+    pts, m = oracle.fixture_points("iv"), (6, 2, 2, 1, 0, 0)
+    oracle._echelon.cache_clear()
+    extensions = []
+    kernel = oracle._rref
+
+    def spy(a, p, start=0, stop=None, pivots=None):
+        if pivots is not None:
+            extensions.append((a.shape, start, stop))
+        return kernel(a, p, start, stop, pivots)
+
+    monkeypatch.setattr(oracle, "_rref", spy)
+    for t in range(13):
+        oracle.ideal_dim(pts, m, t)
+        oracle.mu_rank_direct(pts, m, t)
+    assert extensions
+    for shape, start, stop in extensions:
+        k = next(k for k in range(6, 14) if _ncols(k) - 21 == stop)
+        # the columns of degree k, stored from column N_5 on, and U
+        assert (start, shape) == (_ncols(k - 1) - 21, (7, stop + 7))
+    assert oracle.ideal_dim(pts, m, 5) == 0 < oracle.ideal_dim(pts, m, 6)
+
+
+def test_origin_rows_are_unit_rows():
+    # after the translation, the Hasse derivatives at (1, 0, 0) pick one
+    # coefficient each: point k's rows are unit rows on columns 0..N_{m-1}-1
+    chart = _chart_points(oracle.fixture_points("conic"), oracle.PRIMES[0])
+    for origin, m in enumerate((4, 1, 3, 0, 2, 5)):
+        mults = tuple(m if i == origin else 0 for i in range(6))
+        rows = oracle.conditions_matrix(_moved(chart, origin, oracle.PRIMES[0]), mults, 7)
+        ones = [list(row).index(1) for row in rows]
+        assert np.array(rows).tolist() == np.identity(_ncols(7), dtype=int)[ones].tolist()
+        assert sorted(ones) == list(range(_ncols(m - 1)))
+
+
+_ORIGIN_SCHEMES = (("ii", (3, 1, 2, 3, 1, 2), 9),
+                   ("conic", (6, 1, 4, 0, 2, 0), 9),
+                   ("iv", (2, 2, 4, 2, 2, 2), 8))
+
+
+@pytest.mark.parametrize("case, mults, top, origin", [
+    (case, mults, top, k) for case, mults, top in _ORIGIN_SCHEMES
+    for k, m in enumerate(mults) if m])
+def test_any_point_at_the_origin_gives_the_same_values(case, mults, top, origin):
+    # the heaviest point is only the cheapest origin: with any point of
+    # positive multiplicity there, the dimensions and (ker, cok) are those
+    # of the untranslated conditions eliminated from scratch, mod both
+    # primes and exactly
+    pts = oracle.fixture_points(case)
+    want = [(_reference_basis(pts, mults, t, oracle.PRIMES[0])[0],
+             _reference_mu(pts, mults, t, oracle.PRIMES[0])) for t in range(top)]
+    for p in oracle.PRIMES + (None,):
+        state = oracle._Echelon(_chart_points(pts, p), mults, p, origin)
+        assert [(state.rank(t), state.mu(t)) for t in range(top)] == want, p
+    assert any(ker and cok for _, (ker, cok) in want)
+
+
 def _chart_points(points, p):
     """The points moved to the chart of ``oracle._chart``: (1, p1/X, p2/X)
     mod p, or as Fractions when p is None."""
@@ -599,12 +678,23 @@ def _chart_points(points, p):
                  for (_, b, c), x in zip(points, xs))
 
 
+def _moved(chart, origin, p):
+    """The chart translated by (y, z) -> (y - y_k, z - z_k), which puts
+    point k = ``origin`` at (1, 0, 0)."""
+    _, y, z = chart[origin]
+    return tuple((1, b - y, c - z) if p is None else (1, (b - y) % p, (c - z) % p)
+                 for _, b, c in chart)
+
+
 def _check_blocks(case, mults, t, p):
     """The blocks an echelon state's conditions build degree by degree with
-    ``up``, side by side, against the chart's conditions matrix; the state
-    itself stops building them once every row has a pivot."""
+    ``up``, side by side, against the conditions matrix of the points other
+    than the heaviest, in the chart moved to put the heaviest at the
+    origin; the state itself stops building them once every row has a
+    pivot."""
     chart, mults = _chart_points(oracle.fixture_points(case), p), tuple(mults)
-    state = oracle._Echelon(chart, mults, p)
+    origin = max(range(6), key=mults.__getitem__)
+    state = oracle._Echelon(chart, mults, p, origin)
     blocks = [state.conditions.origin]
     for k in range(1, t + 1):
         blocks.append(state.conditions.up(blocks[-1]))
@@ -613,7 +703,8 @@ def _check_blocks(case, mults, t, p):
         state.grow(k)
         if len(state.pivots) < len(state.a):
             assert state.block.tolist() == block.tolist()
-    rows = oracle.conditions_matrix(chart, mults, t, p)
+    others = tuple(0 if i == origin else m for i, m in enumerate(mults))
+    rows = oracle.conditions_matrix(_moved(chart, origin, p), others, t, p)
     assert np.hstack(blocks).tolist() == [row.tolist() for row in rows]
 
 
