@@ -8,7 +8,7 @@ from .config import (ConfigError, DistinctSpec, NegSet, PointConfiguration,
 from .cones import (GeneratorSet, Reduction, gamma, h0, is_nef,
                     nef_generators, reduce)
 from .lattice import E0, K, MINUS_K, ZERO, DivisorClass, E, chi
-from .murank import (Certificate, MuBounds, SChain, StabilizationReport,
+from .murank import (Certificate, MuBounds, Rule, SChain, StabilizationReport,
                      Status, certify, e0_classes, exceptional_configuration,
                      ql_bounds, s_chain, verify_configuration,
                      verify_stabilization)
@@ -22,7 +22,7 @@ __all__ = [
     "BettiTable", "Certificate", "ConfigError", "DistinctSpec", "DivisorClass",
     "E", "E0", "FatPointScheme", "GeneratorSet", "HilbertProfile", "K",
     "MINUS_K", "MuBounds", "NegSet", "OrbitSet", "PointConfiguration",
-    "Reduction", "SChain", "StabilizationReport", "Status", "ZERO",
+    "Reduction", "Rule", "SChain", "StabilizationReport", "Status", "ZERO",
     "all_roots", "anticanonical_nef", "betti", "certify",
     "chi", "dynkin_catalog", "dynkin_classify", "e0_classes",
     "exceptional_classes", "exceptional_configuration", "gamma", "h0",

@@ -19,8 +19,8 @@ from .lattice import DivisorClass
 from .weyl import orbit
 
 
-def _row(cls: DivisorClass) -> str:
-    return " ".join(f"{v:2d}" for v in cls.display_row())
+def _row(cls: DivisorClass, width: int = 2) -> str:
+    return " ".join(f"{v:{width}d}" for v in cls.display_row())
 
 
 def _parse_class(text: str) -> DivisorClass:
@@ -125,7 +125,15 @@ def _cmd_resolve(args) -> int:
     return 0
 
 
+_TAIL_DETAIL = {
+    "surjective-h1-persistence": "starred counts vanish from offset {start}, pivot {pivot}",
+    "surjective-induction": "surjective at offset {start}, induction step {step}",
+    "injective-bound": "q-witness {step}; l-witness {step}; pivot {pivot}",
+}
+
+
 def _marking_lines(report: murank.MarkingReport) -> list:
+    """One marking's lines, the only place certificate and tail text is written."""
     rows = [f"marking {_row(report.marking)} method {report.method} "
             f"{'ok' if report.ok else 'INCONCLUSIVE'}"]
     if report.report is not None:
@@ -134,10 +142,13 @@ def _marking_lines(report: murank.MarkingReport) -> list:
             rows.append(f"  stabilization j={sub.j} k={sub.k}")
         for cls in sorted(sub.certificates):
             cert = sub.certificates[cls]
-            rows.append(f"  {_row(cls)}  {cert.status.value}  {cert.reason}")
+            witness = "" if cert.witness is None else ":" + _row(cert.witness, 1)
+            rows.append(f"  {_row(cls)}  {cert.status.value}  {cert.rule.value}{witness}")
         for tail in sub.tails:
+            detail = _TAIL_DETAIL[tail.kind].format(start=tail.start, pivot=tail.pivot,
+                                                    step=_row(tail.step, 1))
             rows.append(f"  ray {_row(tail.base)} + i*({_row(tail.step)}): "
-                        f"{tail.kind} from {tail.start} ({tail.detail})")
+                        f"{tail.kind} from {tail.start} ({detail})")
     return rows
 
 

@@ -142,7 +142,7 @@ class DistinctSpec:
     through all six (which forces ``collinear`` to be empty).  Five or six
     collinear points are rejected, though NEG holds them (one line class, of
     square -4 or -5): ``cones.reduce``'s termination weight meets the line
-    through five in -1 (ROADMAP direction 3).
+    through five in -1, and conic support on their reducible conic is unproven.
     """
 
     collinear: tuple = ()

@@ -48,15 +48,38 @@ class Status(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+class Rule(Enum):
+    """A certificate's rule and the status it proves; the value is its printed name."""
+
+    def __new__(cls, name: str, status: Status):
+        rule = object.__new__(cls)
+        rule._value_, rule.status = name, status
+        return rule
+
+    CONIC_SUPPORT = "conic-support", Status.SURJECTIVE
+    SURJECTIVE_BOUNDS = "qstar+lstar=0", Status.SURJECTIVE
+    INJECTIVE_BOUNDS = "q=l=0", Status.INJECTIVE
+    RATIONAL_CURVE_STEP = "rational-curve-step", Status.SURJECTIVE
+    KERNEL_TRANSFER = "kernel-transfer", Status.INJECTIVE
+    NO_GENERATOR_SET = "no generator set available", Status.INCONCLUSIVE
+    NO_CRITERION = "no criterion applied", Status.INCONCLUSIVE
+
+
 @dataclass(frozen=True)
 class Certificate:
-    status: Status
-    reason: str
+    """A rule and, for a rational-curve step or a kernel transfer, its curve C."""
+
+    rule: Rule
+    witness: DivisorClass | None = None
+
+    @property
+    def status(self) -> Status:
+        return self.rule.status
 
 
-_CONIC = Certificate(Status.SURJECTIVE, "conic-support")
-_SURJECTIVE_RULE = Certificate(Status.SURJECTIVE, "qstar+lstar=0")
-_INJECTIVE_RULE = Certificate(Status.INJECTIVE, "q=l=0")
+_CONIC = Certificate(Rule.CONIC_SUPPORT)
+_SURJECTIVE_RULE = Certificate(Rule.SURJECTIVE_BOUNDS)
+_INJECTIVE_RULE = Certificate(Rule.INJECTIVE_BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -297,11 +320,16 @@ def _search(f, neg) -> Certificate | DivisorClass:
     """Induction along a rational curve c whose complement f - c is known
     surjective, then injectivity transfer (:func:`_kernel_transfer`).  One
     ``nef_rows`` product decides which complements are nef, and the
-    candidates are tried in their order.  A class read unsettled is returned.
+    candidates are tried in their order.  A class read unsettled is returned,
+    and once ``certify`` has settled it, f is searched again from the first
+    candidate.  That is sound: the nef test and ``step_allows`` are pure and
+    a stored answer is final, so each earlier candidate fails again and the
+    scan answers as if resumed.  It costs a rescan: certifying 5000E0 -
+    2000(E1 + ... + E6) on the A5 chain makes 1,998 calls for 999 classes.
     Only a library ``certify`` call on a non-conic surface with -K not nef
-    gets "no generator set available"; ``verify`` stops earlier, in :func:`s_chain`."""
+    gets ``Rule.NO_GENERATOR_SET``; ``verify`` stops earlier, in :func:`s_chain`."""
     if not anticanonical_nef(neg):
-        return Certificate(Status.INCONCLUSIVE, "no generator set available")
+        return Certificate(Rule.NO_GENERATOR_SET)
     cands = _rational_curve_candidates(neg)
     nef = nef_rows(int_rows([f]) - int_rows(cands), neg)
     for c in itertools.compress(cands, nef.tolist()):
@@ -311,11 +339,8 @@ def _search(f, neg) -> Certificate | DivisorClass:
         if (known := _known(fp, neg)) is None:
             return fp
         if certified(known, Status.SURJECTIVE, fp, neg):
-            return Certificate(
-                Status.SURJECTIVE,
-                f"rational-curve-step:{' '.join(map(str, c.display_row()))}")
-    return (_kernel_transfer(f, neg)
-            or Certificate(Status.INCONCLUSIVE, "no criterion applied"))
+            return Certificate(Rule.RATIONAL_CURVE_STEP, c)
+    return _kernel_transfer(f, neg) or Certificate(Rule.NO_CRITERION)
 
 
 def _kernel_transfer(f, neg):
@@ -340,9 +365,7 @@ def _kernel_transfer(f, neg):
         if (known := _known(nef, neg)) is None:
             return nef
         if certified(known, Status.INJECTIVE, nef, neg):
-            return Certificate(
-                Status.INJECTIVE,
-                f"kernel-transfer:{' '.join(map(str, c.display_row()))}")
+            return Certificate(Rule.KERNEL_TRANSFER, c)
     return None
 
 
@@ -486,7 +509,7 @@ class TailCertificate:
     step: DivisorClass
     kind: str  # "surjective-h1-persistence" | "surjective-induction" | "injective-bound"
     start: int
-    detail: str
+    pivot: int | None = None  # the j of the bounds read; the induction reads none
 
 
 def _injective_tail(base, step, neg):
@@ -502,9 +525,7 @@ def _injective_tail(base, step, neg):
     j = ql_bounds(first, neg).index
     if step.dot(step) > 0 or any((first - d).dot(step) >= 0 for d in (E[j], E0 - E[j])):
         return None
-    row = " ".join(map(str, step.display_row()))
-    return TailCertificate(base=base, step=step, kind="injective-bound", start=1,
-                           detail=f"q-witness {row}; l-witness {row}; pivot {j}")
+    return TailCertificate(base=base, step=step, kind="injective-bound", start=1, pivot=j)
 
 
 def _h1_persistence_tail(base, step, neg, computed: int):
@@ -525,10 +546,8 @@ def _h1_persistence_tail(base, step, neg, computed: int):
             continue
         nxt = base + (i0 + 1) * step
         if (nxt - E[j]).dot(step) >= -1 and (nxt - (E0 - E[j])).dot(step) >= -1:
-            return TailCertificate(
-                base=base, step=step, kind="surjective-h1-persistence",
-                start=i0,
-                detail=f"starred counts vanish from offset {i0}, pivot {j}")
+            return TailCertificate(base=base, step=step, kind="surjective-h1-persistence",
+                                   start=i0, pivot=j)
     return None
 
 
@@ -546,10 +565,7 @@ def _surjective_tail(base, step, neg, computed: int):
             continue
         target = base + (i0 + 1) * step
         if step_allows(step, target, neg):
-            return TailCertificate(
-                base=base, step=step, kind="surjective-induction", start=i0,
-                detail=f"surjective at offset {i0}, induction step "
-                       + " ".join(map(str, step.display_row())))
+            return TailCertificate(base=base, step=step, kind="surjective-induction", start=i0)
     return None
 
 

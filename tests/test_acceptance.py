@@ -17,7 +17,7 @@ from fatpoints import oracle
 from fatpoints.cones import GENERATOR_SEEDS, h0, is_nef, nef_generators, seed_orbit_union
 from fatpoints.config import dynkin_catalog, dynkin_classify, anticanonical_nef, neg_from_nodal
 from fatpoints.lattice import E0, ZERO, DivisorClass
-from fatpoints.murank import (e0_classes, ql_bounds, s_chain, verify_all_markings,
+from fatpoints.murank import (Rule, e0_classes, ql_bounds, s_chain, verify_all_markings,
                               verify_configuration, verify_stabilization)
 from fatpoints.resolution import FatPointScheme, betti, hilbert
 from fatpoints.weyl import orbit
@@ -232,7 +232,7 @@ def test_oracle_equivalence():
 #: sha256 of the concatenated reprs of the 300 sweep reports (cases i-iv,
 #: then the 296 markings with one shared cache): every level, witness, tail
 #: and certificate of the sweep, pinned.
-SWEEP_REPR_SHA256 = "63bb424a4319596252be93004e9b6910d1931c910873916d3cefbecdb9dda198"
+SWEEP_REPR_SHA256 = "ca600f2ff45fb865803dfe7fe8d1e88a0cf8c7f17c6fcc5fe42c332b62fc3f17"
 
 
 @criterion(12)
@@ -261,10 +261,9 @@ def test_full_verification_sweep():
     assert Counter(rep.method for rep in solved) == {"chain": 65, "conic": 27}
     # how the claim is certified: the rule of every certificate and every tail
     chains = [rep.report for rep in solved if rep.report is not None]
-    rules = Counter(cert.reason.split(":")[0]
-                    for report in chains for cert in report.certificates.values())
-    assert rules == {"qstar+lstar=0": 10_513, "q=l=0": 466,
-                     "rational-curve-step": 46, "kernel-transfer": 4}
+    rules = Counter(cert.rule for report in chains for cert in report.certificates.values())
+    assert rules == {Rule.SURJECTIVE_BOUNDS: 10_513, Rule.INJECTIVE_BOUNDS: 466,
+                     Rule.RATIONAL_CURVE_STEP: 46, Rule.KERNEL_TRANSFER: 4}
     tails = Counter(tail.kind for report in chains for tail in report.tails)
     assert tails == {"surjective-h1-persistence": 1_606, "injective-bound": 76,
                      "surjective-induction": 10}

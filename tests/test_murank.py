@@ -14,7 +14,7 @@ from fatpoints.config import (FIXTURE_SPECS, DistinctSpec, NegSet, PointConfigur
                               neg_from_nodal)
 from fatpoints.lattice import E, E0, MINUS_K, ZERO, DivisorClass, arithmetic_genus, chi
 from fatpoints import murank
-from fatpoints.murank import (Certificate, MuBounds, SChain, Status, _bounds_and_certs,
+from fatpoints.murank import (Certificate, MuBounds, Rule, SChain, Status, _bounds_and_certs,
                               _canonical_keys, _deficient_rows,
                               _find_stabilization, _pivots,
                               _rational_curve_candidates,
@@ -154,7 +154,7 @@ def test_certify_39(case_iv):
     for f in gens.pared:
         cert = certify(f, case_iv.neg)
         assert cert.status is Status.SURJECTIVE
-        assert cert.reason == "qstar+lstar=0"
+        assert cert == Certificate(Rule.SURJECTIVE_BOUNDS)
     with pytest.raises(TypeError):  # certify takes the class and the NegSet only
         certify(gens.pared[0], case_iv.neg, gens)
 
@@ -175,7 +175,7 @@ def test_certify_hard_class_on_vertical_a1(a1_vertical_neg):
     two_h = DivisorClass((10, 4, 4, 4, 4, 4, 4))
     cert = certify(two_h, a1_vertical_neg)
     assert cert.status is Status.SURJECTIVE
-    assert cert.reason.startswith("rational-curve-step")
+    assert cert.rule is Rule.RATIONAL_CURVE_STEP
     assert certified(cert, Status.INJECTIVE, two_h, a1_vertical_neg)
 
 
@@ -191,15 +191,15 @@ def test_conic_shortcut():
         for f in classes:
             cert = certify(f, neg)
             assert cert.status is Status.SURJECTIVE
-            assert cert.reason == "conic-support"
+            assert cert == Certificate(Rule.CONIC_SUPPORT)
 
 
 def direct_rules(b):
     """Test-local copy of the q/l rules on the bounds b of a nef class."""
     if b.q_star + b.l_star == 0:
-        return Certificate(Status.SURJECTIVE, "qstar+lstar=0")
+        return Certificate(Rule.SURJECTIVE_BOUNDS)
     if b.q == 0 and b.l == 0:
-        return Certificate(Status.INJECTIVE, "q=l=0")
+        return Certificate(Rule.INJECTIVE_BOUNDS)
     return None
 
 
@@ -207,7 +207,7 @@ def direct_certificate(f, neg):
     """Test-local copy of the direct rules in ``certify``'s order: conic
     support, then the q/l rules on the scalar bounds of f."""
     if on_conic(neg):
-        return Certificate(Status.SURJECTIVE, "conic-support")
+        return Certificate(Rule.CONIC_SUPPORT)
     return direct_rules(scalar_ql_bounds(f, neg))
 
 
@@ -216,7 +216,7 @@ def a5_chain():
     return neg_from_nodal(tuple(E[i] - E[i + 1] for i in range(1, 6)))
 
 
-A5_STEP = Certificate(Status.SURJECTIVE, "rational-curve-step:5 -2 -2 -2 -2 -2 -2")
+A5_STEP = Certificate(Rule.RATIONAL_CURVE_STEP, DivisorClass((5,) + (2,) * 6))
 
 
 def test_certify_is_independent_of_call_history():
@@ -229,7 +229,7 @@ def test_certify_is_independent_of_call_history():
     hard, easier = DivisorClass((15,) + (6,) * 6), DivisorClass((10,) + (4,) * 6)
     assert certify(hard, fresh(neg)) == A5_STEP
     first = fresh(neg)
-    assert certify(easier, first).reason.startswith("kernel-transfer")
+    assert certify(easier, first).rule is Rule.KERNEL_TRANSFER
     assert certify(hard, first) == A5_STEP
     verified = fresh(neg)
     assert verify_configuration(verified).ok
@@ -249,8 +249,7 @@ def test_stored_certificate_is_final(monkeypatch):
     first = fresh(neg)
     assert certify(hard, first) == A5_STEP
     searched = {f: c for f, c in _bounds_and_certs(first)[1].items()
-                if c is not None and c.reason.split(":")[0] in ("rational-curve-step",
-                                                                "kernel-transfer")}
+                if c is not None and c.rule in (Rule.RATIONAL_CURVE_STEP, Rule.KERNEL_TRANSFER)}
     assert hard in searched and len(searched) > 1
     assert all(certify(f, fresh(neg)) == c for f, c in searched.items())
     again = []
@@ -262,7 +261,7 @@ def test_stored_certificate_is_final(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(murank, "anticanonical_nef", lambda n: False)
         cert = certify(hard, cut)
-    assert cert == Certificate(Status.INCONCLUSIVE, "no generator set available")
+    assert cert == Certificate(Rule.NO_GENERATOR_SET)
     assert _bounds_and_certs(cut)[1][hard] == cert
     assert certify(hard, cut) == cert
 
@@ -338,7 +337,7 @@ def test_certify_settles_a_deep_chain_without_recursion(monkeypatch):
     neg = fresh(a5_chain())
     assert certify(DivisorClass((5000,) + (2000,) * 6), neg) == A5_STEP
     table = _bounds_and_certs(neg)[1]
-    assert table[DivisorClass((10,) + (4,) * 6)].reason.startswith("kernel-transfer")
+    assert table[DivisorClass((10,) + (4,) * 6)].rule is Rule.KERNEL_TRANSFER
     assert all(table[DivisorClass((5 * k,) + (2 * k,) * 6)] == A5_STEP for k in range(3, 1001))
     assert len(searched) == 999
 
@@ -365,7 +364,7 @@ def test_verify_stabilization_reads_stored_certificates(monkeypatch, a1_vertical
         for f, cert in report.certificates.items():
             assert cert == real_certify(f, neg), (neg.nodal, f)
             if on_conic(neg):
-                assert cert.reason == "conic-support"
+                assert cert.rule is Rule.CONIC_SUPPORT
         members += len(nef_generators(neg).pared) + sum(map(len, chain.levels))
     assert calls and not any(calls)
     assert len(calls) * 20 < members
@@ -403,25 +402,42 @@ def good_part_sum(f, neg):
 def test_good_part_sum_never_fires_on_the_sweep(monkeypatch):
     # every class the cases i-iv and 296-marking sweep certifies past q=l=0,
     # that is every class it sends to the search, is one the retired rule
-    # had no witness for
+    # had no witness for; each of its certificates re-checks from its fields
     reached = []
 
     def record(f, neg):
         got = _search(f, neg)  # a certificate, or a smaller class to settle first
         if isinstance(got, Certificate):
-            reached.append((f, neg, got.reason.split(":")[0]))
+            reached.append((f, neg, got))
         return got
 
     monkeypatch.setattr("fatpoints.murank._search", record)
-    for case in ("i", "ii", "iii", "iv"):
-        assert verify_configuration(neg_from_distinct(FIXTURE_SPECS[case])).ok
+    reports = [verify_configuration(neg_from_distinct(FIXTURE_SPECS[case]))
+               for case in ("i", "ii", "iii", "iv")]
     solved = {}
     for name, roots in sorted(dynkin_catalog().items()):
-        assert all(r.ok for r in verify_all_markings(neg_from_nodal(roots), _cache=solved))
-    assert Counter(rule for *_, rule in reached) == {"rational-curve-step": 46,
-                                                      "kernel-transfer": 4}
+        reports += verify_all_markings(neg_from_nodal(roots), _cache=solved)
+    assert all(r.ok for r in reports)
+    assert Counter(cert.rule for *_, cert in reached) == {Rule.RATIONAL_CURVE_STEP: 46,
+                                                          Rule.KERNEL_TRANSFER: 4}
     assert len({(f, neg.classes) for f, neg, _ in reached}) == len(reached)
     assert all(good_part_sum(f, neg) is None for f, neg, _ in reached)
+    for f, neg, cert in reached:
+        w = cert.witness
+        if cert.rule is Rule.RATIONAL_CURVE_STEP:
+            assert w in _rational_curve_candidates(neg) and is_nef(f - w, neg)
+            assert step_allows(w, f, neg)
+            assert certified(certify(f - w, neg), Status.SURJECTIVE, f - w, neg)
+        else:
+            nef = reduce(f - w, neg).nef_part
+            assert f.dot(w) == 0 and w.degree >= 2
+            assert certified(certify(nef, neg), Status.INJECTIVE, nef, neg)
+    # only the steps and transfers carry a witness
+    witnessed = {Rule.RATIONAL_CURVE_STEP, Rule.KERNEL_TRANSFER}
+    certs = [c for r in reports if r.report for c in r.report.certificates.values()]
+    assert all((c.witness is None) == (c.rule not in witnessed) for c in certs)
+    assert {c.rule for c in certs} - witnessed == {Rule.SURJECTIVE_BOUNDS,
+                                                   Rule.INJECTIVE_BOUNDS}
 
 
 def seeded_nef_sums():
@@ -488,14 +504,14 @@ def reference_injective_certified(f, neg, *, _depth=0):
 
 def reference_certify_uncached(f, neg, _depth):
     if on_conic(neg):
-        return Certificate(Status.SURJECTIVE, "conic-support")
+        return Certificate(Rule.CONIC_SUPPORT)
     b = ql_bounds(f, neg)
     if b.q_star + b.l_star == 0:
-        return Certificate(Status.SURJECTIVE, "qstar+lstar=0")
+        return Certificate(Rule.SURJECTIVE_BOUNDS)
     if b.q == 0 and b.l == 0:
-        return Certificate(Status.INJECTIVE, "q=l=0")
+        return Certificate(Rule.INJECTIVE_BOUNDS)
     if not anticanonical_nef(neg):
-        return Certificate(Status.INCONCLUSIVE, "no generator set available")
+        return Certificate(Rule.NO_GENERATOR_SET)
     if _depth < 1:
         for c in _rational_curve_candidates(neg):
             fp = f - c
@@ -504,13 +520,11 @@ def reference_certify_uncached(f, neg, _depth):
             if not step_allows(c, f, neg):
                 continue
             if reference_surjective_certified(fp, neg, _depth=_depth + 1):
-                return Certificate(
-                    Status.SURJECTIVE,
-                    f"rational-curve-step:{' '.join(map(str, c.display_row()))}")
+                return Certificate(Rule.RATIONAL_CURVE_STEP, c)
         cert = reference_kernel_transfer(f, neg, _depth)
         if cert is not None:
             return cert
-    return Certificate(Status.INCONCLUSIVE, "no criterion applied")
+    return Certificate(Rule.NO_CRITERION)
 
 
 def reference_kernel_transfer(f, neg, _depth):
@@ -519,14 +533,11 @@ def reference_kernel_transfer(f, neg, _depth):
             continue
         red = reduce(f - c, neg)
         if not red.effective:
-            return Certificate(
-                Status.INJECTIVE,
-                f"kernel-transfer:{' '.join(map(str, c.display_row()))} "
-                "(complement has no sections)")
+            # a transfer to a complement with no sections; without a witness
+            # it differs from every certificate ``certify`` gives
+            return Certificate(Rule.KERNEL_TRANSFER)
         if reference_injective_certified(red.nef_part, neg, _depth=_depth + 1):
-            return Certificate(
-                Status.INJECTIVE,
-                f"kernel-transfer:{' '.join(map(str, c.display_row()))}")
+            return Certificate(Rule.KERNEL_TRANSFER, c)
     return None
 
 
@@ -564,8 +575,8 @@ def test_certify_matches_depth_reference_on_the_sweep(monkeypatch):
                     == reference_surjective_certified(f, ref_neg))
             assert (certified(cert, Status.INJECTIVE, f, new_neg)
                     == reference_injective_certified(f, ref_neg))
-        rules.update(c.reason.split(":")[0] for c in _bounds_and_certs(new_neg)[1].values())
-    assert rules["rational-curve-step"] == 46 and rules["kernel-transfer"] == 4
+        rules.update(c.rule for c in _bounds_and_certs(new_neg)[1].values())
+    assert rules[Rule.RATIONAL_CURVE_STEP] == 46 and rules[Rule.KERNEL_TRANSFER] == 4
 
 
 def test_certify_matches_depth_reference_on_random_sums():
@@ -580,7 +591,7 @@ def test_certify_matches_depth_reference_on_random_sums():
 def test_certify_matches_depth_reference_on_vertical_a1(a1_vertical_neg):
     two_h = DivisorClass((10, 4, 4, 4, 4, 4, 4))
     cert = certify(two_h, fresh(a1_vertical_neg))
-    assert cert.reason.startswith("rational-curve-step")
+    assert cert.rule is Rule.RATIONAL_CURVE_STEP
     assert cert == reference_certify(two_h, fresh(a1_vertical_neg))
 
 
@@ -607,7 +618,7 @@ def test_kernel_transfer_complement_is_effective():
             pairs += 1
         cert = certify(ZERO, neg)
         assert cert == direct_certificate(ZERO, neg)
-        assert cert.reason == ("conic-support" if on_conic(neg) else "qstar+lstar=0")
+        assert cert.rule is (Rule.CONIC_SUPPORT if on_conic(neg) else Rule.SURJECTIVE_BOUNDS)
     assert pairs > 1000
 
 
@@ -1006,7 +1017,7 @@ def test_census_rays_need_no_tail_search():
                 tails = (murank._h1_persistence_tail(f, c, neg, depth - found[0]),
                          murank._injective_tail(f, c, neg))
                 for tail in filter(None, tails):
-                    assert tail.detail.endswith(f"pivot {j}"), (neg.nodal, f, c)
+                    assert tail.pivot == j, (neg.nodal, f, c)
                     kinds[tail.kind] += 1
                 top = max(c[b] for b in usable)
                 assert all(c[b] == top for b in usable if first[b] == first[j]), (f, c)
@@ -1032,9 +1043,9 @@ def test_tails_name_the_pivot_of_the_first_member(general):
     assert [ql_bounds(f, neg).index for f in (ZERO, line, cubic)] == [1, 2, 6]
     tail = murank._h1_persistence_tail(ZERO, line, neg, 1)
     assert (tail.kind, tail.start) == ("surjective-h1-persistence", 1)
-    assert tail.detail.endswith("pivot 2")
+    assert tail.pivot == 2
     tail = murank._injective_tail(ZERO, cubic, neg)
-    assert tail.kind == "injective-bound" and tail.detail.endswith("pivot 6")
+    assert tail.kind == "injective-bound" and tail.pivot == 6
 
 
 def pruned_candidates(neg, depth, monkeypatch):
@@ -1741,7 +1752,7 @@ def test_kernel_certificates_match_direct_rules(a1_vertical_neg):
     fires) of gamma and every level member, all nef, each equal to the
     direct rules on the scalar bounds of a NegSet where no chain was built:
     conic support on the conic problem, where ``certify`` answers it too."""
-    reasons = Counter()
+    rules = Counter()
     conic = 0
     for neg in kernel_problems(a1_vertical_neg):
         chain = s_chain(neg, 6)
@@ -1751,11 +1762,12 @@ def test_kernel_certificates_match_direct_rules(a1_vertical_neg):
         for f, cert in list(certs.items()):
             assert is_nef(f, neg)
             assert cert == direct_certificate(f, other), (neg.nodal, f)
-            reasons[cert and cert.reason] += 1
+            rules[cert and cert.rule] += 1
             if on_conic(neg):
-                assert certify(f, neg) == Certificate(Status.SURJECTIVE, "conic-support")
+                assert certify(f, neg) == Certificate(Rule.CONIC_SUPPORT)
                 conic += 1
-    assert set(reasons) == {"conic-support", "qstar+lstar=0", "q=l=0", None}
+    assert set(rules) == {Rule.CONIC_SUPPORT, Rule.SURJECTIVE_BOUNDS, Rule.INJECTIVE_BOUNDS,
+                          None}
     assert conic > 0
 
 
